@@ -24,13 +24,12 @@ def mask_from_support(support: Iterable[int]) -> int:
 
 
 def support_from_mask(mask: int) -> list[int]:
+    """Set bit positions in increasing order, one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -143,13 +142,6 @@ class BinMatrix:
     def from_supports(cls, cols: int, supports: Iterable[Iterable[int]]) -> "BinMatrix":
         return cls([mask_from_support(s) for s in supports], cols)
 
-    @classmethod
-    def from_bitvecs(cls, vecs: Sequence[BitVec]) -> "BinMatrix":
-        if not vecs:
-            raise ValueError("need at least one vector to infer length")
-        n = vecs[0].n
-        return cls([v.bits for v in vecs], n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
@@ -211,12 +203,8 @@ class BinMatrix:
         """XOR of the rows picked out by selector bits."""
         sel = selector.bits if isinstance(selector, BitVec) else selector
         acc = 0
-        i = 0
-        while sel:
-            if sel & 1:
-                acc ^= self.rows[i]
-            sel >>= 1
-            i += 1
+        for i in support_from_mask(sel):
+            acc ^= self.rows[i]
         return BitVec(self.cols, acc)
 
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
@@ -231,20 +219,12 @@ class BinMatrix:
         cols_out = len(self.rows)
         new_rows = [0] * self.cols
         for i, row in enumerate(self.rows):
-            r = row
-            j = 0
-            while r:
-                if r & 1:
-                    new_rows[j] |= 1 << i
-                r >>= 1
-                j += 1
+            for j in support_from_mask(row):
+                new_rows[j] |= 1 << i
         return BinMatrix(new_rows, cols_out)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)
-
-    def stacked(self, extra_rows: Sequence[int]) -> "BinMatrix":
-        return BinMatrix(self.rows + list(extra_rows), self.cols)
 
     def rank_increase(self, extra_rows: Sequence[int]) -> int:
         """By how much the row space grows when extra_rows are appended."""
@@ -253,7 +233,3 @@ class BinMatrix:
             reduced.append(self.reduce(v))
         extra = BinMatrix(reduced, self.cols)
         return extra.rank()
-
-
-def rank_of(cols: int, rows: Iterable[int]) -> int:
-    return BinMatrix(list(rows), cols).rank()

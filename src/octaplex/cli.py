@@ -25,9 +25,10 @@ from .metachecks import build_ladder
 from .report import RUNNERS, Fault, render_text, report_json, run_octaplex_report
 
 FAMILIES = ("octaplex", "octaplex-bounded", "2d", "3d")
+PERIODIC_ONLY_KEYS = ("m0", "m1")
 EXPORT_KEYS = tuple(
-    [f"hx{i}" for i in range(4)] + [f"hz{i}" for i in range(4)] + ["m0", "m1"]
-)
+    [f"hx{i}" for i in range(4)] + [f"hz{i}" for i in range(4)]
+) + PERIODIC_ONLY_KEYS
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -64,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--family", choices=("octaplex", "octaplex-bounded"),
                      default="octaplex")
     exp.add_argument("--which", required=True,
-                     help="comma-separated subset of "
-                          "hx0..hx3,hz0..hz3,m0,m1 or 'all'")
+                     help="comma-separated subset of hx0..hx3,hz0..hz3,m0,m1 "
+                          "or 'all' (every selector the family defines)")
     exp.add_argument("--format", choices=("alist", "mtx"), default="alist")
     exp.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -106,6 +107,10 @@ def cmd_report(args) -> int:
         if unknown:
             print(f"error: unknown sections {sorted(unknown)}", file=sys.stderr)
             return USAGE_ERROR
+    if args.inject_fault and args.family != "octaplex":
+        print(f"error: --inject-fault is not supported for the {args.family} "
+              "family", file=sys.stderr)
+        return USAGE_ERROR
     runner = RUNNERS[args.family]
     if args.family == "octaplex":
         result = runner(args.L, threads=threads, sections=sections,
@@ -131,7 +136,8 @@ def cmd_export(args) -> int:
         print("error: L must be >= 2", file=sys.stderr)
         return USAGE_ERROR
     keys = (
-        list(EXPORT_KEYS)
+        [k for k in EXPORT_KEYS
+         if args.family == "octaplex" or k not in PERIODIC_ONLY_KEYS]
         if args.which == "all"
         else [k.strip() for k in args.which.split(",") if k.strip()]
     )
@@ -146,7 +152,7 @@ def cmd_export(args) -> int:
     else:
         family = build_bounded_family(args.L)
         matrices = {}
-        bad = [k for k in keys if k in ("m0", "m1")]
+        bad = [k for k in keys if k in PERIODIC_ONLY_KEYS]
         if bad:
             print(f"error: {bad} are defined for the periodic family only",
                   file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-from .binalg import BinMatrix, mask_from_support
+from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .lattice import (
     AXES,
     CellComplex,
@@ -73,9 +73,7 @@ class Codeblock:
         return self.n - self.hx.rank() - self.hz.rank()
 
     def css_commutes(self) -> bool:
-        return all(
-            (x & z).bit_count() % 2 == 0 for x in self.hx.rows for z in self.hz.rows
-        )
+        return self.hx.matmul(self.hz.transpose()).is_zero()
 
     def x_weights(self) -> list[int]:
         return sorted({r.bit_count() for r in self.hx.rows})
@@ -172,10 +170,7 @@ def colored_z_supports(cx: CellComplex, color: Color) -> list[tuple[int, ...]]:
                     m = star(o) & star(va) & star(vb)
                     if m:
                         seen.add(m)
-    supports = sorted(
-        (tuple(i for i in range(len(qubits)) if m >> i & 1) for m in seen)
-    )
-    return supports
+    return sorted(tuple(support_from_mask(m)) for m in seen)
 
 
 def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .binalg import BinMatrix
+from .binalg import BinMatrix, support_from_mask
 
 
 def matrix_to_alist(m: BinMatrix) -> str:
@@ -18,15 +18,9 @@ def matrix_to_alist(m: BinMatrix) -> str:
     col_lists: list[list[int]] = [[] for _ in range(cols)]
     row_lists: list[list[int]] = []
     for i, r in enumerate(m.rows):
-        sup = []
-        j = 0
-        rr = r
-        while rr:
-            if rr & 1:
-                sup.append(j)
-                col_lists[j].append(i + 1)
-            rr >>= 1
-            j += 1
+        sup = support_from_mask(r)
+        for j in sup:
+            col_lists[j].append(i + 1)
         row_lists.append([j + 1 for j in sup])
     max_col = max((len(c) for c in col_lists), default=0)
     max_row = max((len(r) for r in row_lists), default=0)
@@ -68,12 +62,7 @@ def matrix_to_mtx(m: BinMatrix) -> str:
     rows, cols = m.shape
     entries = []
     for i, r in enumerate(m.rows):
-        j = 0
-        while r:
-            if r & 1:
-                entries.append(f"{i + 1} {j + 1} 1")
-            r >>= 1
-            j += 1
+        entries.extend(f"{i + 1} {j + 1} 1" for j in support_from_mask(r))
     head = "%%MatrixMarket matrix coordinate integer general"
     return "\n".join([head, f"{rows} {cols} {len(entries)}"] + entries) + "\n"
 

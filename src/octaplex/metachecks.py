@@ -129,9 +129,6 @@ def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
     }
     n = ladder.hz.cols
     k = n - ranks["hx"] - ranks["hz"]
-    acc = 0
-    for r in ladder.hx.rows:
-        acc ^= r
     return CountingReport(
         L=L,
         ranks=ranks,
@@ -139,7 +136,7 @@ def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
         chain_m1_hz_zero=ladder.m1.matmul(ladder.hz).is_zero(),
         chain_m0_m1_zero=ladder.m0.matmul(ladder.m1).is_zero(),
         k=k,
-        sum_hx_rows_zero=(acc == 0),
+        sum_hx_rows_zero=(ladder.hx.row_combination(ladder.globalX).bits == 0),
         total_independent=ranks["hx"] + ranks["hz"],
     )
 
@@ -189,20 +186,16 @@ def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport
     )
     gain1 = ladder.m0.rank_increase([g.bits for g in ladder.globals1.values()])
 
-    vertex_sum = 0
-    for r in ladder.m0.rows:
-        vertex_sum ^= r
-    hx_sum = 0
-    for r in ladder.hx.rows:
-        hx_sum ^= r
+    vertex_sum = ladder.m0.row_combination(ladder.global0)
+    hx_sum = ladder.hx.row_combination(ladder.globalX)
     return GlobalConstraintReport(
         face_planes_zero_on_qubits=faces_zero,
         face_planes_rank_gain=gain2,
         edge_hyperplanes_zero_on_faces=edges_zero,
         edge_hyperplanes_rank_gain=gain1,
-        vertex_sum_zero_on_edges=(vertex_sum == 0),
+        vertex_sum_zero_on_edges=(vertex_sum.bits == 0),
         m0_rank_deficit=len(ladder.m0.rows) - ladder.m0.rank(),
-        hx_sum_zero=(hx_sum == 0),
+        hx_sum_zero=(hx_sum.bits == 0),
         hx_rank_deficit=len(ladder.hx.rows) - ladder.hx.rank(),
     )
 

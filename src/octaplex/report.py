@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
+from .binalg import mask_from_support, support_from_mask
 from .codes import (
     CodeFamily,
     bounded_boundary_coordinate_count,
@@ -295,14 +296,7 @@ def _blocks_equivalent(family: CodeFamily, block: int) -> bool:
     perm = shifted_qubit_permutation(cx, block)
 
     def permute(mask: int) -> int:
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << perm[i]
-            mask >>= 1
-            i += 1
-        return out
+        return mask_from_support(perm[i] for i in support_from_mask(mask))
 
     blk = family.blocks[block]
     blk0 = family.blocks[0]

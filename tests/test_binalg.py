@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from octaplex.binalg import BinMatrix, BitVec, mask_from_support
+from octaplex.binalg import BinMatrix, BitVec, mask_from_support, support_from_mask
 
 
 def test_rank_zero_matrix():
@@ -113,3 +113,10 @@ def test_rank_increase():
 def test_mask_helpers():
     assert mask_from_support([0, 2]) == 0b101
     assert BitVec(3, 0b101).support() == [0, 2]
+    assert support_from_mask(0) == []
+    # the lowest-set-bit walk agrees with a scan of every position
+    rng = random.Random(7)
+    for n in (1, 63, 64, 65, 1000):
+        mask = rng.getrandbits(n) | 1 << (n - 1)
+        assert support_from_mask(mask) == [i for i in range(n) if mask >> i & 1]
+        assert mask_from_support(support_from_mask(mask)) == mask

@@ -42,6 +42,10 @@ def test_usage_errors():
     assert main(["report", "--family", "3d", "--L", "3"]) == 2
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", "nonsense"]) == 2
+    # only the octaplex runner takes a fault; elsewhere a negative control
+    # would silently pass
+    assert main(["report", "--family", "octaplex-bounded", "--L", "2",
+                 "--inject-fault", "perturb-logical"]) == 2
 
 
 def test_argparse_rejects_unknown_family():
@@ -88,6 +92,19 @@ def test_export_mtx(tmp_path):
 def test_export_unknown_selector(tmp_path):
     assert main(["export", "--family", "octaplex", "--L", "2",
                  "--which", "hq9", "--out", str(tmp_path)]) == 2
+
+
+def test_export_bounded_all(tmp_path):
+    code = main(["export", "--family", "octaplex-bounded", "--L", "2",
+                 "--which", "all", "--out", str(tmp_path)])
+    assert code == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(
+        f"octaplex-bounded_L2_h{s}{b}.alist" for s in "xz" for b in range(4)
+    )
+    # naming a periodic-only selector is still a usage error
+    assert main(["export", "--family", "octaplex-bounded", "--L", "2",
+                 "--which", "hx0,m1", "--out", str(tmp_path / "m")]) == 2
 
 
 def test_selftest_passes(capsys):

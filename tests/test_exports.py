@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from octaplex.binalg import BinMatrix
 from octaplex.exports import (
     alist_to_supports,
@@ -5,6 +9,18 @@ from octaplex.exports import (
     matrix_to_alist,
     matrix_to_mtx,
 )
+from octaplex.report import report_json, run_octaplex_report
+
+# sha256 of the canonical L=2 outputs; a refactor must keep these bytes.
+BYTE_CONTRACT = {
+    "report": "8053eed83410562034af8c73a9fc8da4759034d978cb4698ca034aebe0aca5a5",
+    "hx1.alist": "9e5874d3e213441955c67afc08c55eb39138218d4b0b6299f7722e172ec2250d",
+    "hx1.mtx": "05a11aa4b9d0ffe5e5964c69554c13445bddc455302a1fff055526e81f27d61b",
+    "hz1.alist": "a009018fe78d840fb9edbf9c08e7354e74372d9996d85f0d7cbd313909947b92",
+    "hz1.mtx": "58b9b791da52f728f2de4c60d134ec8162f192fd410b94666b073816fbc92cd9",
+    "m1.alist": "e304a87c89cee3317b4a3cdef3bcc09b7077f3a5e421a0e09e547418cb93fcc0",
+    "m1.mtx": "b13d25d62e94e8daa35bd901dde9ce069f7e73a4b1291939227c26c357735143",
+}
 
 
 def test_alist_roundtrip_small():
@@ -66,3 +82,14 @@ def test_logicals_json(family2, basis2):
     )
     assert d["operators"]["z_w_block0"] == [[0, 0, 0, 2], [0, 0, 0, 6]]
     assert len(d["operators"]["x_w_block0"]) == 80
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_CONTRACT))
+def test_byte_contract(name, family2, ladder2):
+    if name == "report":
+        text = report_json(run_octaplex_report(2, threads=1))
+    else:
+        key, fmt = name.split(".")
+        m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
+        text = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BYTE_CONTRACT[name]
