@@ -5,7 +5,8 @@ Subcommands:
     report    build a family at size L, run its verification sections, write
               canonical JSON (optional) and a text summary with timings
     export    write check matrices in alist or MatrixMarket format
-    selftest  fast invariant suite at L=2 (no exhaustive distance search)
+    selftest  fast invariant suite: the octaplex report at L=2 without the
+              distance section
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 The environment variable OCTAPLEX_SEED seeds fault injection used by the
@@ -22,9 +23,8 @@ from pathlib import Path
 from .codes import build_bounded_family, build_periodic_family
 from .exports import matrix_to_alist, matrix_to_mtx, write_text
 from .metachecks import build_ladder
-from .report import RUNNERS, Fault, render_text, report_json, run_octaplex_report
+from .report import FAULT_KINDS, RUNNERS, SECTIONS, Fault, render_text, report_json
 
-FAMILIES = ("octaplex", "octaplex-bounded", "2d", "3d")
 PERIODIC_ONLY_KEYS = ("m0", "m1")
 EXPORT_KEYS = tuple(
     [f"hx{i}" for i in range(4)] + [f"hz{i}" for i in range(4)]
@@ -50,14 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="run verification and emit a report")
     _add_common(rep)
-    rep.add_argument("--family", choices=FAMILIES, default="octaplex")
+    rep.add_argument("--family", choices=tuple(RUNNERS), default="octaplex")
     rep.add_argument("--out", type=Path, default=None, help="JSON output path")
     rep.add_argument("--json", action="store_true",
                      help="print canonical JSON to stdout")
     rep.add_argument("--sections", type=str, default=None,
-                     help="comma-separated subset: lattice,codes,logicals,"
-                          "transversal,distance,metachecks")
-    rep.add_argument("--inject-fault", choices=("perturb-logical", "recolor-vertex"),
+                     help="comma-separated subset of the family's sections: "
+                          + "; ".join(f"{f}: {','.join(t)}" for f, t in SECTIONS.items()))
+    rep.add_argument("--inject-fault", choices=FAULT_KINDS,
                      default=None, help=argparse.SUPPRESS)
 
     exp = sub.add_parser("export", help="write check matrices to files")
@@ -71,10 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", type=Path, required=True, help="output directory")
 
     st = sub.add_parser("selftest", help="fast invariant suite at L=2")
+    st.set_defaults(family="octaplex", L=2,
+                    sections="lattice,codes,logicals,transversal,metachecks")
     st.add_argument("--threads", type=int, default=0)
     st.add_argument("--out", type=Path, default=None)
     st.add_argument("--json", action="store_true")
-    st.add_argument("--inject-fault", choices=("perturb-logical", "recolor-vertex"),
+    st.add_argument("--inject-fault", choices=FAULT_KINDS,
                     default=None, help=argparse.SUPPRESS)
     return parser
 
@@ -102,21 +104,17 @@ def cmd_report(args) -> int:
     sections = None
     if args.sections:
         sections = {s.strip() for s in args.sections.split(",") if s.strip()}
-        unknown = sections - {"lattice", "codes", "logicals", "transversal",
-                              "distance", "metachecks"}
+        unknown = sections - set(SECTIONS[args.family])
         if unknown:
-            print(f"error: unknown sections {sorted(unknown)}", file=sys.stderr)
+            print(f"error: sections {sorted(unknown)} are not defined for the "
+                  f"{args.family} family", file=sys.stderr)
             return USAGE_ERROR
     if args.inject_fault and args.family != "octaplex":
         print(f"error: --inject-fault is not supported for the {args.family} "
               "family", file=sys.stderr)
         return USAGE_ERROR
-    runner = RUNNERS[args.family]
-    if args.family == "octaplex":
-        result = runner(args.L, threads=threads, sections=sections,
-                        fault=_fault(args.inject_fault))
-    else:
-        result = runner(args.L, threads=threads)
+    result = RUNNERS[args.family](args.L, threads=threads, sections=sections,
+                                  fault=_fault(args.inject_fault))
     text = render_text(result)
     sys.stdout.write(text)
     payload = report_json(result)
@@ -145,6 +143,11 @@ def cmd_export(args) -> int:
     if unknown:
         print(f"error: unknown selectors {unknown}", file=sys.stderr)
         return USAGE_ERROR
+    bad = [k for k in keys if k in PERIODIC_ONLY_KEYS]
+    if bad and args.family != "octaplex":
+        print(f"error: {bad} are defined for the periodic family only",
+              file=sys.stderr)
+        return USAGE_ERROR
     if args.family == "octaplex":
         family = build_periodic_family(args.L)
         ladder = build_ladder(family.complex, family.blocks[0])
@@ -152,11 +155,6 @@ def cmd_export(args) -> int:
     else:
         family = build_bounded_family(args.L)
         matrices = {}
-        bad = [k for k in keys if k in PERIODIC_ONLY_KEYS]
-        if bad:
-            print(f"error: {bad} are defined for the periodic family only",
-                  file=sys.stderr)
-            return USAGE_ERROR
     for b, blk in enumerate(family.blocks):
         matrices[f"hx{b}"] = blk.hx
         matrices[f"hz{b}"] = blk.hz
@@ -172,35 +170,12 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    threads = _threads(args.threads)
-    result = run_octaplex_report(
-        2,
-        threads=threads,
-        sections={"lattice", "codes", "logicals", "transversal", "metachecks"},
-        fault=_fault(args.inject_fault),
-    )
-    sys.stdout.write(render_text(result))
-    payload = report_json(result)
-    if args.json:
-        sys.stdout.write(payload)
-    if args.out is not None:
-        try:
-            write_text(args.out, payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return IO_ERROR
-    return 0 if result.ok else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args)
     if args.command == "export":
         return cmd_export(args)
-    return cmd_selftest(args)
+    return cmd_report(args)
 
 
 if __name__ == "__main__":

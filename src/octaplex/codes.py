@@ -215,24 +215,6 @@ def shifted_qubit_permutation(cx: CellComplex, block: int) -> list[int]:
 # bounded octaplex family
 
 
-def _classify_abs(c: Coord) -> CellType | None:
-    if any(v < 0 for v in c):
-        return None
-    return try_classify(c)
-
-
-def _star24_abs(center: Coord) -> list[Coord]:
-    out = []
-    for i in range(4):
-        for s in (2, -2):
-            d = list(center)
-            d[i] += s
-            out.append(tuple(d))
-    for signs in product((1, -1), repeat=4):
-        out.append(tuple(v + s for v, s in zip(center, signs)))
-    return out
-
-
 def bounded_retained_centers(L: int, block: int) -> list[Coord]:
     """X-stabilizer centers kept for one block of the bounded family.
 
@@ -244,7 +226,7 @@ def bounded_retained_centers(L: int, block: int) -> list[Coord]:
     rough = BOUNDED_ROUGH_AXIS[block]
     out = []
     for c in product(range(2, hi + 1), repeat=4):
-        t = _classify_abs(c)
+        t = try_classify(c)
         if block == 0:
             if t not in FOURCELL_TYPES:
                 continue
@@ -318,14 +300,16 @@ def build_bounded_family(L: int) -> CodeFamily:
     qubits = sorted(
         c
         for c in product(range(2, hi + 1), repeat=4)
-        if _classify_abs(c) in QUBIT_TYPES
+        if try_classify(c) in QUBIT_TYPES
     )
     qidx = {q: i for i, q in enumerate(qubits)}
     n = len(qubits)
 
+    period = 4 * L + 8  # past the box: no wrapped coordinate lands in [2, 4L]
+
     def clipped_star(center: Coord) -> int:
         return mask_from_support(
-            qidx[q] for q in _star24_abs(center) if q in qidx
+            qidx[q] for q in star24(center, period) if q in qidx
         )
 
     centers = {b: bounded_retained_centers(L, b) for b in range(4)}
@@ -347,8 +331,8 @@ def build_bounded_family(L: int) -> CodeFamily:
 
     for q in qubits:
         groups: dict[int, list[Coord]] = {0: [], 1: [], 2: [], 3: []}
-        for c in _star24_abs(q):
-            t = _classify_abs(c)
+        for c in star24(q, period):
+            t = try_classify(c)
             if t in FOURCELL_TYPES:
                 groups[0].append(c)
             elif t is CellType.V0:

@@ -7,14 +7,20 @@ invariants; where a measured quantity disagrees with a stated target value
 the mismatch is emitted in the top-level ``discrepancies`` block so it
 cannot be missed, with the measured and stated values side by side.
 
-The canonical JSON rendering contains no timings; wall-clock per section is
-kept in the text summary so that report bytes are reproducible.
+Every family runs through one driver, ``run_report``, over that family's
+table in ``SECTIONS``: a section function returns ``(passed, data,
+discrepancies)``.
+
+The canonical JSON rendering contains no timings; wall-clock per build phase
+and per section is kept in the text summary so that report bytes are
+reproducible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from . import __version__
 from .binalg import mask_from_support, support_from_mask
@@ -55,13 +61,14 @@ from .transversal import (
 )
 
 SECTION_NAMES = ("lattice", "codes", "logicals", "transversal", "distance", "metachecks")
+FAULT_KINDS = ("perturb-logical", "recolor-vertex")
 
 
 @dataclass
 class Fault:
     """Deterministic corruption for negative-control runs."""
 
-    kind: str               # "perturb-logical" or "recolor-vertex"
+    kind: str               # one of FAULT_KINDS
     seed: int = 0
 
     def pick(self, count: int) -> int:
@@ -77,217 +84,221 @@ class RunResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _section(status: bool, **data) -> dict:
-    return {"status": "pass" if status else "fail", **data}
+@dataclass
+class _Run:
+    """One report run: its inputs, its report and its shared objects.
+
+    ``cx``, ``family`` and ``basis`` are built on first use, each once, and
+    timed. A fault is applied right after the object it corrupts.
+    """
+
+    name: str
+    L: int
+    threads: int
+    fault: Fault | None
+    report: dict
+    timings: dict[str, float] = field(default_factory=dict)
+    timed_s: float = 0.0
+
+    def timed(self, phase: str, fn, *args):
+        """Call ``fn(*args)``, timing it net of the phases nested in it."""
+        t0, inner = time.monotonic(), self.timed_s
+        out = fn(*args)
+        self.timings[phase] = time.monotonic() - t0 - (self.timed_s - inner)
+        self.timed_s += self.timings[phase]
+        return out
+
+    @cached_property
+    def cx(self):
+        cx = self.timed("build", build_octaplex, self.L)
+        if self.fault is not None and self.fault.kind == "recolor-vertex":
+            i = self.fault.pick(len(cx.colors))
+            old = cx.colors[i]
+            cx.colors[i] = next(c for c in Color if c is not old)
+            self.report["fault"] = {"kind": self.fault.kind, "vertex": i}
+        return cx
+
+    @cached_property
+    def family(self) -> CodeFamily:
+        return self.timed("codes_build", BUILDERS[self.name], self)
+
+    @cached_property
+    def basis(self):
+        basis = self.timed("logicals_build", build_logicals, self.family)
+        if self.fault is not None and self.fault.kind == "perturb-logical":
+            i = self.fault.pick(self.family.n)
+            basis.x_ops[0][0] = basis.x_ops[0][0].flipped(i)
+            self.report["fault"] = {"kind": self.fault.kind, "qubit": i}
+        return basis
 
 
-def _apply_logical_fault(basis, fault: Fault, n: int):
-    i = fault.pick(n)
-    old = basis.x_ops[0][0]
-    basis.x_ops[0][0] = old.flipped(i)
-    return i
-
-
-def run_octaplex_report(
+def run_report(
+    family: str,
     L: int,
     threads: int = 1,
     sections: set[str] | None = None,
     fault: Fault | None = None,
 ) -> RunResult:
-    wanted = sections or set(SECTION_NAMES)
+    """Run the requested sections of ``SECTIONS[family]`` (all by default)."""
+    table = SECTIONS[family]
+    wanted = sections or set(table)
     report: dict = {
         "tool_version": __version__,
-        "family": "octaplex",
+        "family": family,
         "L": L,
         "sections": {},
         "discrepancies": [],
     }
-    timings: dict[str, float] = {}
-    ok = True
-
-    t0 = time.monotonic()
-    cx = build_octaplex(L)
-    if fault is not None and fault.kind == "recolor-vertex":
-        i = fault.pick(len(cx.colors))
-        old = cx.colors[i]
-        cx.colors[i] = next(c for c in Color if c is not old)
-        report["fault"] = {"kind": fault.kind, "vertex": i}
-    timings["build"] = time.monotonic() - t0
-
-    if "lattice" in wanted:
-        t0 = time.monotonic()
-        counts = [len(cx.cells[d]) for d in range(5)]
-        expected = [6 * L**4, 48 * L**4, 64 * L**4, 24 * L**4, 2 * L**4]
-        color_balance = {
-            c.value: sum(1 for col in cx.colors if col is c)
-            for c in set(cx.colors)
-        }
-        same_color_edge = None
-        for i, e in enumerate(cx.cells[1]):
-            a, b = cx.boundary[1][i]
-            if cx.colors[a] is cx.colors[b]:
-                same_color_edge = [a, b]
-                break
-        passed = (
-            counts == expected
-            and euler_characteristic(cx) == 0
-            and boundary_composition_is_zero(cx)
-            and cross_check_nearest(cx)
-            and same_color_edge is None
-        )
-        ok &= passed
-        report["sections"]["lattice"] = _section(
-            passed,
-            cell_counts=counts,
-            expected_counts=expected,
-            euler_characteristic=euler_characteristic(cx),
-            color_balance=color_balance,
-            same_color_edge_witness=same_color_edge,
-        )
-        timings["lattice"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    family = build_family(cx)
-    timings["codes_build"] = time.monotonic() - t0
-
-    if "codes" in wanted:
-        t0 = time.monotonic()
-        block_data = []
-        passed = True
-        for blk in family.blocks:
-            entry = {
-                "label": blk.label,
-                "n": blk.n,
-                "k": blk.k,
-                "x_weights": blk.x_weights(),
-                "z_weights": blk.z_weights(),
-                "x_rows": len(blk.hx.rows),
-                "z_rows": len(blk.hz.rows),
-                "css": blk.css_commutes(),
-            }
-            passed &= (
-                entry["css"]
-                and entry["n"] == 24 * L**4
-                and entry["k"] == 4
-                and entry["x_weights"] == [24]
-                and entry["z_weights"] == [3]
-            )
-            block_data.append(entry)
-        equiv = all(
-            _blocks_equivalent(family, b) for b in (1, 2, 3)
-        )
-        passed &= equiv
-        ok &= passed
-        report["sections"]["codes"] = _section(
-            passed, blocks=block_data, block_equivalence=equiv
-        )
-        timings["codes"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    basis = build_logicals(family)
-    if fault is not None and fault.kind == "perturb-logical":
-        i = _apply_logical_fault(basis, fault, family.n)
-        report["fault"] = {"kind": fault.kind, "qubit": i}
-    timings["logicals_build"] = time.monotonic() - t0
-
-    if "logicals" in wanted:
-        t0 = time.monotonic()
-        valid, witnesses = verify_logical_basis(family, basis)
-        ok &= valid
-        report["sections"]["logicals"] = _section(
-            valid,
-            k=basis.k,
-            witnesses=[w.as_dict() for w in witnesses[:8]],
-            x_weight=basis.x_ops[0][0].weight(),
-            z_weight=basis.z_ops[0][0].weight(),
-        )
-        timings["logicals"] = time.monotonic() - t0
-
-    if "transversal" in wanted:
-        t0 = time.monotonic()
-        rep = check_cccz_conditions(family, basis, threads=threads)
-        passed = (
-            rep.all_even_pass
-            and rep.extras["tensor_is_all_distinct_pattern"]
-            and rep.extras["tensor_entries_are_permutations"]
-        )
-        ok &= passed
-        report["sections"]["transversal"] = _section(passed, **rep.as_dict())
-        if not rep.extras["tensor_matches_stated_quartets"]:
-            report["discrepancies"].append(
-                {
-                    "section": "transversal",
-                    "claim": "coupling tensor equals the four stated quartets",
-                    "summary": (
-                        f"stated 4 quartets, measured "
-                        f"{len(rep.tensor_support())} coupled quadruples"
-                    ),
-                    "stated": [list(q) for q in sorted_stated_quartets()],
-                    "measured": [list(q) for q in rep.tensor_support()],
-                    "note": (
-                        "all direction-permutation quadruples couple; the four "
-                        "stated quartets are a strict subset"
-                    ),
-                }
-            )
-        timings["transversal"] = time.monotonic() - t0
-
-    if "distance" in wanted:
-        t0 = time.monotonic()
-        try:
-            cert = certify_distances(family, basis, exhaustive=(L == 2))
-            passed = cert.dz == L and cert.dx_lower == cert.dx_upper
-        except AssertionError as exc:
-            cert = None
-            passed = False
-            report["sections"]["distance"] = _section(False, error=str(exc))
-        if cert is not None:
-            ok &= passed
-            report["sections"]["distance"] = _section(passed, **cert.as_dict())
-            if cert.dx_formula_discrepancy:
-                report["discrepancies"].append(
-                    {
-                        "section": "distance",
-                        "claim": "dx equals 8*L^3 with a hyperplane of that weight",
-                        "summary": (
-                            f"stated {cert.dx_stated_formula}, certified "
-                            f"{cert.dx_upper}"
-                        ),
-                        "stated": cert.dx_stated_formula,
-                        "measured": cert.dx_upper,
-                        "note": (
-                            "the three-sheet hyperplane has weight 10*L^3 and "
-                            "the disjoint-string certificate matches it exactly"
-                        ),
-                    }
-                )
-        else:
-            ok = False
-        timings["distance"] = time.monotonic() - t0
-
-    if "metachecks" in wanted:
-        t0 = time.monotonic()
-        ladder = build_ladder(cx, family.blocks[0])
-        counting = verify_counting(ladder, L)
-        glob = verify_global_constraints(ladder)
-        demo = single_shot_repair_demo(ladder, {0})
-        passed = counting.passed and glob.passed and demo.violated_per_flip == 3
-        ok &= passed
-        report["sections"]["metachecks"] = _section(
-            passed,
-            counting=counting.as_dict(),
-            global_constraints=glob.as_dict(),
-            single_flip_demo=demo.as_dict(),
-        )
-        timings["metachecks"] = time.monotonic() - t0
-
+    run = _Run(family, L, threads, fault, report)
     for name in SECTION_NAMES:
-        report["sections"].setdefault(name, {"status": "skipped"})
-    return RunResult(report, ok, timings)
+        if name not in table or name not in wanted:
+            report["sections"][name] = {"status": "skipped"}
+            continue
+        passed, data, discrepancies = run.timed(name, table[name], run)
+        report["sections"][name] = {"status": "pass" if passed else "fail", **data}
+        report["discrepancies"].extend(discrepancies)
+    ok = all(s["status"] != "fail" for s in report["sections"].values())
+    return RunResult(report, ok, run.timings)
 
 
-def sorted_stated_quartets() -> list[tuple]:
-    return sorted(STATED_QUARTETS)
+def _octaplex_lattice(run: _Run):
+    cx, L = run.cx, run.L
+    counts = [len(cx.cells[d]) for d in range(5)]
+    expected = [6 * L**4, 48 * L**4, 64 * L**4, 24 * L**4, 2 * L**4]
+    color_balance = {
+        c.value: sum(1 for col in cx.colors if col is c)
+        for c in set(cx.colors)
+    }
+    same_color_edge = None
+    for i, e in enumerate(cx.cells[1]):
+        a, b = cx.boundary[1][i]
+        if cx.colors[a] is cx.colors[b]:
+            same_color_edge = [a, b]
+            break
+    passed = (
+        counts == expected
+        and euler_characteristic(cx) == 0
+        and boundary_composition_is_zero(cx)
+        and cross_check_nearest(cx)
+        and same_color_edge is None
+    )
+    return passed, dict(
+        cell_counts=counts,
+        expected_counts=expected,
+        euler_characteristic=euler_characteristic(cx),
+        color_balance=color_balance,
+        same_color_edge_witness=same_color_edge,
+    ), []
+
+
+def _octaplex_codes(run: _Run):
+    family, L = run.family, run.L
+    block_data = []
+    passed = True
+    for blk in family.blocks:
+        entry = {
+            "label": blk.label,
+            "n": blk.n,
+            "k": blk.k,
+            "x_weights": blk.x_weights(),
+            "z_weights": blk.z_weights(),
+            "x_rows": len(blk.hx.rows),
+            "z_rows": len(blk.hz.rows),
+            "css": blk.css_commutes(),
+        }
+        passed &= (
+            entry["css"]
+            and entry["n"] == 24 * L**4
+            and entry["k"] == 4
+            and entry["x_weights"] == [24]
+            and entry["z_weights"] == [3]
+        )
+        block_data.append(entry)
+    equiv = all(
+        _blocks_equivalent(family, b) for b in (1, 2, 3)
+    )
+    passed &= equiv
+    return passed, dict(blocks=block_data, block_equivalence=equiv), []
+
+
+def _octaplex_logicals(run: _Run):
+    basis = run.basis
+    valid, witnesses = verify_logical_basis(run.family, basis)
+    return valid, dict(
+        k=basis.k,
+        witnesses=[w.as_dict() for w in witnesses[:8]],
+        x_weight=basis.x_ops[0][0].weight(),
+        z_weight=basis.z_ops[0][0].weight(),
+    ), []
+
+
+def _octaplex_transversal(run: _Run):
+    rep = check_cccz_conditions(run.family, run.basis, threads=run.threads)
+    passed = (
+        rep.all_even_pass
+        and rep.extras["tensor_is_all_distinct_pattern"]
+        and rep.extras["tensor_entries_are_permutations"]
+    )
+    discrepancies = []
+    if not rep.extras["tensor_matches_stated_quartets"]:
+        discrepancies.append(
+            {
+                "section": "transversal",
+                "claim": "coupling tensor equals the four stated quartets",
+                "summary": (
+                    f"stated 4 quartets, measured "
+                    f"{len(rep.tensor_support())} coupled quadruples"
+                ),
+                "stated": [list(q) for q in sorted(STATED_QUARTETS)],
+                "measured": [list(q) for q in rep.tensor_support()],
+                "note": (
+                    "all direction-permutation quadruples couple; the four "
+                    "stated quartets are a strict subset"
+                ),
+            }
+        )
+    return passed, rep.as_dict(), discrepancies
+
+
+def _octaplex_distance(run: _Run):
+    family, basis, L = run.family, run.basis, run.L
+    try:
+        cert = certify_distances(family, basis, exhaustive=(L == 2))
+    except AssertionError as exc:
+        return False, dict(error=str(exc)), []
+    passed = cert.dz == L and cert.dx_lower == cert.dx_upper
+    discrepancies = []
+    if cert.dx_formula_discrepancy:
+        discrepancies.append(
+            {
+                "section": "distance",
+                "claim": "dx equals 8*L^3 with a hyperplane of that weight",
+                "summary": (
+                    f"stated {cert.dx_stated_formula}, certified "
+                    f"{cert.dx_upper}"
+                ),
+                "stated": cert.dx_stated_formula,
+                "measured": cert.dx_upper,
+                "note": (
+                    "the three-sheet hyperplane has weight 10*L^3 and "
+                    "the disjoint-string certificate matches it exactly"
+                ),
+            }
+        )
+    return passed, cert.as_dict(), discrepancies
+
+
+def _octaplex_metachecks(run: _Run):
+    ladder = build_ladder(run.cx, run.family.blocks[0])
+    counting = verify_counting(ladder, run.L)
+    glob = verify_global_constraints(ladder)
+    demo = single_shot_repair_demo(ladder, {0})
+    passed = counting.passed and glob.passed and demo.violated_per_flip == 3
+    return passed, dict(
+        counting=counting.as_dict(),
+        global_constraints=glob.as_dict(),
+        single_flip_demo=demo.as_dict(),
+    ), []
 
 
 def _blocks_equivalent(family: CodeFamily, block: int) -> bool:
@@ -305,21 +316,8 @@ def _blocks_equivalent(family: CodeFamily, block: int) -> bool:
     return {permute(r) for r in blk.hz.rows} == set(blk0.hz.rows)
 
 
-def run_bounded_report(L: int, threads: int = 1) -> RunResult:
-    report: dict = {
-        "tool_version": __version__,
-        "family": "octaplex-bounded",
-        "L": L,
-        "sections": {},
-        "discrepancies": [],
-    }
-    timings: dict[str, float] = {}
-    t0 = time.monotonic()
-    family = build_bounded_family(L)
-    basis = build_logicals(family)
-    timings["build"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
+def _bounded_codes(run: _Run):
+    family, basis, L = run.family, run.basis, run.L
     blocks = []
     passed = True
     formula_ok = True
@@ -350,101 +348,96 @@ def run_bounded_report(L: int, threads: int = 1) -> RunResult:
     passed &= formula_ok
     valid, witnesses = verify_logical_basis(family, basis)
     passed &= valid
-    report["sections"]["codes"] = _section(
-        passed,
+    return passed, dict(
         blocks=blocks,
         x_weight_formula_holds=formula_ok,
         logicals_valid=valid,
         witnesses=[w.as_dict() for w in witnesses[:8]],
-    )
-    timings["codes"] = time.monotonic() - t0
+    ), []
 
-    t0 = time.monotonic()
-    rep = check_cccz_conditions(family, basis, threads=threads)
+
+def _bounded_transversal(run: _Run):
+    rep = check_cccz_conditions(run.family, run.basis, threads=run.threads)
     tpass = rep.all_even_pass and rep.extras.get("single_cccz", False)
-    report["sections"]["transversal"] = _section(tpass, **rep.as_dict())
-    timings["transversal"] = time.monotonic() - t0
-
-    for name in SECTION_NAMES:
-        report["sections"].setdefault(name, {"status": "skipped"})
-    ok = passed and tpass
-    return RunResult(report, ok, timings)
+    return tpass, rep.as_dict(), []
 
 
-def run_2d_report(L: int, threads: int = 1) -> RunResult:
-    family = build_2d_pair(L)
-    basis = build_logicals(family)
-    rep = check_cz_conditions(family, basis, threads=threads)
+def _warmup_blocks(family: CodeFamily) -> list[dict]:
+    return [
+        {"label": b.label, "n": b.n, "k": b.k,
+         "x_weights": b.x_weights(), "z_weights": b.z_weights()}
+        for b in family.blocks
+    ]
+
+
+def _2d_codes(run: _Run):
+    family = run.family
+    return all(b.k == 2 for b in family.blocks), dict(
+        blocks=_warmup_blocks(family),
+        role_swap=(set(family.blocks[0].hx.rows) == set(family.blocks[1].hz.rows)),
+    ), []
+
+
+def _2d_transversal(run: _Run):
+    family, basis = run.family, run.basis
+    rep = check_cz_conditions(family, basis, threads=run.threads)
     valid, _ = verify_logical_basis(family, basis)
     passed = rep.all_even_pass and valid
-    report = {
-        "tool_version": __version__,
-        "family": "2d",
-        "L": L,
-        "sections": {
-            "codes": _section(
-                all(b.k == 2 for b in family.blocks),
-                blocks=[
-                    {"label": b.label, "n": b.n, "k": b.k,
-                     "x_weights": b.x_weights(), "z_weights": b.z_weights()}
-                    for b in family.blocks
-                ],
-                role_swap=(set(family.blocks[0].hx.rows) == set(family.blocks[1].hz.rows)),
-            ),
-            "transversal": _section(
-                passed,
-                pairing_matrix=[
-                    [rep.tensor[(i, j)] for j in range(basis.k)]
-                    for i in range(basis.k)
-                ],
-                **rep.as_dict(),
-            ),
-        },
-        "discrepancies": [],
-    }
-    for name in SECTION_NAMES:
-        report["sections"].setdefault(name, {"status": "skipped"})
-    ok = passed and all(b.k == 2 for b in family.blocks)
-    return RunResult(report, ok, {})
+    return passed, dict(
+        pairing_matrix=[
+            [rep.tensor[(i, j)] for j in range(basis.k)]
+            for i in range(basis.k)
+        ],
+        **rep.as_dict(),
+    ), []
 
 
-def run_3d_report(L: int, threads: int = 1) -> RunResult:
-    family = build_3d_triple(L)
-    basis = build_logicals(family)
-    rep = check_ccz_conditions(family, basis, threads=threads)
+def _3d_codes(run: _Run):
+    family = run.family
+    return all(b.k == 3 for b in family.blocks), dict(
+        blocks=_warmup_blocks(family),
+    ), []
+
+
+def _3d_transversal(run: _Run):
+    family, basis = run.family, run.basis
+    rep = check_ccz_conditions(family, basis, threads=run.threads)
     valid, _ = verify_logical_basis(family, basis)
     weights_ok = set(rep.extras["triple_intersection_weights"]) <= {0, 2}
     tensor_ok = rep.tensor_support() == sorted(ALL_DISTINCT_TRIPLES)
     passed = rep.all_even_pass and valid and weights_ok and tensor_ok
-    report = {
-        "tool_version": __version__,
-        "family": "3d",
-        "L": L,
-        "sections": {
-            "codes": _section(
-                all(b.k == 3 for b in family.blocks),
-                blocks=[
-                    {"label": b.label, "n": b.n, "k": b.k,
-                     "x_weights": b.x_weights(), "z_weights": b.z_weights()}
-                    for b in family.blocks
-                ],
-            ),
-            "transversal": _section(passed, **rep.as_dict()),
-        },
-        "discrepancies": [],
-    }
-    for name in SECTION_NAMES:
-        report["sections"].setdefault(name, {"status": "skipped"})
-    ok = passed and all(b.k == 3 for b in family.blocks)
-    return RunResult(report, ok, {})
+    return passed, rep.as_dict(), []
 
 
-RUNNERS = {
-    "octaplex": run_octaplex_report,
-    "octaplex-bounded": run_bounded_report,
-    "2d": run_2d_report,
-    "3d": run_3d_report,
+# Each family's code family, built from the run's inputs and shared objects.
+# The layer builders are looked up by their global names at call time.
+BUILDERS = {
+    "octaplex": lambda run: build_family(run.cx),
+    "octaplex-bounded": lambda run: build_bounded_family(run.L),
+    "2d": lambda run: build_2d_pair(run.L),
+    "3d": lambda run: build_3d_triple(run.L),
 }
+
+# Per family, its sections in SECTION_NAMES order.
+SECTIONS = {
+    "octaplex": {
+        "lattice": _octaplex_lattice,
+        "codes": _octaplex_codes,
+        "logicals": _octaplex_logicals,
+        "transversal": _octaplex_transversal,
+        "distance": _octaplex_distance,
+        "metachecks": _octaplex_metachecks,
+    },
+    "octaplex-bounded": {"codes": _bounded_codes, "transversal": _bounded_transversal},
+    "2d": {"codes": _2d_codes, "transversal": _2d_transversal},
+    "3d": {"codes": _3d_codes, "transversal": _3d_transversal},
+}
+
+RUNNERS = {family: partial(run_report, family) for family in SECTIONS}
+run_octaplex_report = RUNNERS["octaplex"]
+run_bounded_report = RUNNERS["octaplex-bounded"]
+run_2d_report = RUNNERS["2d"]
+run_3d_report = RUNNERS["3d"]
 
 
 def render_text(result: RunResult) -> str:
@@ -453,9 +446,11 @@ def render_text(result: RunResult) -> str:
         f"version={result.report['tool_version']}"
     ]
     sections = result.report["sections"]
+    # The build phases, in the order they completed.
+    for phase, t in result.timings.items():
+        if phase not in sections:
+            lines.append(f"  {phase}: [{t:.2f}s]")
     for name in SECTION_NAMES:
-        if name not in sections:
-            continue
         t = result.timings.get(name)
         suffix = f" [{t:.2f}s]" if t is not None else ""
         lines.append(f"  {name}: {sections[name]['status'].upper()}{suffix}")

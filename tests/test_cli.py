@@ -37,12 +37,29 @@ def test_report_octaplex_sections(tmp_path):
     assert payload["sections"]["metachecks"]["status"] == "skipped"
 
 
+@pytest.mark.parametrize("family, asked, skipped", [
+    ("2d", "codes", "transversal"),
+    ("octaplex-bounded", "transversal", "codes"),
+])
+def test_report_sections_every_family(tmp_path, family, asked, skipped):
+    out = tmp_path / "s.json"
+    code = main(["report", "--family", family, "--L", "2",
+                 "--sections", asked, "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["sections"][asked]["status"] == "pass"
+    assert payload["sections"][skipped]["status"] == "skipped"
+
+
 def test_usage_errors():
     assert main(["report", "--family", "octaplex", "--L", "1"]) == 2
     assert main(["report", "--family", "3d", "--L", "3"]) == 2
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", "nonsense"]) == 2
-    # only the octaplex runner takes a fault; elsewhere a negative control
+    # a section the family does not define
+    assert main(["report", "--family", "2d", "--L", "2",
+                 "--sections", "lattice"]) == 2
+    # only the octaplex family takes a fault; elsewhere a negative control
     # would silently pass
     assert main(["report", "--family", "octaplex-bounded", "--L", "2",
                  "--inject-fault", "perturb-logical"]) == 2

@@ -9,17 +9,29 @@ from octaplex.exports import (
     matrix_to_alist,
     matrix_to_mtx,
 )
-from octaplex.report import report_json, run_octaplex_report
+from octaplex.cli import main
 
 # sha256 of the canonical L=2 outputs; a refactor must keep these bytes.
 BYTE_CONTRACT = {
     "report": "8053eed83410562034af8c73a9fc8da4759034d978cb4698ca034aebe0aca5a5",
+    "report-bounded": "24e28f88cd5ee6c364a81eff3d293407e59b69aa88274567d28095b76e3206b2",
+    "report-2d": "5d44d0f241a8431a7d0809ea13a113cd7b217e104bc86f5901ff67ebc4642fed",
+    "report-3d": "f4e8c205555579ec4f66218bea9090edc42207406fab6b589192ba22f32d5e02",
+    "selftest": "6bb40ce57267e9f260ac2d6796703f560a13709058eb06c37e37fef267e77886",
     "hx1.alist": "9e5874d3e213441955c67afc08c55eb39138218d4b0b6299f7722e172ec2250d",
     "hx1.mtx": "05a11aa4b9d0ffe5e5964c69554c13445bddc455302a1fff055526e81f27d61b",
     "hz1.alist": "a009018fe78d840fb9edbf9c08e7354e74372d9996d85f0d7cbd313909947b92",
     "hz1.mtx": "58b9b791da52f728f2de4c60d134ec8162f192fd410b94666b073816fbc92cd9",
     "m1.alist": "e304a87c89cee3317b4a3cdef3bcc09b7077f3a5e421a0e09e547418cb93fcc0",
     "m1.mtx": "b13d25d62e94e8daa35bd901dde9ce069f7e73a4b1291939227c26c357735143",
+}
+# CLI argv of each pinned report, run with --threads 1 --out.
+REPORT_ARGV = {
+    "report": ["report", "--family", "octaplex", "--L", "2"],
+    "report-bounded": ["report", "--family", "octaplex-bounded", "--L", "2"],
+    "report-2d": ["report", "--family", "2d", "--L", "2"],
+    "report-3d": ["report", "--family", "3d", "--L", "2"],
+    "selftest": ["selftest"],
 }
 
 
@@ -85,11 +97,13 @@ def test_logicals_json(family2, basis2):
 
 
 @pytest.mark.parametrize("name", sorted(BYTE_CONTRACT))
-def test_byte_contract(name, family2, ladder2):
-    if name == "report":
-        text = report_json(run_octaplex_report(2, threads=1))
+def test_byte_contract(name, family2, ladder2, tmp_path):
+    if name in REPORT_ARGV:
+        out = tmp_path / "report.json"
+        assert main([*REPORT_ARGV[name], "--threads", "1", "--out", str(out)]) == 0
+        data = out.read_bytes()
     else:
         key, fmt = name.split(".")
         m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
-        text = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BYTE_CONTRACT[name]
+        data = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == BYTE_CONTRACT[name]
