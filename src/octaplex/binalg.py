@@ -37,6 +37,28 @@ def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
+def lowbit_insert(basis: dict[int, int], v: int) -> int:
+    """Reduce v against ``basis``, add the residue to it and return it.
+
+    ``basis`` maps each row's lowest set bit to the row. The walk goes up
+    v's set bits; a row clears its key bit and flips only higher ones. The
+    residue is the unique member of v + span(basis) that is zero on every
+    key, so it is 0 exactly when v is in the span.
+    """
+    residue = 0
+    while v:
+        low = v & -v
+        row = basis.get(low.bit_length() - 1)
+        if row is None:
+            residue |= low
+            v ^= low
+        else:
+            v ^= row
+    if residue:
+        basis[(residue & -residue).bit_length() - 1] = residue
+    return residue
+
+
 @dataclass(frozen=True)
 class BitVec:
     """Length-n vector over GF(2)."""

@@ -113,6 +113,11 @@ def cmd_report(args) -> int:
         print(f"error: --inject-fault is not supported for the {args.family} "
               "family", file=sys.stderr)
         return USAGE_ERROR
+    catcher = FAULT_KINDS.get(args.inject_fault)
+    if catcher and sections is not None and catcher not in sections:
+        print(f"error: fault {args.inject_fault} is caught by the {catcher} "
+              "section, which is not requested", file=sys.stderr)
+        return USAGE_ERROR
     result = RUNNERS[args.family](args.L, threads=threads, sections=sections,
                                   fault=_fault(args.inject_fault))
     text = render_text(result)

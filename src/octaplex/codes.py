@@ -19,10 +19,11 @@ logical counts are always computed from ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .binalg import BinMatrix, mask_from_support, support_from_mask
+from .binalg import BinMatrix, lowbit_insert, mask_from_support, support_from_mask
 from .lattice import (
     AXES,
     CellComplex,
@@ -32,7 +33,10 @@ from .lattice import (
     FOURCELL_TYPES,
     QUBIT_TYPES,
     build_octaplex,
+    line,
+    sheet,
     star24,
+    sublattice,
     try_classify,
     vertex_color,
 )
@@ -109,7 +113,8 @@ def _qubit_order(cx: CellComplex) -> tuple[list[Coord], dict[Coord, int]]:
 
 
 def _star_mask(center: Coord, qidx: dict[Coord, int], period: int) -> int:
-    return mask_from_support(qidx[q] for q in star24(center, period))
+    """The qubits of ``qidx`` among the 24 cells of ``star24(center)``."""
+    return mask_from_support(qidx[q] for q in star24(center, period) if q in qidx)
 
 
 def build_codeblock0(cx: CellComplex) -> Codeblock:
@@ -127,50 +132,51 @@ def build_codeblock0(cx: CellComplex) -> Codeblock:
     )
 
 
-def _vertices_of_qubit(cx: CellComplex, q: Coord) -> list[Coord]:
-    # The six vertices of an octahedron sit at squared scaled distance 4.
-    return [c for c in star24(q, cx.period) if try_classify(c) is CellType.V0]
+def _block_of(c: Coord) -> int | None:
+    """The block whose X checks sit on cell c: 0 for a 4-cell, else the
+    index of a vertex's color; None for any other cell."""
+    t = try_classify(c)
+    if t in FOURCELL_TYPES:
+        return 0
+    if t is CellType.V0:
+        return BLOCK_COLORS.index(vertex_color(c))
+    return None
 
 
-def _fourcells_of_qubit(cx: CellComplex, q: Coord) -> list[Coord]:
-    return [c for c in star24(q, cx.period) if try_classify(c) in FOURCELL_TYPES]
+def star_triangles(
+    qidx: dict[Coord, int], period: int, drops: Sequence[int]
+) -> set[int]:
+    """Nonempty intersections of three stars, one center from each block
+    but a dropped one, for each block in ``drops``.
+
+    Enumerated per qubit: every nonempty intersection contains some qubit,
+    and a 3-cell lies in exactly two 4-cells and two vertices of each color
+    (among its 24 ``star24`` neighbours), so eight candidate triples per
+    qubit and dropped block cover everything. Stars are clipped to the
+    qubits that ``qidx`` holds.
+    """
+    star = cache(lambda c: _star_mask(c, qidx, period))
+    seen: set[int] = set()
+    for q in qidx:
+        groups: list[list[Coord]] = [[], [], [], []]
+        for c in star24(q, period):
+            block = _block_of(c)
+            if block is not None:
+                groups[block].append(c)
+        for drop in drops:
+            for x, y, z in product(*(g for s, g in enumerate(groups) if s != drop)):
+                m = star(x) & star(y) & star(z)
+                if m:
+                    seen.add(m)
+    return seen
 
 
 def colored_z_supports(cx: CellComplex, color: Color) -> list[tuple[int, ...]]:
-    """Nonempty triple intersections of the other three blocks' X supports.
-
-    Enumerated per qubit: every nonempty triple contains some 3-cell, and a
-    3-cell lies in exactly two 4-cells and two vertices of each color, so
-    eight candidate triples per qubit cover everything. Deduplicated and
-    sorted by support for a stable row order.
-    """
-    qubits, qidx = _qubit_order(cx)
-    period = cx.period
-    other_colors = [c for c in (Color.RED, Color.GREEN, Color.BLUE) if c != color]
-    star_cache: dict[Coord, int] = {}
-
-    def star(c: Coord) -> int:
-        m = star_cache.get(c)
-        if m is None:
-            m = _star_mask(c, qidx, period)
-            star_cache[c] = m
-        return m
-
-    seen: set[int] = set()
-    for q in qubits:
-        by_color: dict[Color, list[Coord]] = {c: [] for c in other_colors}
-        for v in _vertices_of_qubit(cx, q):
-            col = vertex_color(v)
-            if col in by_color:
-                by_color[col].append(v)
-        fours = _fourcells_of_qubit(cx, q)
-        for o in fours:
-            for va in by_color[other_colors[0]]:
-                for vb in by_color[other_colors[1]]:
-                    m = star(o) & star(va) & star(vb)
-                    if m:
-                        seen.add(m)
-    return sorted(tuple(support_from_mask(m)) for m in seen)
+    """Nonempty triple intersections of the other three blocks' X supports,
+    sorted by support for a stable row order."""
+    _, qidx = _qubit_order(cx)
+    masks = star_triangles(qidx, cx.period, drops=(BLOCK_COLORS.index(color),))
+    return sorted(tuple(support_from_mask(m)) for m in masks)
 
 
 def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
@@ -212,77 +218,48 @@ def shifted_qubit_permutation(cx: CellComplex, block: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# bounded octaplex family
+# logical representatives of both octaplex families
+#
+# The torus and the box differ only in value ranges: the torus takes every
+# value mod 4L with sheets at 0 (integer), 2 (half) and 1 (quarter); the box
+# takes [2, 4L] with sheets at 4, 2 and 3 and strings based at 4.
 
 
-def bounded_retained_centers(L: int, block: int) -> list[Coord]:
-    """X-stabilizer centers kept for one block of the bounded family.
+def z_string(block: int, d: int, values: Sequence[int], base: int) -> list[Coord]:
+    """Logical Z string of ``block`` along axis d, over ``values`` on that axis.
 
-    Smooth-axis coordinates span the full box [1/2, L]; the block's rough
-    axis is restricted to [1, L - 1/2] so that its logical string can
-    terminate there.
+    Block 0's string runs through half-integer positions, at ``base`` on the
+    other axes; a colored block's runs through integer positions on the
+    half-integer sheet of axis SIGMA[block][d].
     """
-    hi = 4 * L
-    rough = BOUNDED_ROUGH_AXIS[block]
-    out = []
-    for c in product(range(2, hi + 1), repeat=4):
-        t = try_classify(c)
-        if block == 0:
-            if t not in FOURCELL_TYPES:
-                continue
-        else:
-            if t is not CellType.V0 or vertex_color(c) is not BLOCK_COLORS[block]:
-                continue
-        if 4 <= c[rough] <= hi - 2:
-            out.append(c)
-    return out
-
-
-def _bounded_xbar(L: int, block: int, qidx: dict[Coord, int]) -> int:
-    """Three-sheet logical X along the block's rough axis, inside the box."""
-    hi = 4 * L
-    d = BOUNDED_ROUGH_AXIS[block]
     h = SIGMA[block][d]
-    t1 = [0, 0, 0, 0]
-    t1[h] = 2
-    t2 = [2 - v for v in t1]
-    sup: list[Coord] = []
-    free = [i for i in range(4) if i != d]
-    for t in (t1, t2):
-        axis_val = 2 if t[d] == 2 else 4
-        ranges = [[v for v in range(2, hi + 1) if v % 4 == t[i]] for i in free]
-        for vals in product(*ranges):
-            co = [0, 0, 0, 0]
-            co[d] = axis_val
-            for i, v in zip(free, vals):
-                co[i] = v
-            sup.append(tuple(co))
-    odds = [v for v in range(3, hi) if v % 2]
-    for vals in product(odds, repeat=3):
-        co = [0, 0, 0, 0]
-        co[d] = 3
-        for i, v in zip(free, vals):
-            co[i] = v
-        sup.append(tuple(co))
-    return mask_from_support(qidx[q] for q in sup)
+    point = [2 if i == h != d else base for i in range(4)]
+    return line(d, point, sublattice(values, 2 if h == d else 0))
 
 
-def _bounded_zbar(L: int, block: int, qidx: dict[Coord, int]) -> int:
-    d = BOUNDED_ROUGH_AXIS[block]
+def x_hyperplane(
+    block: int, d: int, values: Sequence[int], positions: tuple[int, int, int]
+) -> list[Coord]:
+    """Three-sheet logical X of ``block`` orthogonal to axis d.
+
+    ``positions`` holds the axis-d coordinates of the integer, half-integer
+    and quarter-integer sheets. The free coordinates of each sheet range
+    over the members of ``values`` on its sublattice: of the integer and
+    half sheets, one is half-integer on axis SIGMA[block][d] alone and the
+    other on every axis but that one; the quarter sheet is odd throughout.
+    """
     h = SIGMA[block][d]
-    sup: list[Coord] = []
-    if h == d:  # block 0: string over half-integer positions
-        for t in range(L):
-            co = [4, 4, 4, 4]
-            co[d] = 4 * t + 2
-            sup.append(tuple(co))
-    else:
-        for t in range(1, L + 1):
-            co = [4, 4, 4, 4]
-            co[h] = 2
-            co[d] = 4 * t
-            sup.append(tuple(co))
-    return mask_from_support(qidx[q] for q in sup)
+    integer, half, quarter = positions
+    cells: list[Coord] = []
+    for on_h, off_h in ((2, 0), (0, 2)):
+        res = [on_h if i == h else off_h for i in range(4)]
+        free = [sublattice(values, res[i]) for i in range(4) if i != d]
+        cells += sheet(d, half if res[d] == 2 else integer, free)
+    return cells + sheet(d, quarter, [sublattice(values, 1, 3)] * 3)
+
+
+# ---------------------------------------------------------------------------
+# bounded octaplex family
 
 
 def build_bounded_family(L: int) -> CodeFamily:
@@ -297,88 +274,49 @@ def build_bounded_family(L: int) -> CodeFamily:
     if L < 2:
         raise ValueError("L must be >= 2")
     hi = 4 * L
-    qubits = sorted(
-        c
-        for c in product(range(2, hi + 1), repeat=4)
-        if try_classify(c) in QUBIT_TYPES
-    )
+    box = range(2, hi + 1)
+    # One scan of the box. A block keeps its X centers whose rough-axis
+    # coordinate lies in [1, L - 1/2], so that its logical string can end
+    # there; smooth-axis coordinates span the full box.
+    qubits: list[Coord] = []
+    centers: list[list[Coord]] = [[], [], [], []]
+    for c in product(box, repeat=4):
+        if try_classify(c) in QUBIT_TYPES:
+            qubits.append(c)
+            continue
+        b = _block_of(c)
+        if b is not None and 4 <= c[BOUNDED_ROUGH_AXIS[b]] <= hi - 2:
+            centers[b].append(c)
     qidx = {q: i for i, q in enumerate(qubits)}
     n = len(qubits)
+    period = hi + 8  # past the box: no wrapped coordinate lands in [2, 4L]
 
-    period = 4 * L + 8  # past the box: no wrapped coordinate lands in [2, 4L]
+    def mask(cells: Iterable[Coord]) -> int:
+        return mask_from_support(qidx[q] for q in cells)
 
-    def clipped_star(center: Coord) -> int:
-        return mask_from_support(
-            qidx[q] for q in star24(center, period) if q in qidx
-        )
-
-    centers = {b: bounded_retained_centers(L, b) for b in range(4)}
-    hx_rows = {b: [clipped_star(c) for c in centers[b]] for b in range(4)}
-    xbars = {b: _bounded_xbar(L, b, qidx) for b in range(4)}
-    zbars = {b: _bounded_zbar(L, b, qidx) for b in range(4)}
-
-    # All geometric triangles with support in the box: per qubit, triples of
-    # the centers containing it in the unbounded lattice.
-    triangle_masks: set[int] = set()
-    star_cache: dict[Coord, int] = {}
-
-    def star(c: Coord) -> int:
-        m = star_cache.get(c)
-        if m is None:
-            m = clipped_star(c)
-            star_cache[c] = m
-        return m
-
-    for q in qubits:
-        groups: dict[int, list[Coord]] = {0: [], 1: [], 2: [], 3: []}
-        for c in star24(q, period):
-            t = try_classify(c)
-            if t in FOURCELL_TYPES:
-                groups[0].append(c)
-            elif t is CellType.V0:
-                groups[BLOCK_COLORS.index(vertex_color(c))].append(c)
-        for drop in range(4):
-            slots = [groups[s] for s in range(4) if s != drop]
-            for trip in product(*slots):
-                m = star(trip[0]) & star(trip[1]) & star(trip[2])
-                if m:
-                    triangle_masks.add(m)
-    triangles = sorted(triangle_masks)
+    # All geometric triangles with support in the box, of every block.
+    triangles = BinMatrix(sorted(star_triangles(qidx, period, drops=range(4))), n)
 
     blocks = []
     for b in range(4):
-        hx = BinMatrix(hx_rows[b], n)
+        d = BOUNDED_ROUGH_AXIS[b]
+        hx = BinMatrix([_star_mask(c, qidx, period) for c in centers[b]], n)
+        xbar = mask(x_hyperplane(b, d, box, positions=(4, 2, 3)))
+        zbar = mask(z_string(b, d, box, base=4))
+        constraint = BinMatrix(hx.rows + [xbar], n)
+        syndromes = triangles.matmul(constraint.transpose()).rows
         kept = [
             m
-            for m in triangles
-            if 2 <= m.bit_count() <= 3
-            and (m & xbars[b]).bit_count() % 2 == 0
-            and all((m & x).bit_count() % 2 == 0 for x in hx.rows)
+            for m, s in zip(triangles.rows, syndromes)
+            if not s and 2 <= m.bit_count() <= 3
         ]
-        # Deterministic completion to the full complement of hx + logical X.
-        constraint = BinMatrix(hx.rows + [xbars[b]], n)
-        complement = constraint.kernel_basis()
-        # Incremental reducer keyed by lowest-set-bit pivot; reducing in
-        # ascending pivot order only ever flips higher bits, so one pass
-        # suffices for membership tests.
-        reducer: dict[int, int] = {}
-
-        def _reduce(v: int) -> int:
-            for piv in sorted(reducer):
-                if (v >> piv) & 1:
-                    v ^= reducer[piv]
-            return v
-
+        # Deterministic completion to the full complement of hx + logical X:
+        # the kernel vectors, reduced against the span so far, that add to it.
+        span: dict[int, int] = {}
         for m in kept:
-            res = _reduce(m)
-            if res:
-                reducer[(res & -res).bit_length() - 1] = res
-        completion: list[int] = []
-        for vec in complement:
-            res = _reduce(vec.bits)
-            if res:
-                completion.append(res)
-                reducer[(res & -res).bit_length() - 1] = res
+            lowbit_insert(span, m)
+        residues = (lowbit_insert(span, v.bits) for v in constraint.kernel_basis())
+        completion = [r for r in residues if r]
         hz = BinMatrix(kept + completion, n)
         blocks.append(
             Codeblock(
@@ -392,9 +330,9 @@ def build_bounded_family(L: int) -> CodeFamily:
                     "triangle_generators": len(kept),
                     "completion_generators": len(completion),
                     "triangle_weights": sorted({m.bit_count() for m in kept}),
-                    "logical_x": xbars[b],
-                    "logical_z": zbars[b],
-                    "rough_axis": AXES[BOUNDED_ROUGH_AXIS[b]],
+                    "logical_x": xbar,
+                    "logical_z": zbar,
+                    "rough_axis": AXES[d],
                 },
             )
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,6 +154,27 @@ def star24(center: Coord, period: int) -> list[Coord]:
             out.append(tuple(d))
     for signs in product((1, -1), repeat=4):
         out.append(tuple((v + s) % period for v, s in zip(center, signs)))
+    return out
+
+
+def sublattice(values: Iterable[int], *residues: int) -> list[int]:
+    """The values whose residue mod 4 is one of ``residues``."""
+    return [v for v in values if v % 4 in residues]
+
+
+def line(d: int, point: Sequence[int], values: Iterable[int]) -> list[Coord]:
+    """The cells along axis d through ``point``, one per axis-d value."""
+    return [tuple(v if i == d else p for i, p in enumerate(point)) for v in values]
+
+
+def sheet(d: int, position: int, free: Sequence[Iterable[int]]) -> list[Coord]:
+    """The cells at coordinate ``position`` on axis d whose other three
+    coordinates, in axis order, range over the value lists in ``free``."""
+    out: list[Coord] = []
+    for vals in product(*free):
+        co = list(vals)
+        co.insert(d, position)
+        out.append(tuple(co))
     return out
 
 

@@ -15,11 +15,12 @@ weights confirms the Z distance independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import partial
+from itertools import combinations
 
-from .binalg import BinMatrix, BitVec, mask_from_support, parity
-from .codes import SIGMA, CodeFamily
-from .lattice import AXES, Coord
+from .binalg import BinMatrix, BitVec, mask_from_support, parity, support_from_mask
+from .codes import CodeFamily, x_hyperplane, z_string
+from .lattice import AXES, Coord, line, sheet, sublattice
 
 DIRS = (0, 1, 2, 3)  # axis indices x, y, z, w
 
@@ -63,67 +64,23 @@ class LogicalBasis:
 # periodic octaplex representatives
 
 
-def _axis_string(L: int, block: int, d: int) -> list[Coord]:
-    period = 4 * L
-    h = SIGMA[block][d]
-    cells = []
-    if h == d:
-        for t in range(L):
-            co = [0, 0, 0, 0]
-            co[d] = (4 * t + 2) % period
-            cells.append(tuple(co))
-    else:
-        for t in range(L):
-            co = [0, 0, 0, 0]
-            co[h] = 2
-            co[d] = (4 * t) % period
-            cells.append(tuple(co))
-    return cells
-
-
-def _three_sheets(L: int, block: int, d: int, shift: int = 0) -> list[Coord]:
-    """Hyperplane orthogonal to axis d, optionally translated by 4*shift."""
-    period = 4 * L
-    h = SIGMA[block][d]
-    t1 = [0, 0, 0, 0]
-    t1[h] = 2
-    t2 = [2 - v for v in t1]
-    off = (4 * shift) % period
-    free = [i for i in range(4) if i != d]
-    cells: list[Coord] = []
-    for t in (t1, t2):
-        axis_val = (t[d] + off) % period
-        ranges = [[v for v in range(period) if v % 4 == t[i]] for i in free]
-        for vals in product(*ranges):
-            co = [0, 0, 0, 0]
-            co[d] = axis_val
-            for i, v in zip(free, vals):
-                co[i] = v
-            cells.append(tuple(co))
-    odds = [v for v in range(period) if v % 2]
-    for vals in product(odds, repeat=3):
-        co = [0, 0, 0, 0]
-        co[d] = (1 + off) % period
-        for i, v in zip(free, vals):
-            co[i] = v
-        cells.append(tuple(co))
-    return cells
+# Sheet positions (integer, half, quarter) of the hyperplane through 0.
+TORUS_SHEETS = (0, 2, 1)
 
 
 def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "octaplex":
         raise ValueError("periodic octaplex family required")
-    L = family.L
+    values = range(4 * family.L)
     qidx = family.qubit_index()
     n = family.n
-    x_ops, z_ops = [], []
-    for b in range(4):
-        xs, zs = [], []
-        for d in DIRS:
-            zs.append(BitVec(n, mask_from_support(qidx[c] for c in _axis_string(L, b, d))))
-            xs.append(BitVec(n, mask_from_support(qidx[c] for c in _three_sheets(L, b, d))))
-        x_ops.append(xs)
-        z_ops.append(zs)
+
+    def op(cells: list[Coord]) -> BitVec:
+        return BitVec(n, mask_from_support(qidx[c] for c in cells))
+
+    x_ops = [[op(x_hyperplane(b, d, values, TORUS_SHEETS)) for d in DIRS]
+             for b in range(4)]
+    z_ops = [[op(z_string(b, d, values, base=0)) for d in DIRS] for b in range(4)]
     return LogicalBasis("octaplex", x_ops, z_ops, labels=list(AXES))
 
 
@@ -227,14 +184,13 @@ def verify_logical_basis(
     """Representatives commute with opposing stabilizers and pair as identity."""
     witnesses: list[LemmaWitness] = []
     for b, blk in enumerate(family.blocks):
-        for d, x in enumerate(basis.x_ops[b]):
-            for i, row in enumerate(blk.hz.rows):
-                if parity(x.bits & row):
-                    witnesses.append(LemmaWitness("x_vs_z_stab", b, (d, i)))
-        for d, z in enumerate(basis.z_ops[b]):
-            for i, row in enumerate(blk.hx.rows):
-                if parity(z.bits & row):
-                    witnesses.append(LemmaWitness("z_vs_x_stab", b, (d, i)))
+        for kind, ops, checks in (
+            ("x_vs_z_stab", basis.x_ops[b], blk.hz),
+            ("z_vs_x_stab", basis.z_ops[b], blk.hx),
+        ):
+            for d, op in enumerate(ops):
+                for i in support_from_mask(checks.mul_vec(op).bits):
+                    witnesses.append(LemmaWitness(kind, b, (d, i)))
         pair = basis.pairing(b)
         for i, row in enumerate(pair):
             for j, v in enumerate(row):
@@ -312,39 +268,18 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[int]]:
     integer sublattice), through the integer sheet, and through the quarter
     sheet. Counts are L^3, L^3 and (2L)^3.
     """
-    L = family.L
-    period = 4 * L
     qidx = family.qubit_index()
-    free = [i for i in range(4) if i != d]
-    out: dict[str, list[int]] = {"half_sheet": [], "integer_sheet": [], "quarter_sheet": []}
-    for vals in product(range(0, period, 4), repeat=3):
-        co = [0, 0, 0, 0]
-        for i, v in zip(free, vals):
-            co[i] = v
-        cells = []
-        for t in range(L):
-            co[d] = 4 * t + 2
-            cells.append(tuple(co))
-        out["half_sheet"].append(mask_from_support(qidx[c] for c in cells))
-    for vals in product(range(2, period, 4), repeat=3):
-        co = [0, 0, 0, 0]
-        for i, v in zip(free, vals):
-            co[i] = v
-        cells = []
-        for t in range(L):
-            co[d] = 4 * t
-            cells.append(tuple(co))
-        out["integer_sheet"].append(mask_from_support(qidx[c] for c in cells))
-    odds = [v for v in range(period) if v % 2]
-    for vals in product(odds, repeat=3):
-        co = [0, 0, 0, 0]
-        for i, v in zip(free, vals):
-            co[i] = v
-        cells = []
-        for w in odds:
-            co[d] = w
-            cells.append(tuple(co))
-        out["quarter_sheet"].append(mask_from_support(qidx[c] for c in cells))
+    on = partial(sublattice, range(4 * family.L))
+    out: dict[str, list[int]] = {}
+    for name, free, axis in (
+        ("half_sheet", on(0), on(2)),
+        ("integer_sheet", on(2), on(0)),
+        ("quarter_sheet", on(1, 3), on(1, 3)),
+    ):
+        out[name] = [
+            mask_from_support(qidx[c] for c in line(d, p, axis))
+            for p in sheet(d, 0, [free] * 3)
+        ]
     return out
 
 
@@ -434,7 +369,8 @@ def certify_distances(
     for d in DIRS:
         reps = []
         for shift in range(L):
-            cells = _three_sheets(L, 0, d, shift=shift)
+            sheets = tuple((p + 4 * shift) % (4 * L) for p in TORUS_SHEETS)
+            cells = x_hyperplane(0, d, range(4 * L), sheets)
             reps.append(mask_from_support(qidx[c] for c in cells))
         _verify_disjoint_equivalent(
             reps, basis.x_ops[0][d].bits, blk0.hx, blk0.hz

@@ -61,7 +61,8 @@ from .transversal import (
 )
 
 SECTION_NAMES = ("lattice", "codes", "logicals", "transversal", "distance", "metachecks")
-FAULT_KINDS = ("perturb-logical", "recolor-vertex")
+# Each fault kind and the section that must catch it.
+FAULT_KINDS = {"perturb-logical": "logicals", "recolor-vertex": "lattice"}
 
 
 @dataclass

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from octaplex.binalg import BinMatrix, BitVec, mask_from_support, support_from_mask
+from octaplex.binalg import (
+    BinMatrix,
+    BitVec,
+    lowbit_insert,
+    mask_from_support,
+    support_from_mask,
+)
 
 
 def test_rank_zero_matrix():
@@ -120,3 +126,23 @@ def test_mask_helpers():
         mask = rng.getrandbits(n) | 1 << (n - 1)
         assert support_from_mask(mask) == [i for i in range(n) if mask >> i & 1]
         assert mask_from_support(support_from_mask(mask)) == mask
+
+
+def test_lowbit_insert_matches_elimination():
+    # the residue is zero exactly on span members, is zero on every key,
+    # and the basis keeps the rank of the vectors fed in
+    rng = random.Random(11)
+    n = 90
+    vecs = [rng.getrandbits(n) for _ in range(30)]
+    sparse = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(20)]
+    vecs += [mask_from_support(s) for s in sparse]
+    vecs += [vecs[0] ^ vecs[1], vecs[2] ^ vecs[3] ^ vecs[4], 0]
+    basis: dict[int, int] = {}
+    for i, v in enumerate(vecs):
+        before, keys = BinMatrix(vecs[:i], n), list(basis)
+        residue = lowbit_insert(basis, v)
+        assert (residue == 0) == before.in_row_space(v)
+        assert before.in_row_space(v ^ residue)
+        assert not any(residue >> key & 1 for key in keys)
+    assert len(basis) == BinMatrix(vecs, n).rank()
+    assert all(row & -row == 1 << key for key, row in basis.items())

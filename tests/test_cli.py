@@ -63,6 +63,11 @@ def test_usage_errors():
     # would silently pass
     assert main(["report", "--family", "octaplex-bounded", "--L", "2",
                  "--inject-fault", "perturb-logical"]) == 2
+    # a fault whose catching section is not requested could not fail
+    assert main(["report", "--family", "octaplex", "--L", "2",
+                 "--sections", "codes", "--inject-fault", "perturb-logical"]) == 2
+    assert main(["report", "--family", "octaplex", "--L", "2",
+                 "--sections", "codes", "--inject-fault", "recolor-vertex"]) == 2
 
 
 def test_argparse_rejects_unknown_family():

@@ -1,3 +1,7 @@
+from itertools import product
+
+import pytest
+
 from octaplex.binalg import parity
 from octaplex.codes import build_codeblock0, build_colored_codeblock, shifted_qubit_permutation
 from octaplex.lattice import Color
@@ -129,3 +133,15 @@ def test_cross_block_css(family2, basis2):
     for x in blk.hx.rows[:8]:
         for z in blk.hz.rows[::101]:
             assert parity(x & z) == 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_colored_z_rows_are_all_triple_intersections(family2, block):
+    # brute-force oracle for the per-qubit star-triangle enumerator: every
+    # nonempty AND of one X row from each of the other three blocks
+    others = [family2.blocks[b].hx.rows for b in range(4) if b != block]
+    assert [len(rows) for rows in others] == [32, 32, 32]
+    oracle = {a & b & c for a, b, c in product(*others)} - {0}
+    hz = family2.blocks[block].hz.rows
+    assert len(hz) == len(set(hz))
+    assert set(hz) == oracle

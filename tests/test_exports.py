@@ -24,6 +24,14 @@ BYTE_CONTRACT = {
     "hz1.mtx": "58b9b791da52f728f2de4c60d134ec8162f192fd410b94666b073816fbc92cd9",
     "m1.alist": "e304a87c89cee3317b4a3cdef3bcc09b7077f3a5e421a0e09e547418cb93fcc0",
     "m1.mtx": "b13d25d62e94e8daa35bd901dde9ce069f7e73a4b1291939227c26c357735143",
+    "octaplex-bounded_L2_hx0.alist": "6989872e958b60a68eb2b6163e82cd556fd4cf0acabca6489557a7bc66373024",
+    "octaplex-bounded_L2_hx1.alist": "ca39e75a849012621ddfa1f3d8783c63d62208ecb3d519f42ee7bd583e881d63",
+    "octaplex-bounded_L2_hx2.alist": "723e2ed6e184741dd2291c65d5086b6ca5e5bac4441dcd52098e8a5351fa4ebe",
+    "octaplex-bounded_L2_hx3.alist": "59b748a31090f50500acf27bb4bbfc7f5fb545a80deb97b61652be9d2dd9866b",
+    "octaplex-bounded_L2_hz0.alist": "27e8623e4f64d99a2a778c6f7fc287e0b8c71ff4db9338c670ccef53eccbb6b1",
+    "octaplex-bounded_L2_hz1.alist": "02db0df062ed71d0dbe51e3470d4cca82aceddc1f1770d3f4573d221f9757cfc",
+    "octaplex-bounded_L2_hz2.alist": "568cb794c9c1c3c12c8acc3b6150a5dbaf79380f8bb6c65deda76624da4a2b5b",
+    "octaplex-bounded_L2_hz3.alist": "ab5cde13b97e7023fc21ed6339b3f5d82aa38f128262a079f5da97c1b895f4bf",
 }
 # CLI argv of each pinned report, run with --threads 1 --out.
 REPORT_ARGV = {
@@ -33,6 +41,16 @@ REPORT_ARGV = {
     "report-3d": ["report", "--family", "3d", "--L", "2"],
     "selftest": ["selftest"],
 }
+# CLI argv that writes every pinned octaplex-bounded_* file, with --out DIR.
+BOUNDED_EXPORT_ARGV = ["export", "--family", "octaplex-bounded", "--L", "2",
+                       "--which", "all", "--format", "alist"]
+
+
+@pytest.fixture(scope="module")
+def bounded_export_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bounded")
+    assert main([*BOUNDED_EXPORT_ARGV, "--out", str(out)]) == 0
+    return out
 
 
 def test_alist_roundtrip_small():
@@ -97,11 +115,13 @@ def test_logicals_json(family2, basis2):
 
 
 @pytest.mark.parametrize("name", sorted(BYTE_CONTRACT))
-def test_byte_contract(name, family2, ladder2, tmp_path):
+def test_byte_contract(name, family2, ladder2, tmp_path, request):
     if name in REPORT_ARGV:
         out = tmp_path / "report.json"
         assert main([*REPORT_ARGV[name], "--threads", "1", "--out", str(out)]) == 0
         data = out.read_bytes()
+    elif name.startswith("octaplex-bounded_"):
+        data = (request.getfixturevalue("bounded_export_dir") / name).read_bytes()
     else:
         key, fmt = name.split(".")
         m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
