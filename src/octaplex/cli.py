@@ -37,7 +37,7 @@ IO_ERROR = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=int, required=True, help="lattice linear size")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (0 = all cores)")
+                   help="accepted for compatibility; has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,18 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="fast invariant suite at L=2")
     st.set_defaults(family="octaplex", L=2,
                     sections="lattice,codes,logicals,transversal,metachecks")
-    st.add_argument("--threads", type=int, default=0)
+    st.add_argument("--threads", type=int, default=0,
+                    help="accepted for compatibility; has no effect")
     st.add_argument("--out", type=Path, default=None)
     st.add_argument("--json", action="store_true")
     st.add_argument("--inject-fault", choices=FAULT_KINDS,
                     default=None, help=argparse.SUPPRESS)
     return parser
-
-
-def _threads(value: int) -> int:
-    if value and value > 0:
-        return value
-    return os.cpu_count() or 1
 
 
 def _fault(kind: str | None) -> Fault | None:
@@ -100,7 +95,6 @@ def cmd_report(args) -> int:
     if args.family == "3d" and args.L % 2:
         print("error: the 3d family needs even L (cube 2-coloring)", file=sys.stderr)
         return USAGE_ERROR
-    threads = _threads(args.threads)
     sections = None
     if args.sections:
         sections = {s.strip() for s in args.sections.split(",") if s.strip()}
@@ -118,7 +112,7 @@ def cmd_report(args) -> int:
         print(f"error: fault {args.inject_fault} is caught by the {catcher} "
               "section, which is not requested", file=sys.stderr)
         return USAGE_ERROR
-    result = RUNNERS[args.family](args.L, threads=threads, sections=sections,
+    result = RUNNERS[args.family](args.L, sections=sections,
                                   fault=_fault(args.inject_fault))
     text = render_text(result)
     sys.stdout.write(text)

@@ -237,9 +237,6 @@ class CellComplex:
     coboundary: list[list[tuple[int, ...]]]     # coboundary[d][i], d in 0..3
     colors: list[Color] = field(default_factory=list)
 
-    def cell_type(self, dim: int, i: int) -> CellType:
-        return classify(self.cells[dim][i])
-
     def incidence_matrix(self, dim: int) -> BinMatrix:
         """Boundary map as a matrix: rows are dim-cells over (dim-1)-cells."""
         return BinMatrix.from_supports(

@@ -381,7 +381,14 @@ def certify_distances(
                 raise AssertionError("hyperplane fails to pair with logical Z")
         x_reps_count = len(reps)
 
+    # A verified Z logical of weight L bounds dz from above.
     dz = L
+    for d in DIRS:
+        zw = basis.z_ops[0][d].weight()
+        if zw != dz:
+            raise AssertionError(
+                f"Z logical {d} weight {zw} does not meet the disjoint bound {dz}"
+            )
     dx = disjoint_counts  # == weight of the constructed hyperplane
     xw = basis.x_ops[0][0].weight()
     if xw != dx:

@@ -95,7 +95,6 @@ class _Run:
 
     name: str
     L: int
-    threads: int
     fault: Fault | None
     report: dict
     timings: dict[str, float] = field(default_factory=dict)
@@ -140,7 +139,10 @@ def run_report(
     sections: set[str] | None = None,
     fault: Fault | None = None,
 ) -> RunResult:
-    """Run the requested sections of ``SECTIONS[family]`` (all by default)."""
+    """Run the requested sections of ``SECTIONS[family]`` (all by default).
+
+    ``threads`` is accepted and has no effect.
+    """
     table = SECTIONS[family]
     wanted = sections or set(table)
     report: dict = {
@@ -150,7 +152,7 @@ def run_report(
         "sections": {},
         "discrepancies": [],
     }
-    run = _Run(family, L, threads, fault, report)
+    run = _Run(family, L, fault, report)
     for name in SECTION_NAMES:
         if name not in table or name not in wanted:
             report["sections"][name] = {"status": "skipped"}
@@ -234,7 +236,7 @@ def _octaplex_logicals(run: _Run):
 
 
 def _octaplex_transversal(run: _Run):
-    rep = check_cccz_conditions(run.family, run.basis, threads=run.threads)
+    rep = check_cccz_conditions(run.family, run.basis)
     passed = (
         rep.all_even_pass
         and rep.extras["tensor_is_all_distinct_pattern"]
@@ -358,7 +360,7 @@ def _bounded_codes(run: _Run):
 
 
 def _bounded_transversal(run: _Run):
-    rep = check_cccz_conditions(run.family, run.basis, threads=run.threads)
+    rep = check_cccz_conditions(run.family, run.basis)
     tpass = rep.all_even_pass and rep.extras.get("single_cccz", False)
     return tpass, rep.as_dict(), []
 
@@ -381,7 +383,7 @@ def _2d_codes(run: _Run):
 
 def _2d_transversal(run: _Run):
     family, basis = run.family, run.basis
-    rep = check_cz_conditions(family, basis, threads=run.threads)
+    rep = check_cz_conditions(family, basis)
     valid, _ = verify_logical_basis(family, basis)
     passed = rep.all_even_pass and valid
     return passed, dict(
@@ -402,7 +404,7 @@ def _3d_codes(run: _Run):
 
 def _3d_transversal(run: _Run):
     family, basis = run.family, run.basis
-    rep = check_ccz_conditions(family, basis, threads=run.threads)
+    rep = check_ccz_conditions(family, basis)
     valid, _ = verify_logical_basis(family, basis)
     weights_ok = set(rep.extras["triple_intersection_weights"]) <= {0, 2}
     tensor_ok = rep.tensor_support() == sorted(ALL_DISTINCT_TRIPLES)

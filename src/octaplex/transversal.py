@@ -5,6 +5,13 @@ the joint codespace iff every mixed intersection of X stabilizers and X
 logicals across the blocks has even weight, except the pure-logical one,
 whose parities form the coupling tensor of the induced logical gate.
 
+A tuple of rows, one per block, has a nonempty intersection only if its rows
+share a qubit. `_nonempty_tuples` therefore reads every intersection weight
+from per-qubit incidence lists, and the even conditions, the coupling tensor
+and the triple-weight histogram all consume that one stream; every tuple it
+does not yield has weight 0. The ``threads`` argument of the
+``check_*_conditions`` functions is accepted and has no effect.
+
 All parities here are multilinear in each slot (bitwise AND distributes
 over XOR), so checking generators plus fixed representatives covers the
 full stabilizer group; `multilinearity_holds` spot-checks that identity.
@@ -18,11 +25,12 @@ multi-controlled-Z to a lower-arity gate.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .binalg import BitVec, parity
+from .binalg import BitVec, parity, support_from_mask
 from .codes import CodeFamily
 from .logicals import LogicalBasis, PauliSupport, logical_class
 
@@ -92,65 +100,29 @@ class TransversalReport:
         }
 
 
-def _overlap_scan(
+def _nonempty_tuples(
     slot_masks: Sequence[Sequence[int]],
-    threads: int = 1,
-) -> tuple[bool, int, tuple | None]:
-    """All-even check over the cartesian product of slot operators.
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every tuple of row indices, one per slot, whose rows share a qubit.
 
-    Prunes on empty partial intersections but counts the pruned tuples as
-    scanned (they are verified even by emptiness). Parallelism splits the
-    first slot; the witness is the lexicographically first violation, so the
-    result is independent of scheduling.
+    Yields ``(tuple, weight)`` in lexicographic order, ``weight`` being the
+    size of the rows' common intersection. Each slot-0 row's tuples are
+    counted over its qubits from qubit -> row incidence lists of the other
+    slots, so at most one row's tuples are held at a time.
     """
-    rest = slot_masks[1:]
-    sizes = [len(s) for s in rest]
-
-    def tail_count(depth: int) -> int:
-        c = 1
-        for s in sizes[depth:]:
-            c *= s
-        return c
-
-    def scan_chunk(first_indices: Iterable[int]) -> tuple[int, tuple | None]:
-        scanned = 0
-        witness: tuple | None = None
-
-        def descend(prefix: tuple, acc: int, depth: int) -> bool:
-            nonlocal scanned, witness
-            if depth == len(rest):
-                scanned += 1
-                if acc and parity(acc):
-                    witness = prefix
-                    return True
-                return False
-            if not acc:
-                scanned += tail_count(depth)
-                return False
-            for j, m in enumerate(rest[depth]):
-                if descend(prefix + (j,), acc & m, depth + 1):
-                    return True
-            return False
-
-        for i in first_indices:
-            if descend((i,), slot_masks[0][i], 0):
-                break
-        return scanned, witness
-
-    first = range(len(slot_masks[0]))
-    if threads <= 1:
-        scanned, witness = scan_chunk(first)
-    else:
-        chunks = [list(first)[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan_chunk, chunks))
-        scanned = sum(r[0] for r in results)
-        witness = min((r[1] for r in results if r[1] is not None), default=None)
-    if witness is not None:
-        # Aborted scans depend on scheduling; report the full product size so
-        # the count in failure reports is thread-count independent.
-        scanned = len(slot_masks[0]) * tail_count(0)
-    return witness is None, scanned, witness
+    incidence = []
+    for masks in slot_masks[1:]:
+        rows_at: dict[int, list[int]] = {}
+        for j, m in enumerate(masks):
+            for q in support_from_mask(m):
+                rows_at.setdefault(q, []).append(j)
+        incidence.append(rows_at)
+    for i, m in enumerate(slot_masks[0]):
+        counts: Counter = Counter()
+        for q in support_from_mask(m):
+            lists = [rows_at.get(q, ()) for rows_at in incidence]
+            counts.update(itertools.product((i,), *lists))
+        yield from sorted(counts.items())
 
 
 def _mixed_conditions(
@@ -158,40 +130,31 @@ def _mixed_conditions(
     logical_masks: list[list[int]],
     n_logical_slots: int,
     name: str,
-    threads: int = 1,
 ) -> ConditionResult:
     """One condition level: a fixed number of logical slots over all block
-    placements, stabilizers filling the rest."""
+    placements, stabilizers filling the rest.
+
+    ``scanned`` is the full product size of every placement; the witness is
+    the first placement's lexicographically first odd tuple.
+    """
     blocks = range(len(stab_masks))
-    passed = True
     scanned = 0
     witness = None
     for logical_blocks in itertools.combinations(blocks, n_logical_slots):
-        slots = []
-        for b in blocks:
-            slots.append(
-                logical_masks[b] if b in logical_blocks else stab_masks[b]
-            )
-        ok, count, wit = _overlap_scan(slots, threads=threads)
-        scanned += count
-        if not ok and witness is None:
-            passed = False
-            witness = (logical_blocks, wit)
-    return ConditionResult(name, passed, scanned, witness)
+        slots = [
+            logical_masks[b] if b in logical_blocks else stab_masks[b] for b in blocks
+        ]
+        scanned += math.prod(map(len, slots))
+        odd = next((t for t, w in _nonempty_tuples(slots) if w & 1), None)
+        if odd is not None and witness is None:
+            witness = (logical_blocks, odd)
+    return ConditionResult(name, witness is None, scanned, witness)
 
 
-def _coupling_tensor(
-    logical_masks: list[list[int]],
-) -> dict[tuple, int]:
+def _coupling_tensor(logical_masks: list[list[int]]) -> dict[tuple, int]:
     shape = [range(len(m)) for m in logical_masks]
-    tensor = {}
-    for idx in itertools.product(*shape):
-        acc = -1
-        for b, i in enumerate(idx):
-            acc = logical_masks[b][i] if acc == -1 else acc & logical_masks[b][i]
-            if not acc:
-                break
-        tensor[idx] = parity(acc) if acc > 0 else 0
+    tensor = dict.fromkeys(itertools.product(*shape), 0)
+    tensor.update((t, w & 1) for t, w in _nonempty_tuples(logical_masks))
     return tensor
 
 
@@ -209,8 +172,8 @@ def check_cz_conditions(
         raise ValueError("need exactly two blocks")
     stab, logical = _masks(family, basis)
     conditions = [
-        _mixed_conditions(stab, logical, 0, "stab_stab_even", threads),
-        _mixed_conditions(stab, logical, 1, "stab_logical_even", threads),
+        _mixed_conditions(stab, logical, 0, "stab_stab_even"),
+        _mixed_conditions(stab, logical, 1, "stab_logical_even"),
     ]
     tensor = _coupling_tensor(logical)
     k = len(logical[0])
@@ -231,9 +194,9 @@ def check_ccz_conditions(
         raise ValueError("need exactly three blocks")
     stab, logical = _masks(family, basis)
     conditions = [
-        _mixed_conditions(stab, logical, 0, "sss_even", threads),
-        _mixed_conditions(stab, logical, 1, "ssl_even", threads),
-        _mixed_conditions(stab, logical, 2, "sll_even", threads),
+        _mixed_conditions(stab, logical, 0, "sss_even"),
+        _mixed_conditions(stab, logical, 1, "ssl_even"),
+        _mixed_conditions(stab, logical, 2, "sll_even"),
     ]
     tensor = _coupling_tensor(logical)
     hist = triple_weight_histogram(stab)
@@ -242,17 +205,12 @@ def check_ccz_conditions(
 
 
 def triple_weight_histogram(stab_masks: list[list[int]]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for a in stab_masks[0]:
-        for b in stab_masks[1]:
-            s = a & b
-            if not s:
-                hist[0] = hist.get(0, 0) + len(stab_masks[2])
-                continue
-            for c in stab_masks[2]:
-                w = (s & c).bit_count()
-                hist[w] = hist.get(w, 0) + 1
-    return hist
+    """Number of stabilizer triples, one row per block, per intersection weight."""
+    hist = Counter(w for _, w in _nonempty_tuples(stab_masks))
+    empty = math.prod(map(len, stab_masks)) - sum(hist.values())
+    if empty:
+        hist[0] = empty
+    return dict(hist)
 
 
 def check_cccz_conditions(
@@ -262,10 +220,10 @@ def check_cccz_conditions(
         raise ValueError("need exactly four blocks")
     stab, logical = _masks(family, basis)
     conditions = [
-        _mixed_conditions(stab, logical, 0, "ssss_even", threads),
-        _mixed_conditions(stab, logical, 1, "sssl_even", threads),
-        _mixed_conditions(stab, logical, 2, "ssll_even", threads),
-        _mixed_conditions(stab, logical, 3, "slll_even", threads),
+        _mixed_conditions(stab, logical, 0, "ssss_even"),
+        _mixed_conditions(stab, logical, 1, "sssl_even"),
+        _mixed_conditions(stab, logical, 2, "ssll_even"),
+        _mixed_conditions(stab, logical, 3, "slll_even"),
     ]
     tensor = _coupling_tensor(logical)
     support = sorted(k for k, v in tensor.items() if v)

@@ -119,6 +119,18 @@ def test_certificate(family2, basis2):
     assert cert.dx_formula_discrepancy
 
 
+def test_certificate_rejects_heavier_z_logical(family2, basis2):
+    # d_Z <= L rests on the Z logicals having weight L; a stabilizer-shifted
+    # representative keeps the class but not the weight
+    import copy
+
+    heavier = copy.deepcopy(basis2)
+    row = family2.blocks[0].hz.rows[0]
+    heavier.z_ops[0][1] = BitVec(family2.n, heavier.z_ops[0][1].bits ^ row)
+    with pytest.raises(AssertionError, match="Z logical 1 weight"):
+        certify_distances(family2, heavier, exhaustive=False)
+
+
 def test_exhaustive_requires_small_l(family3):
     basis3 = build_logicals(family3)
     with pytest.raises(ValueError):

@@ -1,10 +1,17 @@
+import copy
+import itertools
 import random
+from collections import Counter
 
-from octaplex.binalg import BitVec
+import pytest
+
+from octaplex.binalg import BinMatrix, BitVec
 from octaplex.transversal import (
     ALL_DISTINCT_QUADRUPLES,
     PhasePolynomial,
     STATED_QUARTETS,
+    _coupling_tensor,
+    _mixed_conditions,
     check_cccz_conditions,
     induced_logical_z,
     multilinearity_holds,
@@ -96,6 +103,87 @@ def test_parallel_directions_do_not_couple(family2, basis2):
 def test_triple_histogram_smoke(triple3d):
     hist = triple_weight_histogram([b.hx.rows for b in triple3d.blocks])
     assert set(hist) <= {0, 2}
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the incidence enumeration
+
+
+def _oracle_weights(slots):
+    """Every tuple of the product, in order, with its intersection weight."""
+    for t in itertools.product(*(range(len(s)) for s in slots)):
+        acc = -1
+        for s, i in zip(slots, t):
+            acc &= s[i]
+        yield t, acc.bit_count()
+
+
+def _oracle_condition(stab, logical, n_logical):
+    blocks = range(len(stab))
+    scanned, witness = 0, None
+    for placed in itertools.combinations(blocks, n_logical):
+        slots = [logical[b] if b in placed else stab[b] for b in blocks]
+        for t, w in _oracle_weights(slots):
+            scanned += 1
+            if w & 1 and witness is None:
+                witness = (placed, t)
+    return witness is None, scanned, witness
+
+
+def _random_slots(rng, blocks, n, plant):
+    """Rows built from qubit pairs, so every intersection is even, with one
+    bit flipped per planted fault; some rows are empty."""
+    slots = []
+    for _ in range(blocks):
+        rows = []
+        for _ in range(rng.randrange(1, 5)):
+            pairs = rng.sample(range(n // 2), rng.randrange(0, 4))
+            rows.append(sum(3 << (2 * p) for p in pairs))
+        slots.append(rows)
+    for _ in range(plant):
+        rows = rng.choice(slots)
+        rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(n)
+    return slots
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4])
+@pytest.mark.parametrize("plant", [0, 1, 3])
+def test_enumeration_matches_brute_force(blocks, plant):
+    rng = random.Random(100 * blocks + plant)
+    for _ in range(20):
+        stab = _random_slots(rng, blocks, 12, plant)
+        logical = _random_slots(rng, blocks, 12, plant)
+        for n_logical in range(blocks):
+            c = _mixed_conditions(stab, logical, n_logical, "c")
+            assert (c.passed, c.scanned, c.witness) == _oracle_condition(
+                stab, logical, n_logical
+            )
+        assert _coupling_tensor(logical) == {
+            t: w & 1 for t, w in _oracle_weights(logical)
+        }
+        if blocks == 3:
+            assert triple_weight_histogram(stab) == Counter(
+                w for _, w in _oracle_weights(stab)
+            )
+
+
+def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
+    faulty = copy.deepcopy(family2)
+    hx = faulty.blocks[2].hx
+    rows = list(hx.rows)
+    rows[0] ^= 1 << (rows[0].bit_length() - 1)
+    faulty.blocks[2].hx = BinMatrix(rows, hx.cols)
+    rep = check_cccz_conditions(faulty, basis2)
+    assert not rep.all_even_pass
+    # conditions are ordered by their number of logical slots
+    n_logical, first = next(
+        (n, c) for n, c in enumerate(rep.conditions) if not c.passed
+    )
+    stab = [blk.hx.rows for blk in faulty.blocks]
+    logical = [[v.bits for v in basis2.x_ops[b]] for b in range(4)]
+    assert (first.passed, first.scanned, first.witness) == _oracle_condition(
+        stab, logical, n_logical
+    )
 
 
 # ---------------------------------------------------------------------------
