@@ -1,19 +1,18 @@
 """Exact linear algebra over GF(2) on bit-packed rows.
 
 Vectors are fixed-length bit strings backed by Python integers (bit i is
-column i); matrices pack their rows into a numpy uint64 array for the
-elimination kernels. Pivoting is deterministic (lowest column index first)
-so echelon forms, kernels and ranks are reproducible across runs.
+column i). The one elimination is a basis keyed by lowest set bit
+(``lowbit_insert``): a matrix inserts its rows in descending order of their
+lowest set bit, which keeps fill-in low, and rank, row-space residues,
+kernels and rank increases all read that basis. Its keys are the
+lowest-column pivots, and the reduced row echelon form built from it is
+unique, so kernels and ranks do not depend on row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
-
-WORD = 64
 
 
 def mask_from_support(support: Iterable[int]) -> int:
@@ -37,13 +36,12 @@ def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
-def lowbit_insert(basis: dict[int, int], v: int) -> int:
-    """Reduce v against ``basis``, add the residue to it and return it.
+def _lowbit_reduce(basis: dict[int, int], v: int) -> int:
+    """The member of v + span(basis) that is zero on every key of ``basis``.
 
     ``basis`` maps each row's lowest set bit to the row. The walk goes up
     v's set bits; a row clears its key bit and flips only higher ones. The
-    residue is the unique member of v + span(basis) that is zero on every
-    key, so it is 0 exactly when v is in the span.
+    residue is unique, so it is 0 exactly when v is in the span.
     """
     residue = 0
     while v:
@@ -54,9 +52,24 @@ def lowbit_insert(basis: dict[int, int], v: int) -> int:
             v ^= low
         else:
             v ^= row
+    return residue
+
+
+def lowbit_insert(basis: dict[int, int], v: int) -> int:
+    """Reduce v against ``basis``, add the residue to it and return it."""
+    residue = _lowbit_reduce(basis, v)
     if residue:
         basis[(residue & -residue).bit_length() - 1] = residue
     return residue
+
+
+def _bits(v: "BitVec | int", n: int) -> int:
+    """The mask of v; a BitVec must have length n."""
+    if isinstance(v, int):
+        return v
+    if v.n != n:
+        raise ValueError("length mismatch")
+    return v.bits
 
 
 @dataclass(frozen=True)
@@ -90,8 +103,7 @@ class BitVec:
         return BitVec(self.n, self.bits ^ (1 << i))
 
     def overlap_parity(self, other: "BitVec | int") -> int:
-        bits = other.bits if isinstance(other, BitVec) else other
-        return parity(self.bits & bits)
+        return parity(self.bits & _bits(other, self.n))
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.n != other.n:
@@ -104,50 +116,10 @@ class BitVec:
         return BitVec(self.n, self.bits & other.bits)
 
 
-def _pack(rows: Sequence[int], cols: int) -> np.ndarray:
-    words = max(1, (cols + WORD - 1) // WORD)
-    out = np.zeros((len(rows), words), dtype=np.uint64)
-    nbytes = words * 8
-    for i, r in enumerate(rows):
-        out[i] = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint64)
-    return out
-
-
-def _unpack_row(packed: np.ndarray) -> int:
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _rref(packed: np.ndarray, cols: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form in place on a copy; returns (rref, pivot cols)."""
-    a = packed.copy()
-    m = len(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        w, b = divmod(c, WORD)
-        col = (a[:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(col[r:])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        col = (a[:, w] >> np.uint64(b)) & np.uint64(1)
-        col[r] = 0
-        sel = col.astype(bool)
-        if sel.any():
-            a[sel] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
-
-
 class BinMatrix:
     """Matrix over GF(2); rows are ints, columns indexed from bit 0.
 
-    Rank, kernel and row-space queries share one cached echelon form.
+    Rank, kernel and row-space queries share one cached lowest-bit basis.
     Instances are treated as immutable once built.
     """
 
@@ -157,8 +129,7 @@ class BinMatrix:
         for r in self.rows:
             if r < 0 or (cols < (r.bit_length())):
                 raise ValueError("row has bits beyond column count")
-        self._rref_rows: list[int] | None = None
-        self._pivots: list[int] | None = None
+        self._basis: dict[int, int] | None = None
 
     @classmethod
     def from_supports(cls, cols: int, supports: Iterable[Iterable[int]]) -> "BinMatrix":
@@ -171,50 +142,44 @@ class BinMatrix:
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.rows[i])
 
-    def _ensure_rref(self) -> tuple[list[int], list[int]]:
-        if self._rref_rows is None:
-            packed = _pack(self.rows, self.cols)
-            red, piv = _rref(packed, self.cols)
-            self._rref_rows = [_unpack_row(red[i]) for i in range(len(piv))]
-            self._pivots = piv
-        return self._rref_rows, self._pivots  # type: ignore[return-value]
+    def _lowbit_basis(self) -> dict[int, int]:
+        """The rows' span keyed by lowest set bit, built once.
+
+        Rows go in by descending lowest set bit, so a row meets only basis
+        rows that start above it and the fill-in stays low.
+        """
+        if self._basis is None:
+            self._basis = {}
+            for r in sorted(self.rows, key=lambda r: (r & -r).bit_length(), reverse=True):
+                lowbit_insert(self._basis, r)
+        return self._basis
 
     def rank(self) -> int:
-        _, piv = self._ensure_rref()
-        return len(piv)
+        return len(self._lowbit_basis())
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the row space."""
-        rows, piv = self._ensure_rref()
-        for row, c in zip(rows, piv):
-            if (v >> c) & 1:
-                v ^= row
-        return v
+        return _lowbit_reduce(self._lowbit_basis(), v)
 
     def in_row_space(self, v: "BitVec | int") -> bool:
-        bits = v.bits if isinstance(v, BitVec) else v
-        if isinstance(v, BitVec) and v.n != self.cols:
-            raise ValueError("length mismatch")
-        return self.reduce(bits) == 0
+        return self.reduce(_bits(v, self.cols)) == 0
 
     def kernel_basis(self) -> list[BitVec]:
         """Basis of {v : M v = 0}, one vector per free column, in column order."""
-        rows, piv = self._ensure_rref()
-        pivset = set(piv)
-        basis = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            bits = 1 << f
-            for row, c in zip(rows, piv):
-                if (row >> f) & 1:
-                    bits |= 1 << c
-            basis.append(BitVec(self.cols, bits))
-        return basis
+        # Back-reduce into the reduced row echelon form, top key first: each
+        # pivot row is then zero on every other pivot column.
+        basis, rref = self._lowbit_basis(), {}
+        for c in sorted(basis, reverse=True):
+            rref[c] = 1 << c | _lowbit_reduce(rref, basis[c] ^ 1 << c)
+        kernel = {f: 1 << f for f in range(self.cols) if f not in rref}
+        for c, row in rref.items():
+            for f in support_from_mask(row ^ 1 << c):
+                kernel[f] |= 1 << c
+        return [BitVec(self.cols, bits) for bits in kernel.values()]
 
     def mul_vec(self, v: "BitVec | int") -> BitVec:
         """Syndrome M v: bit i is the overlap parity of row i with v."""
-        bits = v.bits if isinstance(v, BitVec) else v
+        bits = _bits(v, self.cols)
         out = 0
         for i, row in enumerate(self.rows):
             if parity(row & bits):
@@ -223,9 +188,8 @@ class BinMatrix:
 
     def row_combination(self, selector: "BitVec | int") -> BitVec:
         """XOR of the rows picked out by selector bits."""
-        sel = selector.bits if isinstance(selector, BitVec) else selector
         acc = 0
-        for i in support_from_mask(sel):
+        for i in support_from_mask(_bits(selector, len(self.rows))):
             acc ^= self.rows[i]
         return BitVec(self.cols, acc)
 
@@ -250,8 +214,5 @@ class BinMatrix:
 
     def rank_increase(self, extra_rows: Sequence[int]) -> int:
         """By how much the row space grows when extra_rows are appended."""
-        reduced = []
-        for v in extra_rows:
-            reduced.append(self.reduce(v))
-        extra = BinMatrix(reduced, self.cols)
-        return extra.rank()
+        basis = dict(self._lowbit_basis())
+        return sum(1 for v in extra_rows if lowbit_insert(basis, v))

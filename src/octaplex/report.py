@@ -196,13 +196,17 @@ def _octaplex_lattice(run: _Run):
 
 def _octaplex_codes(run: _Run):
     family, L = run.family, run.L
+    # A block verified to be a translate of block 0 has block 0's k; any
+    # other block is ranked on its own.
+    translates = [True] + [_blocks_equivalent(family, b) for b in (1, 2, 3)]
+    k0 = family.blocks[0].k
     block_data = []
     passed = True
-    for blk in family.blocks:
+    for blk, translate in zip(family.blocks, translates):
         entry = {
             "label": blk.label,
             "n": blk.n,
-            "k": blk.k,
+            "k": k0 if translate else blk.k,
             "x_weights": blk.x_weights(),
             "z_weights": blk.z_weights(),
             "x_rows": len(blk.hx.rows),
@@ -217,9 +221,7 @@ def _octaplex_codes(run: _Run):
             and entry["z_weights"] == [3]
         )
         block_data.append(entry)
-    equiv = all(
-        _blocks_equivalent(family, b) for b in (1, 2, 3)
-    )
+    equiv = all(translates)
     passed &= equiv
     return passed, dict(blocks=block_data, block_equivalence=equiv), []
 

@@ -11,6 +11,81 @@ from octaplex.binalg import (
 )
 
 
+def reference_rref(rows, cols):
+    """Textbook Gauss-Jordan, column by column: (RREF rows, pivot columns)."""
+    rows, pivots = list(rows), []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+def reference_reduce(rows, cols, v):
+    for row, c in zip(*reference_rref(rows, cols)):
+        if v >> c & 1:
+            v ^= row
+    return v
+
+
+def reference_kernel(rows, cols):
+    red, pivots = reference_rref(rows, cols)
+    return [
+        1 << f | sum(1 << c for row, c in zip(red, pivots) if row >> f & 1)
+        for f in range(cols)
+        if f not in pivots
+    ]
+
+
+def assert_matches_reference(m, rng):
+    rank = len(reference_rref(m.rows, m.cols)[1])
+    assert m.rank() == rank
+    assert [v.bits for v in m.kernel_basis()] == reference_kernel(m.rows, m.cols)
+    probes = [rng.getrandbits(m.cols) for _ in range(5)] + m.rows[:3]
+    for v in probes:
+        assert m.reduce(v) == reference_reduce(m.rows, m.cols, v)
+    extra = probes[:3] + [probes[0] ^ probes[1]]
+    assert m.rank_increase(extra) == len(reference_rref(m.rows + extra, m.cols)[1]) - rank
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "zero-row", "duplicate-row", "full-rank"])
+def test_elimination_matches_reference(shape):
+    rng = random.Random(shape)
+    for _ in range(12):
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 40)
+        if shape == "wide":
+            cols += rows
+        elif shape == "tall":
+            rows += cols
+        vecs = [rng.getrandbits(cols) for _ in range(rows)]
+        if shape == "zero-row":
+            vecs = [v if rng.random() < 0.5 else 0 for v in vecs] + [0]
+        elif shape == "duplicate-row":
+            vecs += [rng.choice(vecs) for _ in range(3)]
+        elif shape == "full-rank":
+            # distinct top bits, then shuffled and mixed by row operations
+            cols = rows + rng.randrange(0, 5)
+            vecs = [1 << i | rng.getrandbits(i) for i in range(cols - rows, cols)]
+            rng.shuffle(vecs)
+            for i in range(1, rows):
+                vecs[i] ^= vecs[i - 1]
+            assert len(reference_rref(vecs, cols)[1]) == rows
+        assert_matches_reference(BinMatrix(vecs, cols), rng)
+    assert_matches_reference(BinMatrix([], 7), rng)
+
+
+def test_elimination_matches_reference_on_octaplex(family2, ladder2):
+    rng = random.Random(2)
+    assert_matches_reference(family2.blocks[0].hz, rng)
+    assert_matches_reference(ladder2.m0, rng)
+
+
 def test_rank_zero_matrix():
     m = BinMatrix([0, 0, 0], 3)
     assert m.rank() == 0

@@ -1,10 +1,12 @@
+import copy
 from itertools import product
 
 import pytest
 
-from octaplex.binalg import parity
+from octaplex.binalg import BinMatrix, parity
 from octaplex.codes import build_codeblock0, build_colored_codeblock, shifted_qubit_permutation
 from octaplex.lattice import Color
+from octaplex.report import SECTIONS, _Run
 
 
 def test_block0_shape(cx2, family2):
@@ -46,6 +48,34 @@ def test_sum_of_x_rows_vanishes(family2):
         for r in blk.hx.rows:
             acc ^= r
         assert acc == 0
+
+
+def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch):
+    # Negative control for the rank-once shortcut: block 2 without one of
+    # its Z checks is no translate of block 0, so the section fails and
+    # reports block 2's own rank, while the verified translates are not
+    # ranked at all.
+    family = copy.deepcopy(family2)
+    blk2 = family.blocks[2]
+    blk2.hz = BinMatrix(blk2.hz.rows[1:], blk2.n)
+    rank = BinMatrix.rank
+    ranked = []
+
+    def spy(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(BinMatrix, "rank", spy)
+    run = _Run("octaplex", family.L, None, {})
+    run.family = family
+    passed, data, _ = SECTIONS["octaplex"]["codes"](run)
+    assert not passed
+    assert data["block_equivalence"] is False
+    assert data["blocks"][2]["k"] == blk2.n - rank(blk2.hx) - rank(blk2.hz)
+    ranked_ids = {id(m) for m in ranked}
+    for b, blk in enumerate(family.blocks):
+        own = {id(blk.hx), id(blk.hz)}
+        assert ranked_ids & own == (own if b in (0, 2) else set()), b
 
 
 def test_k_is_four_at_l3(family3):
