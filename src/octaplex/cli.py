@@ -96,8 +96,11 @@ def cmd_report(args) -> int:
         print("error: the 3d family needs even L (cube 2-coloring)", file=sys.stderr)
         return USAGE_ERROR
     sections = None
-    if args.sections:
+    if args.sections is not None:
         sections = {s.strip() for s in args.sections.split(",") if s.strip()}
+        if not sections:
+            print("error: --sections names no section", file=sys.stderr)
+            return USAGE_ERROR
         unknown = sections - set(SECTIONS[args.family])
         if unknown:
             print(f"error: sections {sorted(unknown)} are not defined for the "
@@ -138,6 +141,9 @@ def cmd_export(args) -> int:
         if args.which == "all"
         else [k.strip() for k in args.which.split(",") if k.strip()]
     )
+    if not keys:
+        print("error: --which names no selector", file=sys.stderr)
+        return USAGE_ERROR
     unknown = [k for k in keys if k not in EXPORT_KEYS]
     if unknown:
         print(f"error: unknown selectors {unknown}", file=sys.stderr)

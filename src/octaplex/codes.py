@@ -132,15 +132,17 @@ def build_codeblock0(cx: CellComplex) -> Codeblock:
     )
 
 
+_BLOCK_BY_RESIDUES = {  # residues mod 4 of a cell carrying X checks -> block
+    r: 0 if t in FOURCELL_TYPES else BLOCK_COLORS.index(vertex_color(r))
+    for r in product(range(4), repeat=4)
+    if (t := try_classify(r)) in FOURCELL_TYPES + (CellType.V0,)
+}
+
+
 def _block_of(c: Coord) -> int | None:
     """The block whose X checks sit on cell c: 0 for a 4-cell, else the
     index of a vertex's color; None for any other cell."""
-    t = try_classify(c)
-    if t in FOURCELL_TYPES:
-        return 0
-    if t is CellType.V0:
-        return BLOCK_COLORS.index(vertex_color(c))
-    return None
+    return _BLOCK_BY_RESIDUES.get((c[0] & 3, c[1] & 3, c[2] & 3, c[3] & 3))
 
 
 def star_triangles(

@@ -22,7 +22,9 @@ odd components):
 
 The 3-cells (octahedra) carry the physical qubits. Boundary maps follow the
 explicit offset rules below; `cross_check_nearest` re-derives them from the
-nearest-in-2-norm definition as an independent oracle.
+nearest-in-2-norm definition as an independent oracle. It reads each cell
+c through the ball c+δ, |δ|² ≤ 4, which for L ≥ 2 holds every cell within
+squared distance 4 with no offset aliased; an empty ball fails the check.
 """
 
 from __future__ import annotations
@@ -315,6 +317,37 @@ def toroidal_dist2(a: Coord, b: Coord, period: int) -> int:
     return s
 
 
+# The oracle's 89 offsets |δ|² ≤ 4, as tuples: importing runs no numpy code.
+_WINDOW = [o for o in product(range(-2, 3), repeat=4) if sum(x * x for x in o) <= 4]
+_CHUNK = 512  # d-cells per numpy pass; keeps the temporaries under 1 MB
+
+
+def _boundary_is_nearest(
+    cx: CellComplex, d: int, cells: Sequence[int], candidates: Sequence[int]
+) -> bool:
+    """Whether each listed d-cell's boundary is its set of nearest listed
+    (d-1)-cells within the window. A dense array, padded by 2 with the
+    torus's wrap, maps each candidate's coordinate to its index."""
+    lookup = np.full((cx.period,) * 4, -1, dtype=np.int32)
+    lookup[tuple(zip(*(cx.cells[d - 1][j] for j in candidates)))] = candidates
+    lookup = np.pad(lookup, 2, mode="wrap").ravel()
+    strides = (cx.period + 4) ** np.arange(3, -1, -1)
+    window = np.array(_WINDOW)
+    centers = (np.array([cx.cells[d][i] for i in cells]).reshape(-1, 4) + 2) @ strides
+    for start in range(0, len(cells), _CHUNK):
+        hits = lookup[centers[start:start + _CHUNK, None] + window @ strides]
+        d2 = np.where(hits >= 0, (window * window).sum(axis=1), 5)  # 5: none there
+        dmin = d2.min(axis=1, keepdims=True)
+        if (dmin == 5).any():
+            return False  # an empty ball: the nearest cell is out of reach
+        rows, cols = np.nonzero(d2 == dmin)
+        found = set(zip(rows.tolist(), hits[rows, cols].tolist()))
+        chunk = cells[start:start + _CHUNK]
+        if found != {(r, j) for r, i in enumerate(chunk) for j in cx.boundary[d][i]}:
+            return False
+    return True
+
+
 def cross_check_nearest(cx: CellComplex) -> bool:
     """Boundary maps equal the nearest-(d-1)-cells sets, for d in {1, 3, 4}.
 
@@ -325,35 +358,24 @@ def cross_check_nearest(cx: CellComplex) -> bool:
     set is restricted to the matching anchor type (octahedra with a
     half-integer sheet bound F2I triangles, integer-sheet ones bound F2II;
     the all-quarter octahedra see both types and need no restriction).
+
+    Each cell c is compared only with the candidates at c+δ mod 4L for the
+    89 scaled offsets |δ|² ≤ 4. This is exact: for L ≥ 2 (period ≥ 8) no two
+    offsets alias and every cell within toroidal squared distance 4 is some
+    c+δ, so a ball minimum ≤ 4 is the global minimum and its argmin set the
+    global one. A cell whose ball holds no candidate fails the check.
     """
-    period = cx.period
-
-    def argmin_set(c: Coord, candidates: np.ndarray, ids: np.ndarray) -> set[int]:
-        diff = np.abs(candidates - np.array(c, dtype=np.int64))
-        diff = np.minimum(diff, period - diff)
-        dist2 = (diff * diff).sum(axis=1)
-        return set(ids[np.flatnonzero(dist2 == dist2.min())].tolist())
-
-    for d in (1, 4):
-        lower = np.array(cx.cells[d - 1], dtype=np.int64)
-        ids = np.arange(len(cx.cells[d - 1]))
-        for i, c in enumerate(cx.cells[d]):
-            if argmin_set(c, lower, ids) != set(cx.boundary[d][i]):
-                return False
-
-    faces = np.array(cx.cells[2], dtype=np.int64)
-    all_ids = np.arange(len(cx.cells[2]))
-    types = np.array([1 if classify(f) is CellType.F2I else 2 for f in cx.cells[2]])
-    by_type = {
-        CellType.C3I: (faces[types == 1], all_ids[types == 1]),
-        CellType.C3II: (faces[types == 2], all_ids[types == 2]),
-        CellType.C3III: (faces, all_ids),
-    }
-    for i, c in enumerate(cx.cells[3]):
-        candidates, ids = by_type[classify(c)]
-        if argmin_set(c, candidates, ids) != set(cx.boundary[3][i]):
-            return False
-    return True
+    every = [range(len(cells)) for cells in cx.cells]
+    faces = [classify(f) for f in cx.cells[2]]
+    octahedra = [classify(c) for c in cx.cells[3]]
+    anchors = {CellType.C3I: {CellType.F2I}, CellType.C3II: {CellType.F2II},
+               CellType.C3III: {CellType.F2I, CellType.F2II}}
+    checks = [(1, every[1], every[0]), (4, every[4], every[3])] + [
+        (3, [i for i, t in enumerate(octahedra) if t is kind],
+         [j for j, t in enumerate(faces) if t in allowed])
+        for kind, allowed in anchors.items()
+    ]
+    return all(_boundary_is_nearest(cx, *check) for check in checks)
 
 
 def boundary_composition_is_zero(cx: CellComplex) -> bool:

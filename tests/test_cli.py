@@ -68,6 +68,10 @@ def test_usage_errors():
                  "--sections", "codes", "--inject-fault", "perturb-logical"]) == 2
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", "codes", "--inject-fault", "recolor-vertex"]) == 2
+    # an empty selector list names nothing; it must not mean "everything"
+    assert main(["report", "--family", "octaplex", "--L", "2",
+                 "--sections", ","]) == 2
+    assert main(["export", "--L", "2", "--which", ",", "--out", "unused"]) == 2
 
 
 def test_argparse_rejects_unknown_family():

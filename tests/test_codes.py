@@ -4,8 +4,14 @@ from itertools import product
 import pytest
 
 from octaplex.binalg import BinMatrix, parity
-from octaplex.codes import build_codeblock0, build_colored_codeblock, shifted_qubit_permutation
-from octaplex.lattice import Color
+from octaplex.codes import (
+    BLOCK_COLORS,
+    _block_of,
+    build_codeblock0,
+    build_colored_codeblock,
+    shifted_qubit_permutation,
+)
+from octaplex.lattice import FOURCELL_TYPES, CellType, Color, try_classify, vertex_color
 from octaplex.report import SECTIONS, _Run
 
 
@@ -76,6 +82,18 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch):
     for b, blk in enumerate(family.blocks):
         own = {id(blk.hx), id(blk.hz)}
         assert ranked_ids & own == (own if b in (0, 2) else set()), b
+
+
+def test_block_table_matches_classification():
+    # the torus and the bounded box, whose stars reach past 4L, at L=2
+    def block(c):
+        t = try_classify(c)
+        if t in FOURCELL_TYPES:
+            return 0
+        return BLOCK_COLORS.index(vertex_color(c)) if t is CellType.V0 else None
+
+    for c in product(range(4 * 2 + 10), repeat=4):
+        assert _block_of(c) == block(c), c
 
 
 def test_k_is_four_at_l3(family3):

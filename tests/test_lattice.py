@@ -1,3 +1,6 @@
+import copy
+
+import numpy as np
 import pytest
 
 from octaplex.binalg import BinMatrix
@@ -76,8 +79,71 @@ def test_boundary_squared_is_zero(cx2):
     assert boundary_composition_is_zero(cx2)
 
 
+def nearest_reference(cx):
+    """The all-pairs form of ``cross_check_nearest``: every d-cell against
+    every (d-1)-cell, anchor-type restricted at d=3."""
+    period = cx.period
+
+    def argmin_set(c, candidates, ids):
+        diff = np.abs(candidates - np.array(c, dtype=np.int64))
+        diff = np.minimum(diff, period - diff)
+        dist2 = (diff * diff).sum(axis=1)
+        return set(ids[np.flatnonzero(dist2 == dist2.min())].tolist())
+
+    f2i = np.array([classify(f) is CellType.F2I for f in cx.cells[2]])
+    anchored = {CellType.C3I: f2i, CellType.C3II: ~f2i,
+                CellType.C3III: np.ones_like(f2i)}
+    for d in (1, 3, 4):
+        lower = np.array(cx.cells[d - 1], dtype=np.int64)
+        ids = np.arange(len(lower))
+        for i, c in enumerate(cx.cells[d]):
+            keep = anchored[classify(c)] if d == 3 else slice(None)
+            if argmin_set(c, lower[keep], ids[keep]) != set(cx.boundary[d][i]):
+                return False
+    return True
+
+
 def test_nearest_cross_check(cx2):
     assert cross_check_nearest(cx2)
+    assert nearest_reference(cx2)
+
+
+def test_nearest_cross_check_l3():
+    cx3 = build_octaplex(3)
+    assert cross_check_nearest(cx3)
+    assert nearest_reference(cx3)
+
+
+def _swap_one(cx, d, kind):
+    """A copy of cx in which one ``kind`` d-cell's boundary trades one member
+    for a member of another such cell's boundary."""
+    bad = copy.deepcopy(cx)
+    i, other = [k for k, c in enumerate(cx.cells[d]) if classify(c) in kind][:2]
+    outside = next(j for j in cx.boundary[d][other] if j not in cx.boundary[d][i])
+    bad.boundary[d][i] = tuple(sorted(cx.boundary[d][i][1:] + (outside,)))
+    return bad
+
+
+@pytest.mark.parametrize("d, kind", [
+    (1, {CellType.E1}),
+    (3, {CellType.C3I}),
+    (3, {CellType.C3III}),
+    (4, {CellType.H4I, CellType.H4II}),
+])
+def test_nearest_cross_check_rejects_a_swapped_boundary(cx2, d, kind):
+    bad = _swap_one(cx2, d, kind)
+    assert not cross_check_nearest(bad)
+    assert not nearest_reference(bad)
+
+
+def test_nearest_cross_check_fails_on_an_empty_ball(cx2):
+    # one edge whose only candidate vertex lies at squared distance 30: the
+    # all-pairs definition accepts it, the windowed check may not
+    cx = copy.deepcopy(cx2)
+    cx.cells[0], cx.cells[1], cx.boundary[1] = [(4, 4, 4, 4)], [(0, 2, 1, 3)], [(0,)]
+    assert toroidal_dist2((0, 2, 1, 3), (4, 4, 4, 4), cx.period) == 30
+    assert nearest_reference(cx)
+    assert not cross_check_nearest(cx)
 
 
 def test_fourcell_boundary_distance(cx2):
