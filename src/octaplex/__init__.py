@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .binalg import BinMatrix, BitVec
+from .binalg import BinMatrix
 from .codes import (
     CodeFamily,
     Codeblock,
@@ -25,7 +25,6 @@ from .transversal import (
 
 __all__ = [
     "BinMatrix",
-    "BitVec",
     "CellComplex",
     "CellType",
     "CodeFamily",

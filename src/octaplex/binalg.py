@@ -1,17 +1,17 @@
 """Exact linear algebra over GF(2) on bit-packed rows.
 
-Vectors are fixed-length bit strings backed by Python integers (bit i is
-column i). The one elimination is a basis keyed by lowest set bit
-(``lowbit_insert``): a matrix inserts its rows in descending order of their
-lowest set bit, which keeps fill-in low, and rank, row-space residues,
-kernels and rank increases all read that basis. Its keys are the
+Vectors and matrix rows are Python-int masks (bit i is column i). A
+vector's length is the width of the matrix it meets, and a bit at or beyond
+that width is a ``ValueError``. The one elimination is a basis keyed by
+lowest set bit (``lowbit_insert``): a matrix inserts its rows in descending
+order of their lowest set bit, which keeps fill-in low, and rank, row-space
+residues, kernels and rank increases all read that basis. Its keys are the
 lowest-column pivots, and the reduced row echelon form built from it is
 unique, so kernels and ranks do not depend on row order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -63,57 +63,11 @@ def lowbit_insert(basis: dict[int, int], v: int) -> int:
     return residue
 
 
-def _bits(v: "BitVec | int", n: int) -> int:
-    """The mask of v; a BitVec must have length n."""
-    if isinstance(v, int):
-        return v
-    if v.n != n:
-        raise ValueError("length mismatch")
-    return v.bits
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Length-n vector over GF(2)."""
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits out of range for vector length")
-
-    @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "BitVec":
-        sup = list(support)
-        if any(i < 0 or i >= n for i in sup):
-            raise ValueError("support index out of range")
-        return cls(n, mask_from_support(sup))
-
-    def support(self) -> list[int]:
-        return support_from_mask(self.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def get(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def flipped(self, i: int) -> "BitVec":
-        return BitVec(self.n, self.bits ^ (1 << i))
-
-    def overlap_parity(self, other: "BitVec | int") -> int:
-        return parity(self.bits & _bits(other, self.n))
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits & other.bits)
+def _within(v: int, width: int) -> int:
+    """v, checked to have no bit at or beyond ``width``."""
+    if v >> width:
+        raise ValueError(f"vector has bits beyond width {width}")
+    return v
 
 
 class BinMatrix:
@@ -125,10 +79,7 @@ class BinMatrix:
 
     def __init__(self, rows: Sequence[int], cols: int):
         self.cols = cols
-        self.rows = list(rows)
-        for r in self.rows:
-            if r < 0 or (cols < (r.bit_length())):
-                raise ValueError("row has bits beyond column count")
+        self.rows = [_within(r, cols) for r in rows]
         self._basis: dict[int, int] | None = None
 
     @classmethod
@@ -138,9 +89,6 @@ class BinMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.rows[i])
 
     def _lowbit_basis(self) -> dict[int, int]:
         """The rows' span keyed by lowest set bit, built once.
@@ -159,12 +107,12 @@ class BinMatrix:
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the row space."""
-        return _lowbit_reduce(self._lowbit_basis(), v)
+        return _lowbit_reduce(self._lowbit_basis(), _within(v, self.cols))
 
-    def in_row_space(self, v: "BitVec | int") -> bool:
-        return self.reduce(_bits(v, self.cols)) == 0
+    def in_row_space(self, v: int) -> bool:
+        return self.reduce(v) == 0
 
-    def kernel_basis(self) -> list[BitVec]:
+    def kernel_basis(self) -> list[int]:
         """Basis of {v : M v = 0}, one vector per free column, in column order."""
         # Back-reduce into the reduced row echelon form, top key first: each
         # pivot row is then zero on every other pivot column.
@@ -175,31 +123,29 @@ class BinMatrix:
         for c, row in rref.items():
             for f in support_from_mask(row ^ 1 << c):
                 kernel[f] |= 1 << c
-        return [BitVec(self.cols, bits) for bits in kernel.values()]
+        return list(kernel.values())
 
-    def mul_vec(self, v: "BitVec | int") -> BitVec:
+    def mul_vec(self, v: int) -> int:
         """Syndrome M v: bit i is the overlap parity of row i with v."""
-        bits = _bits(v, self.cols)
+        _within(v, self.cols)
         out = 0
         for i, row in enumerate(self.rows):
-            if parity(row & bits):
+            if parity(row & v):
                 out |= 1 << i
-        return BitVec(len(self.rows), out)
+        return out
 
-    def row_combination(self, selector: "BitVec | int") -> BitVec:
+    def row_combination(self, selector: int) -> int:
         """XOR of the rows picked out by selector bits."""
         acc = 0
-        for i in support_from_mask(_bits(selector, len(self.rows))):
+        for i in support_from_mask(_within(selector, len(self.rows))):
             acc ^= self.rows[i]
-        return BitVec(self.cols, acc)
+        return acc
 
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
         """Self's rows select combinations of other's rows (composition of maps)."""
         if self.cols != len(other.rows):
             raise ValueError("inner dimension mismatch")
-        return BinMatrix(
-            [other.row_combination(r).bits for r in self.rows], other.cols
-        )
+        return BinMatrix([other.row_combination(r) for r in self.rows], other.cols)
 
     def transpose(self) -> "BinMatrix":
         cols_out = len(self.rows)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .binalg import BinMatrix, lowbit_insert, mask_from_support, support_from_mask
 from .lattice import (
@@ -69,7 +69,6 @@ class Codeblock:
     hx: BinMatrix
     hz: BinMatrix
     x_centers: list = field(default_factory=list)   # geometric tag per hx row
-    z_cells: list = field(default_factory=list)     # geometric tag per hz row
     meta: dict = field(default_factory=dict)
 
     @property
@@ -93,7 +92,6 @@ class CodeFamily:
     blocks: list[Codeblock]
     qubit_labels: list
     complex: CellComplex | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -128,7 +126,6 @@ def build_codeblock0(cx: CellComplex) -> Codeblock:
         BinMatrix(hx_rows, len(qubits)),
         BinMatrix(hz_rows, len(qubits)),
         x_centers=list(cx.cells[4]),
-        z_cells=list(cx.cells[2]),
     )
 
 
@@ -147,9 +144,11 @@ def _block_of(c: Coord) -> int | None:
 
 def star_triangles(
     qidx: dict[Coord, int], period: int, drops: Sequence[int]
-) -> set[int]:
-    """Nonempty intersections of three stars, one center from each block
-    but a dropped one, for each block in ``drops``.
+) -> Iterator[tuple[int, int]]:
+    """``(drop, mask)`` for the nonempty intersections of three stars, one
+    center from each block but the dropped one, for each block in
+    ``drops``; a mask may repeat. One grouping of each qubit's neighbours
+    serves every dropped block.
 
     Enumerated per qubit: every nonempty intersection contains some qubit,
     and a 3-cell lies in exactly two 4-cells and two vertices of each color
@@ -158,7 +157,6 @@ def star_triangles(
     qubits that ``qidx`` holds.
     """
     star = cache(lambda c: _star_mask(c, qidx, period))
-    seen: set[int] = set()
     for q in qidx:
         groups: list[list[Coord]] = [[], [], [], []]
         for c in star24(q, period):
@@ -169,39 +167,45 @@ def star_triangles(
             for x, y, z in product(*(g for s, g in enumerate(groups) if s != drop)):
                 m = star(x) & star(y) & star(z)
                 if m:
-                    seen.add(m)
-    return seen
+                    yield drop, m
 
 
-def colored_z_supports(cx: CellComplex, color: Color) -> list[tuple[int, ...]]:
-    """Nonempty triple intersections of the other three blocks' X supports,
-    sorted by support for a stable row order."""
+def colored_z_supports(cx: CellComplex) -> list[list[int]]:
+    """Z check masks of the red, green and blue blocks: the nonempty triple
+    intersections of the other three blocks' X supports, each list sorted
+    by support for a stable row order."""
     _, qidx = _qubit_order(cx)
-    masks = star_triangles(qidx, cx.period, drops=(BLOCK_COLORS.index(color),))
-    return sorted(tuple(support_from_mask(m)) for m in masks)
+    found: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
+    for drop, m in star_triangles(qidx, cx.period, drops=tuple(found)):
+        found[drop].add(m)
+    return [sorted(masks, key=support_from_mask) for masks in found.values()]
 
 
-def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
+def _colored_codeblock(cx: CellComplex, color: Color, hz_rows: list[int]) -> Codeblock:
     qubits, qidx = _qubit_order(cx)
     verts = [v for v, c in zip(cx.cells[0], cx.colors) if c == color]
     hx_rows = [_star_mask(v, qidx, cx.period) for v in verts]
-    z_supports = colored_z_supports(cx, color)
-    hz_rows = [mask_from_support(s) for s in z_supports]
-    label = BLOCK_COLORS.index(color)
     return Codeblock(
-        label,
+        BLOCK_COLORS.index(color),
         len(qubits),
         BinMatrix(hx_rows, len(qubits)),
         BinMatrix(hz_rows, len(qubits)),
         x_centers=verts,
-        z_cells=list(z_supports),
     )
 
 
+def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
+    """One colored block on its own; ``build_family`` shares the Z pass."""
+    hz_rows = colored_z_supports(cx)[BLOCK_COLORS.index(color) - 1]
+    return _colored_codeblock(cx, color, hz_rows)
+
+
 def build_family(cx: CellComplex) -> CodeFamily:
+    """Block 0 and the three colored blocks, whose Z sides come from one
+    star-triangle pass."""
     blocks = [build_codeblock0(cx)]
-    for color in (Color.RED, Color.GREEN, Color.BLUE):
-        blocks.append(build_colored_codeblock(cx, color))
+    for color, hz_rows in zip(BLOCK_COLORS[1:], colored_z_supports(cx)):
+        blocks.append(_colored_codeblock(cx, color, hz_rows))
     qubits, _ = _qubit_order(cx)
     return CodeFamily("octaplex", cx.L, blocks, qubits, complex=cx)
 
@@ -297,7 +301,9 @@ def build_bounded_family(L: int) -> CodeFamily:
         return mask_from_support(qidx[q] for q in cells)
 
     # All geometric triangles with support in the box, of every block.
-    triangles = BinMatrix(sorted(star_triangles(qidx, period, drops=range(4))), n)
+    triangles = BinMatrix(
+        sorted({m for _, m in star_triangles(qidx, period, drops=range(4))}), n
+    )
 
     blocks = []
     for b in range(4):
@@ -317,7 +323,7 @@ def build_bounded_family(L: int) -> CodeFamily:
         span: dict[int, int] = {}
         for m in kept:
             lowbit_insert(span, m)
-        residues = (lowbit_insert(span, v.bits) for v in constraint.kernel_basis())
+        residues = (lowbit_insert(span, v) for v in constraint.kernel_basis())
         completion = [r for r in residues if r]
         hz = BinMatrix(kept + completion, n)
         blocks.append(
@@ -327,7 +333,6 @@ def build_bounded_family(L: int) -> CodeFamily:
                 hx,
                 hz,
                 x_centers=centers[b],
-                z_cells=[],
                 meta={
                     "triangle_generators": len(kept),
                     "completion_generators": len(completion),
@@ -391,8 +396,8 @@ def build_2d_pair(L: int) -> CodeFamily:
     sites = [(i, j) for i in range(L) for j in range(L)]
     plaq = [m(_plaquette_2d(L, i, j)) for i, j in sites]
     star = [m(_star_2d(L, i, j)) for i, j in sites]
-    block_a = Codeblock(0, n, BinMatrix(plaq, n), BinMatrix(star, n), x_centers=sites, z_cells=sites)
-    block_b = Codeblock(1, n, BinMatrix(star, n), BinMatrix(plaq, n), x_centers=sites, z_cells=sites)
+    block_a = Codeblock(0, n, BinMatrix(plaq, n), BinMatrix(star, n), x_centers=sites)
+    block_b = Codeblock(1, n, BinMatrix(star, n), BinMatrix(plaq, n), x_centers=sites)
     return CodeFamily("2d", L, [block_a, block_b], edges)
 
 
@@ -489,7 +494,7 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
         return sorted(seen)
 
     block0 = Codeblock(0, n, BinMatrix(star_rows, n), BinMatrix(face_rows, n),
-                       x_centers=verts, z_cells=faces)
+                       x_centers=verts)
     block1 = Codeblock(1, n, BinMatrix(red_rows, n),
                        BinMatrix(corner_triples(blue), n), x_centers=red)
     block2 = Codeblock(2, n, BinMatrix(blue_rows, n),

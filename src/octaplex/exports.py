@@ -76,8 +76,8 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def logicals_to_json(labels: list, qubit_labels: list, ops) -> dict:
+def logicals_to_json(labels: list, qubit_labels: list, ops: dict[str, int]) -> dict:
     out = {}
-    for name, vec in ops.items():
-        out[name] = [list(qubit_labels[i]) for i in vec.support()]
+    for name, mask in ops.items():
+        out[name] = [list(qubit_labels[i]) for i in support_from_mask(mask)]
     return {"directions": labels, "operators": out}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
-from .binalg import BinMatrix, BitVec, mask_from_support, parity, support_from_mask
+from .binalg import BinMatrix, mask_from_support, parity, support_from_mask
 from .codes import CodeFamily, x_hyperplane, z_string
 from .lattice import AXES, Coord, line, sheet, sublattice
 
@@ -29,7 +29,7 @@ DIRS = (0, 1, 2, 3)  # axis indices x, y, z, w
 class PauliSupport:
     kind: str          # "X" or "Z"
     block: int
-    support: BitVec
+    support: int       # qubit mask
 
     def __post_init__(self) -> None:
         if self.kind not in ("X", "Z"):
@@ -45,8 +45,8 @@ class LogicalBasis:
     """
 
     family_kind: str
-    x_ops: list[list[BitVec]]
-    z_ops: list[list[BitVec]]
+    x_ops: list[list[int]]   # qubit masks
+    z_ops: list[list[int]]
     labels: list[str] = field(default_factory=list)
 
     @property
@@ -55,7 +55,7 @@ class LogicalBasis:
 
     def pairing(self, block: int) -> list[list[int]]:
         return [
-            [x.overlap_parity(z) for z in self.z_ops[block]]
+            [parity(x & z) for z in self.z_ops[block]]
             for x in self.x_ops[block]
         ]
 
@@ -73,10 +73,9 @@ def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
         raise ValueError("periodic octaplex family required")
     values = range(4 * family.L)
     qidx = family.qubit_index()
-    n = family.n
 
-    def op(cells: list[Coord]) -> BitVec:
-        return BitVec(n, mask_from_support(qidx[c] for c in cells))
+    def op(cells: list[Coord]) -> int:
+        return mask_from_support(qidx[c] for c in cells)
 
     x_ops = [[op(x_hyperplane(b, d, values, TORUS_SHEETS)) for d in DIRS]
              for b in range(4)]
@@ -87,9 +86,8 @@ def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
 def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "octaplex-bounded":
         raise ValueError("bounded family required")
-    n = family.n
-    x_ops = [[BitVec(n, blk.meta["logical_x"])] for blk in family.blocks]
-    z_ops = [[BitVec(n, blk.meta["logical_z"])] for blk in family.blocks]
+    x_ops = [[blk.meta["logical_x"]] for blk in family.blocks]
+    z_ops = [[blk.meta["logical_z"]] for blk in family.blocks]
     labels = [family.blocks[b].meta["rough_axis"] for b in range(4)]
     return LogicalBasis("octaplex-bounded", x_ops, z_ops, labels=labels)
 
@@ -103,10 +101,9 @@ def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
         raise ValueError("2d family required")
     L = family.L
     qidx = family.qubit_index()
-    n = family.n
 
-    def m(coords) -> BitVec:
-        return BitVec(n, mask_from_support(qidx[c] for c in coords))
+    def m(coords) -> int:
+        return mask_from_support(qidx[c] for c in coords)
 
     loop_x = m([("h", i, 0) for i in range(L)])       # horizontal cycle
     loop_y = m([("v", 0, j) for j in range(L)])       # vertical cycle
@@ -122,24 +119,21 @@ def build_3d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "3d":
         raise ValueError("3d family required")
     qidx = family.qubit_index()
-    n = family.n
     ax_i = {"x": 0, "y": 1, "z": 2}
 
-    def m(pred) -> BitVec:
-        return BitVec(
-            n, mask_from_support(i for q, i in qidx.items() if pred(q))
-        )
+    def m(pred) -> int:
+        return mask_from_support(i for q, i in qidx.items() if pred(q))
 
-    def parallel_plane(d: str) -> BitVec:
+    def parallel_plane(d: str) -> int:
         return m(lambda e: e[0] == d and e[1 + ax_i[d]] == 0)
 
-    def line(d: str) -> BitVec:
+    def line(d: str) -> int:
         return m(lambda e: e[0] == d and all(e[1 + i] == 0 for i in range(3) if i != ax_i[d]))
 
-    def in_plane(d: str) -> BitVec:
+    def in_plane(d: str) -> int:
         return m(lambda e: e[0] != d and e[1 + ax_i[d]] == 0)
 
-    def comb(d: str) -> BitVec:
+    def comb(d: str) -> int:
         other = "xyz"[(ax_i[d] + 1) % 3]
         return m(lambda e: e[0] == other
                  and all(e[1 + i] == 0 for i in range(3) if i != ax_i[d]))
@@ -189,7 +183,7 @@ def verify_logical_basis(
             ("z_vs_x_stab", basis.z_ops[b], blk.hx),
         ):
             for d, op in enumerate(ops):
-                for i in support_from_mask(checks.mul_vec(op).bits):
+                for i in support_from_mask(checks.mul_vec(op)):
                     witnesses.append(LemmaWitness(kind, b, (d, i)))
         pair = basis.pairing(b)
         for i, row in enumerate(pair):
@@ -197,11 +191,6 @@ def verify_logical_basis(
                 if v != (1 if i == j else 0):
                     witnesses.append(LemmaWitness("pairing", b, (i, j, v)))
     return (not witnesses), witnesses
-
-
-def verify_lemma_A(family: CodeFamily, basis: LogicalBasis) -> bool:
-    ok, _ = verify_logical_basis(family, basis)
-    return ok
 
 
 def logical_class(
@@ -215,13 +204,13 @@ def logical_class(
     """
     blk = family.blocks[p.block]
     checks = blk.hx if p.kind == "Z" else blk.hz
-    if checks.mul_vec(p.support.bits).bits != 0:
+    if checks.mul_vec(p.support):
         return None
     partners = basis.x_ops[p.block] if p.kind == "Z" else basis.z_ops[p.block]
-    bits = tuple(p.support.overlap_parity(q) for q in partners)
+    bits = tuple(parity(p.support & q) for q in partners)
     if all(v == 0 for v in bits):
         space = blk.hz if p.kind == "Z" else blk.hx
-        if not space.in_row_space(p.support.bits):
+        if not space.in_row_space(p.support):
             raise AssertionError(
                 "operator commutes and pairs trivially but is not a stabilizer"
             )
@@ -291,7 +280,7 @@ def _verify_disjoint_equivalent(
         if acc & m:
             raise AssertionError("representatives are not pairwise disjoint")
         acc |= m
-        if check_matrix.mul_vec(m).bits != 0:
+        if check_matrix.mul_vec(m):
             raise AssertionError("representative violates a stabilizer")
         if not stab_space.in_row_space(m ^ reference):
             raise AssertionError("representative is not stabilizer-equivalent")
@@ -310,12 +299,12 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     n = blk.n
     candidates = n
     for q in range(n):
-        if blk.hx.mul_vec(1 << q).bits == 0:
+        if not blk.hx.mul_vec(1 << q):
             if not blk.hz.in_row_space(1 << q):
                 return 1, candidates
     syndromes: dict[int, list[int]] = {}
     for q in range(n):
-        syndromes.setdefault(blk.hx.mul_vec(1 << q).bits, []).append(q)
+        syndromes.setdefault(blk.hx.mul_vec(1 << q), []).append(q)
     candidates += n * (n - 1) // 2
     found = False
     for group in syndromes.values():
@@ -331,18 +320,13 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     return 2, candidates
 
 
-def certify_distances(
-    family: CodeFamily, basis: LogicalBasis, exhaustive: bool | None = None
-) -> DistanceCertificate:
+def certify_distances(family: CodeFamily, basis: LogicalBasis) -> DistanceCertificate:
+    """Two-sided distance certificates of block 0; at L=2 the exhaustive
+    search confirms d_Z as well."""
     if family.kind != "octaplex":
         raise ValueError("distance certificates target the periodic family")
     L = family.L
-    if exhaustive is None:
-        exhaustive = L == 2
-    if exhaustive and L > 2:
-        raise ValueError("exhaustive search rejected for L > 2")
     blk0 = family.blocks[0]
-    n = family.n
     qidx = family.qubit_index()
 
     disjoint_counts = None
@@ -350,11 +334,9 @@ def certify_distances(
     for d in DIRS:
         fams = disjoint_z_strings(family, d)
         reps = fams["half_sheet"] + fams["integer_sheet"] + fams["quarter_sheet"]
-        _verify_disjoint_equivalent(
-            reps, basis.z_ops[0][d].bits, blk0.hz, blk0.hx
-        )
+        _verify_disjoint_equivalent(reps, basis.z_ops[0][d], blk0.hz, blk0.hx)
         # every representative must clash with any conjugate X class member
-        xref = basis.x_ops[0][d].bits
+        xref = basis.x_ops[0][d]
         for m in reps:
             if not parity(m & xref):
                 raise AssertionError("representative fails to pair with logical X")
@@ -372,10 +354,8 @@ def certify_distances(
             sheets = tuple((p + 4 * shift) % (4 * L) for p in TORUS_SHEETS)
             cells = x_hyperplane(0, d, range(4 * L), sheets)
             reps.append(mask_from_support(qidx[c] for c in cells))
-        _verify_disjoint_equivalent(
-            reps, basis.x_ops[0][d].bits, blk0.hx, blk0.hz
-        )
-        zref = basis.z_ops[0][d].bits
+        _verify_disjoint_equivalent(reps, basis.x_ops[0][d], blk0.hx, blk0.hz)
+        zref = basis.z_ops[0][d]
         for m in reps:
             if not parity(m & zref):
                 raise AssertionError("hyperplane fails to pair with logical Z")
@@ -384,13 +364,13 @@ def certify_distances(
     # A verified Z logical of weight L bounds dz from above.
     dz = L
     for d in DIRS:
-        zw = basis.z_ops[0][d].weight()
+        zw = basis.z_ops[0][d].bit_count()
         if zw != dz:
             raise AssertionError(
                 f"Z logical {d} weight {zw} does not meet the disjoint bound {dz}"
             )
     dx = disjoint_counts  # == weight of the constructed hyperplane
-    xw = basis.x_ops[0][0].weight()
+    xw = basis.x_ops[0][0].bit_count()
     if xw != dx:
         raise AssertionError(
             f"hyperplane weight {xw} does not meet the disjoint bound {dx}"
@@ -406,7 +386,7 @@ def certify_distances(
         dx_stated_formula=8 * L**3,
         dx_formula_discrepancy=(xw != 8 * L**3),
     )
-    if exhaustive:
+    if L == 2:
         dz_found, candidates = exhaustive_z_distance(family)
         if dz_found != dz:
             raise AssertionError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binalg import BinMatrix, BitVec, mask_from_support
+from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .codes import Codeblock
 from .lattice import AXES, CellComplex
 
@@ -32,14 +32,14 @@ class MetacheckLadder:
     hx: BinMatrix                        # 4-cells x qubits
     m1: BinMatrix                        # 1-cells x 2-cells
     m0: BinMatrix                        # 0-cells x 1-cells
-    globals2: dict[tuple[str, str], BitVec]   # face planes, per axis pair
-    globals1: dict[str, BitVec]               # edge hyperplanes, per axis
-    global0: BitVec                           # all vertices
-    globalX: BitVec                           # all X stabilizer rows
+    globals2: dict[tuple[str, str], int]   # face planes (hz rows), per axis pair
+    globals1: dict[str, int]               # edge hyperplanes (m1 rows), per axis
+    global0: int                           # all vertices (m0 rows)
+    globalX: int                           # all X stabilizer rows
     face_of_edge_triple: dict[tuple[int, ...], int] = field(default_factory=dict)
 
 
-def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> BitVec:
+def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> int:
     """Faces with both transverse coordinates at value 1 and the (ax1, ax2)
     coordinates on the integer/quarter sublattices in either order."""
     other = [i for i in range(4) if i not in (ax1, ax2)]
@@ -50,12 +50,11 @@ def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> BitVec:
         a, b = f[ax1], f[ax2]
         if (a % 4 == 0 and b % 2 == 1) or (a % 2 == 1 and b % 4 == 0):
             sel.append(i)
-    return BitVec(len(cx.cells[2]), mask_from_support(sel))
+    return mask_from_support(sel)
 
 
-def _edge_hyperplane(cx: CellComplex, axis: int) -> BitVec:
-    sel = [i for i, e in enumerate(cx.cells[1]) if e[axis] == 1]
-    return BitVec(len(cx.cells[1]), mask_from_support(sel))
+def _edge_hyperplane(cx: CellComplex, axis: int) -> int:
+    return mask_from_support(i for i, e in enumerate(cx.cells[1]) if e[axis] == 1)
 
 
 def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
@@ -68,8 +67,8 @@ def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
         for j in range(i + 1, 4):
             globals2[(AXES[i], AXES[j])] = _face_plane(cx, i, j)
     globals1 = {AXES[i]: _edge_hyperplane(cx, i) for i in range(4)}
-    global0 = BitVec(len(cx.cells[0]), (1 << len(cx.cells[0])) - 1)
-    globalX = BitVec(len(block0.hx.rows), (1 << len(block0.hx.rows)) - 1)
+    global0 = (1 << len(cx.cells[0])) - 1
+    globalX = (1 << len(block0.hx.rows)) - 1
     triple_lookup = {
         tuple(sorted(cx.boundary[2][i])): i for i in range(n2)
     }
@@ -136,7 +135,7 @@ def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
         chain_m1_hz_zero=ladder.m1.matmul(ladder.hz).is_zero(),
         chain_m0_m1_zero=ladder.m0.matmul(ladder.m1).is_zero(),
         k=k,
-        sum_hx_rows_zero=(ladder.hx.row_combination(ladder.globalX).bits == 0),
+        sum_hx_rows_zero=(ladder.hx.row_combination(ladder.globalX) == 0),
         total_independent=ranks["hx"] + ranks["hz"],
     )
 
@@ -172,19 +171,13 @@ class GlobalConstraintReport:
 
 
 def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport:
-    faces_zero = all(
-        ladder.hz.row_combination(g.bits).bits == 0
-        for g in ladder.globals2.values()
-    )
+    faces_zero = all(not ladder.hz.row_combination(g) for g in ladder.globals2.values())
     # A face plane is a dependency among hz rows; independence from the local
     # (edge) dependencies shows up as rank gain over m1's row space.
-    gain2 = ladder.m1.rank_increase([g.bits for g in ladder.globals2.values()])
+    gain2 = ladder.m1.rank_increase(list(ladder.globals2.values()))
 
-    edges_zero = all(
-        ladder.m1.row_combination(g.bits).bits == 0
-        for g in ladder.globals1.values()
-    )
-    gain1 = ladder.m0.rank_increase([g.bits for g in ladder.globals1.values()])
+    edges_zero = all(not ladder.m1.row_combination(g) for g in ladder.globals1.values())
+    gain1 = ladder.m0.rank_increase(list(ladder.globals1.values()))
 
     vertex_sum = ladder.m0.row_combination(ladder.global0)
     hx_sum = ladder.hx.row_combination(ladder.globalX)
@@ -193,9 +186,9 @@ def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport
         face_planes_rank_gain=gain2,
         edge_hyperplanes_zero_on_faces=edges_zero,
         edge_hyperplanes_rank_gain=gain1,
-        vertex_sum_zero_on_edges=(vertex_sum.bits == 0),
+        vertex_sum_zero_on_edges=(vertex_sum == 0),
         m0_rank_deficit=len(ladder.m0.rows) - ladder.m0.rank(),
-        hx_sum_zero=(hx_sum.bits == 0),
+        hx_sum_zero=(hx_sum == 0),
         hx_rank_deficit=len(ladder.hx.rows) - ladder.hx.rank(),
     )
 
@@ -223,8 +216,7 @@ def single_shot_repair_demo(
     is recovered uniquely from its violated-edge set.
     """
     flip_mask = mask_from_support(flipped_checks)
-    syndrome = ladder.m1.mul_vec(flip_mask)
-    violated = syndrome.support()
+    violated = support_from_mask(ladder.m1.mul_vec(flip_mask))
     identified = None
     per_flip = None
     if len(flipped_checks) == 1:
@@ -250,18 +242,14 @@ def tanner_graph_json(ladder: MetacheckLadder) -> dict:
             "vertex_metachecks": len(cx.cells[0]),
         },
         "z_check_supports": [sorted(cx.coboundary[2][i]) for i in range(len(cx.cells[2]))],
-        "edge_metacheck_supports": [
-            sorted(BitVec(ladder.m1.cols, r).support()) for r in ladder.m1.rows
-        ],
-        "vertex_metacheck_supports": [
-            sorted(BitVec(ladder.m0.cols, r).support()) for r in ladder.m0.rows
-        ],
+        "edge_metacheck_supports": [support_from_mask(r) for r in ladder.m1.rows],
+        "vertex_metacheck_supports": [support_from_mask(r) for r in ladder.m0.rows],
         "globals": {
             "face_planes": {
-                "-".join(k): sorted(v.support()) for k, v in ladder.globals2.items()
+                "-".join(k): support_from_mask(v) for k, v in ladder.globals2.items()
             },
             "edge_hyperplanes": {
-                k: sorted(v.support()) for k, v in ladder.globals1.items()
+                k: support_from_mask(v) for k, v in ladder.globals1.items()
             },
             "all_vertices": "all",
             "all_x_stabilizers": "all",

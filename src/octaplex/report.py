@@ -127,7 +127,7 @@ class _Run:
         basis = self.timed("logicals_build", build_logicals, self.family)
         if self.fault is not None and self.fault.kind == "perturb-logical":
             i = self.fault.pick(self.family.n)
-            basis.x_ops[0][0] = basis.x_ops[0][0].flipped(i)
+            basis.x_ops[0][0] ^= 1 << i
             self.report["fault"] = {"kind": self.fault.kind, "qubit": i}
         return basis
 
@@ -139,12 +139,17 @@ def run_report(
     sections: set[str] | None = None,
     fault: Fault | None = None,
 ) -> RunResult:
-    """Run the requested sections of ``SECTIONS[family]`` (all by default).
+    """Run the requested sections of ``SECTIONS[family]`` (all for None).
 
-    ``threads`` is accepted and has no effect.
+    ``sections`` must name at least one section, each defined for the
+    family; otherwise ``ValueError``. ``threads`` is accepted and has no
+    effect.
     """
     table = SECTIONS[family]
-    wanted = sections or set(table)
+    wanted = set(table) if sections is None else set(sections)
+    if not wanted or not wanted <= table.keys():
+        raise ValueError(f"sections {sorted(wanted)} are not a nonempty subset "
+                         f"of {sorted(table)}")
     report: dict = {
         "tool_version": __version__,
         "family": family,
@@ -154,7 +159,7 @@ def run_report(
     }
     run = _Run(family, L, fault, report)
     for name in SECTION_NAMES:
-        if name not in table or name not in wanted:
+        if name not in wanted:
             report["sections"][name] = {"status": "skipped"}
             continue
         passed, data, discrepancies = run.timed(name, table[name], run)
@@ -232,8 +237,8 @@ def _octaplex_logicals(run: _Run):
     return valid, dict(
         k=basis.k,
         witnesses=[w.as_dict() for w in witnesses[:8]],
-        x_weight=basis.x_ops[0][0].weight(),
-        z_weight=basis.z_ops[0][0].weight(),
+        x_weight=basis.x_ops[0][0].bit_count(),
+        z_weight=basis.z_ops[0][0].bit_count(),
     ), []
 
 
@@ -268,7 +273,7 @@ def _octaplex_transversal(run: _Run):
 def _octaplex_distance(run: _Run):
     family, basis, L = run.family, run.basis, run.L
     try:
-        cert = certify_distances(family, basis, exhaustive=(L == 2))
+        cert = certify_distances(family, basis)
     except AssertionError as exc:
         return False, dict(error=str(exc)), []
     passed = cert.dz == L and cert.dx_lower == cert.dx_upper

@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import BitVec, parity, support_from_mask
+from .binalg import parity, support_from_mask
 from .codes import CodeFamily
 from .logicals import LogicalBasis, PauliSupport, logical_class
 
@@ -159,9 +159,7 @@ def _coupling_tensor(logical_masks: list[list[int]]) -> dict[tuple, int]:
 
 
 def _masks(family: CodeFamily, basis: LogicalBasis) -> tuple[list[list[int]], list[list[int]]]:
-    stab = [blk.hx.rows for blk in family.blocks]
-    logical = [[v.bits for v in basis.x_ops[b]] for b in range(len(family.blocks))]
-    return stab, logical
+    return [blk.hx.rows for blk in family.blocks], basis.x_ops
 
 
 def check_cz_conditions(
@@ -270,12 +268,10 @@ def induced_logical_z(
     if len(set(blocks)) != 3 or len(family.blocks) != 4:
         raise ValueError("need X logicals from three distinct blocks of four")
     target = next(b for b in range(4) if b not in blocks)
-    acc = -1
+    common = -1
     for b, d in reps:
-        m = basis.x_ops[b][d].bits
-        acc = m if acc == -1 else acc & m
-    support = PauliSupport("Z", target, BitVec(family.n, acc if acc != -1 else 0))
-    return logical_class(family, basis, support)
+        common &= basis.x_ops[b][d]
+    return logical_class(family, basis, PauliSupport("Z", target, common))
 
 
 # ---------------------------------------------------------------------------

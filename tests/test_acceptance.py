@@ -29,7 +29,7 @@ from octaplex.lattice import (
     build_octaplex,
     euler_characteristic,
 )
-from octaplex.logicals import build_logicals, certify_distances, verify_lemma_A
+from octaplex.logicals import build_logicals, certify_distances, verify_logical_basis
 from octaplex.metachecks import build_ladder, verify_counting, verify_global_constraints
 from octaplex.report import Fault, run_octaplex_report, report_json
 from octaplex.transversal import (
@@ -138,9 +138,9 @@ def test_criterion3_coupling_is_exactly_four_quartets(periodic2):
     assert set(columns) == set(STATED_QUARTETS)
 
     for q in ALL_DISTINCT_QUADRUPLES:
-        common = basis.x_ops[0][q[0]].bits
+        common = basis.x_ops[0][q[0]]
         for b in (1, 2, 3):
-            common &= basis.x_ops[b][q[b]].bits
+            common &= basis.x_ops[b][q[b]]
         quarter, half = _split_support(family, common)
         assert quarter == [(1, 1, 1, 1)], (q, quarter)
         if q in columns:
@@ -167,7 +167,7 @@ def test_criterion3_coupling_is_exactly_four_quartets(periodic2):
 def test_criterion4_distances(periodic2):
     family, basis = periodic2
     t0 = time.monotonic()
-    cert = certify_distances(family, basis, exhaustive=True)
+    cert = certify_distances(family, basis)
     elapsed = time.monotonic() - t0
     ok = (
         cert.dz == 2
@@ -198,7 +198,7 @@ def test_criterion4_dx_is_64(periodic2):
     """
     family, basis = periodic2
     L = family.L
-    cert = certify_distances(family, basis, exhaustive=False)
+    cert = certify_distances(family, basis)
     ok = cert.dx_lower == cert.dx_upper == 10 * L**3 and cert.dx_formula_discrepancy
     _line(4, "dx-64-refuted", ok)
     assert cert.dx_lower == cert.dx_upper == 10 * L**3 == 80
@@ -211,14 +211,14 @@ def test_criterion4_dx_is_64(periodic2):
     index = family.qubit_index()
     hz = family.blocks[0].hz
     for d in range(4):
-        x = basis.x_ops[0][d].bits
+        x = basis.x_ops[0][d]
         quarter, half = _split_support(family, x)
         assert len(quarter) == 8 * L**3 == 64
         assert len(half) == 2 * L**3 == 16
         assert all(c[d] == 1 for c in quarter)
-        assert hz.mul_vec(x).bits == 0
+        assert hz.mul_vec(x) == 0
         quarter_part = mask_from_support(index[c] for c in quarter)
-        assert hz.mul_vec(quarter_part).bits != 0, d
+        assert hz.mul_vec(quarter_part) != 0, d
 
     result = run_octaplex_report(2, sections={"distance"})
     assert result.ok
@@ -266,7 +266,7 @@ def test_criterion6_bounded_family():
     _line(6, "bounded-family", ok)
     assert rep.all_even_pass
     assert rep.extras["single_cccz"]
-    assert verify_lemma_A(family, basis)
+    assert verify_logical_basis(family, basis)[0]
 
 
 def test_criterion7_warmups():

@@ -2,7 +2,7 @@ import pytest
 
 from octaplex.binalg import parity
 from octaplex.codes import bounded_boundary_coordinate_count, build_bounded_family
-from octaplex.logicals import verify_lemma_A
+from octaplex.logicals import verify_logical_basis
 from octaplex.transversal import check_cccz_conditions
 
 
@@ -38,7 +38,7 @@ def test_triangle_z_weights(bounded2):
 
 
 def test_logicals_valid(bounded2, bounded_basis2):
-    assert verify_lemma_A(bounded2, bounded_basis2)
+    assert verify_logical_basis(bounded2, bounded_basis2)[0]
     for b in range(4):
         assert bounded_basis2.pairing(b) == [[1]]
 
@@ -58,8 +58,8 @@ def test_cccz_single_action(bounded2, bounded_basis2):
 def test_logical_string_weights(bounded2, bounded_basis2):
     L = 2
     for b in range(4):
-        assert bounded_basis2.z_ops[b][0].weight() == L
-        assert bounded_basis2.x_ops[b][0].weight() == 2 * L**3 + (2 * L - 1) ** 3
+        assert bounded_basis2.z_ops[b][0].bit_count() == L
+        assert bounded_basis2.x_ops[b][0].bit_count() == 2 * L**3 + (2 * L - 1) ** 3
 
 
 def test_small_l_rejected():
@@ -76,5 +76,5 @@ def test_blocks_share_qubits(bounded2):
 
 def test_logical_x_commutes_with_all_z(bounded2, bounded_basis2):
     for b, blk in enumerate(bounded2.blocks):
-        x = bounded_basis2.x_ops[b][0].bits
+        x = bounded_basis2.x_ops[b][0]
         assert all(parity(x & z) == 0 for z in blk.hz.rows)

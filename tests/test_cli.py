@@ -3,6 +3,7 @@ import json
 import pytest
 
 from octaplex.cli import main
+from octaplex.report import run_report
 
 
 def test_report_2d(tmp_path, capsys):
@@ -72,6 +73,15 @@ def test_usage_errors():
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", ","]) == 2
     assert main(["export", "--L", "2", "--which", ",", "--out", "unused"]) == 2
+
+
+@pytest.mark.parametrize("sections", [set(), {"lattice"}, {"nonsense"}],
+                         ids=["empty", "not-in-family", "unknown"])
+def test_run_report_rejects_bad_sections(sections):
+    # the library call as well: nothing is not everything, and a section the
+    # family does not define is an error, not a skip
+    with pytest.raises(ValueError):
+        run_report("octaplex-bounded", 2, sections=sections)
 
 
 def test_argparse_rejects_unknown_family():

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from octaplex.binalg import BinMatrix
+from octaplex.binalg import BinMatrix, support_from_mask
 from octaplex.exports import (
     alist_to_supports,
     canonical_json,
@@ -75,7 +75,7 @@ def test_alist_hx0(family2):
     cols, rows, supports = alist_to_supports(text)
     assert (cols, rows) == (384, 32)
     assert all(len(s) == 24 for s in supports)
-    assert supports == [family2.blocks[0].hx.row(i).support() for i in range(32)]
+    assert supports == [support_from_mask(r) for r in family2.blocks[0].hx.rows[:32]]
 
 
 def test_alist_hz0_degrees(family2):

@@ -57,14 +57,14 @@ def test_global_constraints(ladder2):
 def test_face_plane_sizes(ladder2):
     L = 2
     for g in ladder2.globals2.values():
-        assert g.weight() == 4 * L**2
+        assert g.bit_count() == 4 * L**2
     for g in ladder2.globals1.values():
-        assert g.weight() == 12 * L**3
+        assert g.bit_count() == 12 * L**3
 
 
 def test_rank_with_planes_reaches_dependency_dimension(ladder2):
     L = 2
-    extra = [g.bits for g in ladder2.globals2.values()]
+    extra = list(ladder2.globals2.values())
     total = ladder2.m1.rank() + ladder2.m1.rank_increase(extra)
     assert total == 42 * L**4 + 3  # 675: the full dependency space of hz rows
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from octaplex.binalg import BinMatrix, BitVec
+from octaplex.binalg import BinMatrix
 from octaplex.transversal import (
     ALL_DISTINCT_QUADRUPLES,
     PhasePolynomial,
@@ -45,7 +45,7 @@ def test_tensor_representative_independent(family2, basis2):
     rep = check_cccz_conditions(family2, basis2)
     shifted = copy.deepcopy(basis2)
     row = family2.blocks[1].hx.rows[5]
-    shifted.x_ops[1][2] = BitVec(family2.n, shifted.x_ops[1][2].bits ^ row)
+    shifted.x_ops[1][2] = shifted.x_ops[1][2] ^ row
     rep2 = check_cccz_conditions(family2, shifted)
     assert rep2.all_even_pass
     assert rep2.tensor_support() == rep.tensor_support()
@@ -63,7 +63,7 @@ def test_multilinearity(family2, basis2):
     others = [
         family2.blocks[1].hx.rows[3],
         family2.blocks[2].hx.rows[7],
-        basis2.x_ops[3][1].bits,
+        basis2.x_ops[3][1],
     ]
     trials = [(rng.randrange(len(rows)), rng.randrange(len(rows))) for _ in range(30)]
     assert multilinearity_holds(rows, others, trials)
@@ -85,13 +85,13 @@ def test_induced_logical_off_quartet_nontrivial(family2, basis2):
 
 def test_induced_string_reduces_to_basis_string(family2, basis2):
     acc = (
-        basis2.x_ops[1][2].bits
-        & basis2.x_ops[2][1].bits
-        & basis2.x_ops[3][0].bits
+        basis2.x_ops[1][2]
+        & basis2.x_ops[2][1]
+        & basis2.x_ops[3][0]
     )
     blk0 = family2.blocks[0]
-    assert blk0.hx.mul_vec(acc).bits == 0
-    assert blk0.hz.in_row_space(acc ^ basis2.z_ops[0][3].bits)
+    assert blk0.hx.mul_vec(acc) == 0
+    assert blk0.hz.in_row_space(acc ^ basis2.z_ops[0][3])
 
 
 def test_parallel_directions_do_not_couple(family2, basis2):
@@ -180,7 +180,7 @@ def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
         (n, c) for n, c in enumerate(rep.conditions) if not c.passed
     )
     stab = [blk.hx.rows for blk in faulty.blocks]
-    logical = [[v.bits for v in basis2.x_ops[b]] for b in range(4)]
+    logical = basis2.x_ops
     assert (first.passed, first.scanned, first.witness) == _oracle_condition(
         stab, logical, n_logical
     )

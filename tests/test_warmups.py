@@ -1,7 +1,7 @@
 import pytest
 
 from octaplex.codes import build_2d_pair, build_3d_triple
-from octaplex.logicals import build_logicals, verify_lemma_A
+from octaplex.logicals import build_logicals, verify_logical_basis
 from octaplex.transversal import (
     ALL_DISTINCT_TRIPLES,
     check_ccz_conditions,
@@ -30,7 +30,7 @@ def test_2d_role_swap(pair2d):
 
 def test_2d_conditions(pair2d):
     basis = build_logicals(pair2d)
-    assert verify_lemma_A(pair2d, basis)
+    assert verify_logical_basis(pair2d, basis)[0]
     rep = check_cz_conditions(pair2d, basis)
     assert rep.all_even_pass
     assert rep.pairing_is_identity
@@ -55,7 +55,7 @@ def test_2d_same_block_pair_fails():
 
 
 def test_2d_disjoint_padding_passes_even_fails_pairing():
-    from octaplex.binalg import BinMatrix, BitVec
+    from octaplex.binalg import BinMatrix
     from octaplex.codes import CodeFamily, Codeblock
     from octaplex.logicals import LogicalBasis
 
@@ -76,10 +76,8 @@ def test_2d_disjoint_padding_passes_even_fails_pairing():
     basis = build_logicals(fam)
     padded_basis = LogicalBasis(
         "2d",
-        [[BitVec(2 * n, v.bits) for v in basis.x_ops[0]],
-         [BitVec(2 * n, v.bits << shift) for v in basis.x_ops[1]]],
-        [[BitVec(2 * n, v.bits) for v in basis.z_ops[0]],
-         [BitVec(2 * n, v.bits << shift) for v in basis.z_ops[1]]],
+        [basis.x_ops[0], [v << shift for v in basis.x_ops[1]]],
+        [basis.z_ops[0], [v << shift for v in basis.z_ops[1]]],
         labels=basis.labels,
     )
     rep = check_cz_conditions(padded, padded_basis)
@@ -111,7 +109,7 @@ def test_3d_odd_l_rejected():
 
 def test_3d_conditions(triple3d):
     basis = build_logicals(triple3d)
-    assert verify_lemma_A(triple3d, basis)
+    assert verify_logical_basis(triple3d, basis)[0]
     rep = check_ccz_conditions(triple3d, basis)
     assert rep.all_even_pass
     assert set(rep.extras["triple_intersection_weights"]) <= {0, 2}
