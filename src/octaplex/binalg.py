@@ -3,11 +3,13 @@
 Vectors and matrix rows are Python-int masks (bit i is column i). A
 vector's length is the width of the matrix it meets, and a bit at or beyond
 that width is a ``ValueError``. The one elimination is a basis keyed by
-lowest set bit (``lowbit_insert``): a matrix inserts its rows in descending
+lowest set bit (``LowbitBasis``): a matrix inserts its rows in descending
 order of their lowest set bit, which keeps fill-in low, and rank, row-space
 residues, kernels and rank increases all read that basis. Its keys are the
 lowest-column pivots, and the reduced row echelon form built from it is
-unique, so kernels and ranks do not depend on row order.
+unique, so kernels and ranks do not depend on row order. The keys are also
+held as one mask, so a reduction jumps from key bit to key bit of a vector
+and never visits its other bits.
 """
 
 from __future__ import annotations
@@ -36,31 +38,36 @@ def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
 
-def _lowbit_reduce(basis: dict[int, int], v: int) -> int:
-    """The member of v + span(basis) that is zero on every key of ``basis``.
+class LowbitBasis:
+    """A span over GF(2) as rows keyed by their lowest set bit.
 
-    ``basis`` maps each row's lowest set bit to the row. The walk goes up
-    v's set bits; a row clears its key bit and flips only higher ones. The
-    residue is unique, so it is 0 exactly when v is in the span.
+    ``rows`` maps each key to its row, and ``keys`` is the mask of the keys.
+    A row clears its key bit and flips only higher ones, so the member of
+    v + span that is zero on every key, the residue, is unique: it is 0
+    exactly when v is in the span.
     """
-    residue = 0
-    while v:
-        low = v & -v
-        row = basis.get(low.bit_length() - 1)
-        if row is None:
-            residue |= low
-            v ^= low
-        else:
-            v ^= row
-    return residue
 
+    def __init__(self, rows: dict[int, int] | None = None):
+        self.rows = dict(rows or {})
+        self.keys = mask_from_support(self.rows)
 
-def lowbit_insert(basis: dict[int, int], v: int) -> int:
-    """Reduce v against ``basis``, add the residue to it and return it."""
-    residue = _lowbit_reduce(basis, v)
-    if residue:
-        basis[(residue & -residue).bit_length() - 1] = residue
-    return residue
+    def reduce(self, v: int) -> int:
+        """The residue of v: each step XORs the row of v's lowest key bit."""
+        rows, keys = self.rows, self.keys
+        hit = v & keys
+        while hit:
+            v ^= rows[(hit & -hit).bit_length() - 1]
+            hit = v & keys
+        return v
+
+    def insert(self, v: int) -> int:
+        """Reduce v, add the residue as a row and return it."""
+        residue = self.reduce(v)
+        if residue:
+            low = residue & -residue
+            self.rows[low.bit_length() - 1] = residue
+            self.keys |= low
+        return residue
 
 
 def _within(v: int, width: int) -> int:
@@ -80,7 +87,7 @@ class BinMatrix:
     def __init__(self, rows: Sequence[int], cols: int):
         self.cols = cols
         self.rows = [_within(r, cols) for r in rows]
-        self._basis: dict[int, int] | None = None
+        self._basis: LowbitBasis | None = None
 
     @classmethod
     def from_supports(cls, cols: int, supports: Iterable[Iterable[int]]) -> "BinMatrix":
@@ -90,24 +97,24 @@ class BinMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.cols)
 
-    def _lowbit_basis(self) -> dict[int, int]:
+    def _lowbit_basis(self) -> LowbitBasis:
         """The rows' span keyed by lowest set bit, built once.
 
         Rows go in by descending lowest set bit, so a row meets only basis
         rows that start above it and the fill-in stays low.
         """
         if self._basis is None:
-            self._basis = {}
+            self._basis = LowbitBasis()
             for r in sorted(self.rows, key=lambda r: (r & -r).bit_length(), reverse=True):
-                lowbit_insert(self._basis, r)
+                self._basis.insert(r)
         return self._basis
 
     def rank(self) -> int:
-        return len(self._lowbit_basis())
+        return len(self._lowbit_basis().rows)
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the row space."""
-        return _lowbit_reduce(self._lowbit_basis(), _within(v, self.cols))
+        return self._lowbit_basis().reduce(_within(v, self.cols))
 
     def in_row_space(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -115,12 +122,13 @@ class BinMatrix:
     def kernel_basis(self) -> list[int]:
         """Basis of {v : M v = 0}, one vector per free column, in column order."""
         # Back-reduce into the reduced row echelon form, top key first: each
-        # pivot row is then zero on every other pivot column.
-        basis, rref = self._lowbit_basis(), {}
+        # pivot row is then zero on every other pivot column (a row's own key
+        # is not yet a key of ``rref``, so inserting it keeps that key).
+        basis, rref = self._lowbit_basis().rows, LowbitBasis()
         for c in sorted(basis, reverse=True):
-            rref[c] = 1 << c | _lowbit_reduce(rref, basis[c] ^ 1 << c)
-        kernel = {f: 1 << f for f in range(self.cols) if f not in rref}
-        for c, row in rref.items():
+            rref.insert(basis[c])
+        kernel = {f: 1 << f for f in range(self.cols) if f not in rref.rows}
+        for c, row in rref.rows.items():
             for f in support_from_mask(row ^ 1 << c):
                 kernel[f] |= 1 << c
         return list(kernel.values())
@@ -160,5 +168,5 @@ class BinMatrix:
 
     def rank_increase(self, extra_rows: Sequence[int]) -> int:
         """By how much the row space grows when extra_rows are appended."""
-        basis = dict(self._lowbit_basis())
-        return sum(1 for v in extra_rows if lowbit_insert(basis, v))
+        basis = LowbitBasis(self._lowbit_basis().rows)
+        return sum(1 for v in extra_rows if basis.insert(v))

@@ -139,7 +139,7 @@ def cmd_export(args) -> int:
         [k for k in EXPORT_KEYS
          if args.family == "octaplex" or k not in PERIODIC_ONLY_KEYS]
         if args.which == "all"
-        else [k.strip() for k in args.which.split(",") if k.strip()]
+        else list(dict.fromkeys(k.strip() for k in args.which.split(",") if k.strip()))
     )
     if not keys:
         print("error: --which names no selector", file=sys.stderr)
@@ -148,18 +148,19 @@ def cmd_export(args) -> int:
     if unknown:
         print(f"error: unknown selectors {unknown}", file=sys.stderr)
         return USAGE_ERROR
-    bad = [k for k in keys if k in PERIODIC_ONLY_KEYS]
-    if bad and args.family != "octaplex":
-        print(f"error: {bad} are defined for the periodic family only",
+    periodic_only = [k for k in keys if k in PERIODIC_ONLY_KEYS]
+    if periodic_only and args.family != "octaplex":
+        print(f"error: {periodic_only} are defined for the periodic family only",
               file=sys.stderr)
         return USAGE_ERROR
+    matrices = {}
     if args.family == "octaplex":
         family = build_periodic_family(args.L)
-        ladder = build_ladder(family.complex, family.blocks[0])
-        matrices = {"m0": ladder.m0, "m1": ladder.m1}
+        if periodic_only:  # the metacheck ladder only when m0 or m1 is written
+            ladder = build_ladder(family.complex, family.blocks[0])
+            matrices = {"m0": ladder.m0, "m1": ladder.m1}
     else:
         family = build_bounded_family(args.L)
-        matrices = {}
     for b, blk in enumerate(family.blocks):
         matrices[f"hx{b}"] = blk.hx
         matrices[f"hz{b}"] = blk.hz

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import BinMatrix, lowbit_insert, mask_from_support, support_from_mask
+from .binalg import BinMatrix, LowbitBasis, mask_from_support, support_from_mask
 from .lattice import (
     AXES,
     CellComplex,
@@ -320,10 +320,10 @@ def build_bounded_family(L: int) -> CodeFamily:
         ]
         # Deterministic completion to the full complement of hx + logical X:
         # the kernel vectors, reduced against the span so far, that add to it.
-        span: dict[int, int] = {}
+        span = LowbitBasis()
         for m in kept:
-            lowbit_insert(span, m)
-        residues = (lowbit_insert(span, v) for v in constraint.kernel_basis())
+            span.insert(m)
+        residues = (span.insert(v) for v in constraint.kernel_basis())
         completion = [r for r in residues if r]
         hz = BinMatrix(kept + completion, n)
         blocks.append(

@@ -34,8 +34,6 @@ from enum import Enum
 from itertools import product
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .binalg import BinMatrix
 
 Coord = tuple[int, int, int, int]
@@ -317,7 +315,7 @@ def toroidal_dist2(a: Coord, b: Coord, period: int) -> int:
     return s
 
 
-# The oracle's 89 offsets |δ|² ≤ 4, as tuples: importing runs no numpy code.
+# The oracle's 89 offsets |δ|² ≤ 4, as tuples: only a run of the oracle loads numpy.
 _WINDOW = [o for o in product(range(-2, 3), repeat=4) if sum(x * x for x in o) <= 4]
 _CHUNK = 512  # d-cells per numpy pass; keeps the temporaries under 1 MB
 
@@ -328,6 +326,8 @@ def _boundary_is_nearest(
     """Whether each listed d-cell's boundary is its set of nearest listed
     (d-1)-cells within the window. A dense array, padded by 2 with the
     torus's wrap, maps each candidate's coordinate to its index."""
+    import numpy as np
+
     lookup = np.full((cx.period,) * 4, -1, dtype=np.int32)
     lookup[tuple(zip(*(cx.cells[d - 1][j] for j in candidates)))] = candidates
     lookup = np.pad(lookup, 2, mode="wrap").ravel()

@@ -9,8 +9,12 @@ A tuple of rows, one per block, has a nonempty intersection only if its rows
 share a qubit. `_nonempty_tuples` therefore reads every intersection weight
 from per-qubit incidence lists, and the even conditions, the coupling tensor
 and the triple-weight histogram all consume that one stream; every tuple it
-does not yield has weight 0. The ``threads`` argument of the
-``check_*_conditions`` functions is accepted and has no effect.
+does not yield has weight 0. Each check indexes each row list (a block's X
+stabilizers, a block's X logicals) once, as a `_RowIndex`, and every block
+placement reads those indexes; the CCZ check reads the stabilizer-triple
+stream once for both its all-stabilizer condition and the histogram. The
+``threads`` argument of the ``check_*_conditions`` functions is accepted and
+has no effect.
 
 All parities here are multilinear in each slot (bitwise AND distributes
 over XOR), so checking generators plus fixed representatives covers the
@@ -100,66 +104,84 @@ class TransversalReport:
         }
 
 
-def _nonempty_tuples(
-    slot_masks: Sequence[Sequence[int]],
-) -> Iterator[tuple[tuple[int, ...], int]]:
+class _RowIndex:
+    """One row list: each row's qubits, and the rows on each qubit."""
+
+    def __init__(self, masks: Sequence[int]):
+        self.supports = [support_from_mask(m) for m in masks]
+        self.rows_at: dict[int, list[int]] = {}
+        for j, qubits in enumerate(self.supports):
+            for q in qubits:
+                self.rows_at.setdefault(q, []).append(j)
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+
+def _nonempty_tuples(slots: Sequence[_RowIndex]) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every tuple of row indices, one per slot, whose rows share a qubit.
 
     Yields ``(tuple, weight)`` in lexicographic order, ``weight`` being the
     size of the rows' common intersection. Each slot-0 row's tuples are
-    counted over its qubits from qubit -> row incidence lists of the other
-    slots, so at most one row's tuples are held at a time.
+    counted over its qubits from the incidence lists of the other slots, so
+    at most one row's tuples are held at a time.
     """
-    incidence = []
-    for masks in slot_masks[1:]:
-        rows_at: dict[int, list[int]] = {}
-        for j, m in enumerate(masks):
-            for q in support_from_mask(m):
-                rows_at.setdefault(q, []).append(j)
-        incidence.append(rows_at)
-    for i, m in enumerate(slot_masks[0]):
+    incidence = [slot.rows_at for slot in slots[1:]]
+    for i, qubits in enumerate(slots[0].supports):
         counts: Counter = Counter()
-        for q in support_from_mask(m):
+        for q in qubits:
             lists = [rows_at.get(q, ()) for rows_at in incidence]
             counts.update(itertools.product((i,), *lists))
         yield from sorted(counts.items())
 
 
-def _mixed_conditions(
-    stab_masks: list[list[int]],
-    logical_masks: list[list[int]],
-    n_logical_slots: int,
-    name: str,
-) -> ConditionResult:
+def _first_odd(slots: Sequence[_RowIndex], hist: Counter | None = None) -> tuple | None:
+    """The lexicographically first tuple of odd weight, or None. With
+    ``hist``, the whole stream is read and every tuple of the product is
+    counted into ``hist`` by weight, those never yielded as 0."""
+    if hist is None:
+        return next((t for t, w in _nonempty_tuples(slots) if w & 1), None)
+    odd, nonempty = None, 0
+    for nonempty, (t, w) in enumerate(_nonempty_tuples(slots), 1):
+        hist[w] += 1
+        if odd is None and w & 1:
+            odd = t
+    if empty := math.prod(map(len, slots)) - nonempty:
+        hist[0] += empty
+    return odd
+
+
+def _mixed_conditions(stab: list[_RowIndex], logical: list[_RowIndex], n_logical_slots: int,
+                      name: str, hist: Counter | None = None) -> ConditionResult:
     """One condition level: a fixed number of logical slots over all block
     placements, stabilizers filling the rest.
 
     ``scanned`` is the full product size of every placement; the witness is
-    the first placement's lexicographically first odd tuple.
+    the first placement's lexicographically first odd tuple. ``hist``, if
+    given, counts every placement's tuples by weight (see `_first_odd`).
     """
-    blocks = range(len(stab_masks))
+    blocks = range(len(stab))
     scanned = 0
     witness = None
     for logical_blocks in itertools.combinations(blocks, n_logical_slots):
-        slots = [
-            logical_masks[b] if b in logical_blocks else stab_masks[b] for b in blocks
-        ]
+        slots = [logical[b] if b in logical_blocks else stab[b] for b in blocks]
         scanned += math.prod(map(len, slots))
-        odd = next((t for t, w in _nonempty_tuples(slots) if w & 1), None)
+        odd = _first_odd(slots, hist)
         if odd is not None and witness is None:
             witness = (logical_blocks, odd)
     return ConditionResult(name, witness is None, scanned, witness)
 
 
-def _coupling_tensor(logical_masks: list[list[int]]) -> dict[tuple, int]:
-    shape = [range(len(m)) for m in logical_masks]
+def _coupling_tensor(logical: list[_RowIndex]) -> dict[tuple, int]:
+    shape = [range(len(slot)) for slot in logical]
     tensor = dict.fromkeys(itertools.product(*shape), 0)
-    tensor.update((t, w & 1) for t, w in _nonempty_tuples(logical_masks))
+    tensor.update((t, w & 1) for t, w in _nonempty_tuples(logical))
     return tensor
 
 
-def _masks(family: CodeFamily, basis: LogicalBasis) -> tuple[list[list[int]], list[list[int]]]:
-    return [blk.hx.rows for blk in family.blocks], basis.x_ops
+def _indexes(family: CodeFamily, basis: LogicalBasis) -> tuple[list[_RowIndex], ...]:
+    """Each block's X stabilizers and each block's X logicals, indexed once."""
+    return [_RowIndex(b.hx.rows) for b in family.blocks], [_RowIndex(x) for x in basis.x_ops]
 
 
 def check_cz_conditions(
@@ -168,7 +190,7 @@ def check_cz_conditions(
     """Two-block conditions: stabilizer overlaps even, logical pairing measured."""
     if len(family.blocks) != 2:
         raise ValueError("need exactly two blocks")
-    stab, logical = _masks(family, basis)
+    stab, logical = _indexes(family, basis)
     conditions = [
         _mixed_conditions(stab, logical, 0, "stab_stab_even"),
         _mixed_conditions(stab, logical, 1, "stab_logical_even"),
@@ -190,24 +212,22 @@ def check_ccz_conditions(
 ) -> TransversalReport:
     if len(family.blocks) != 3:
         raise ValueError("need exactly three blocks")
-    stab, logical = _masks(family, basis)
+    stab, logical = _indexes(family, basis)
+    hist: Counter = Counter()
     conditions = [
-        _mixed_conditions(stab, logical, 0, "sss_even"),
+        _mixed_conditions(stab, logical, 0, "sss_even", hist),
         _mixed_conditions(stab, logical, 1, "ssl_even"),
         _mixed_conditions(stab, logical, 2, "sll_even"),
     ]
     tensor = _coupling_tensor(logical)
-    hist = triple_weight_histogram(stab)
     extras = {"triple_intersection_weights": sorted(hist)}
     return TransversalReport(3, conditions, tensor, list(basis.labels), extras=extras)
 
 
 def triple_weight_histogram(stab_masks: list[list[int]]) -> dict[int, int]:
     """Number of stabilizer triples, one row per block, per intersection weight."""
-    hist = Counter(w for _, w in _nonempty_tuples(stab_masks))
-    empty = math.prod(map(len, stab_masks)) - sum(hist.values())
-    if empty:
-        hist[0] = empty
+    hist: Counter = Counter()
+    _first_odd([_RowIndex(masks) for masks in stab_masks], hist)
     return dict(hist)
 
 
@@ -216,7 +236,7 @@ def check_cccz_conditions(
 ) -> TransversalReport:
     if len(family.blocks) != 4:
         raise ValueError("need exactly four blocks")
-    stab, logical = _masks(family, basis)
+    stab, logical = _indexes(family, basis)
     conditions = [
         _mixed_conditions(stab, logical, 0, "ssss_even"),
         _mixed_conditions(stab, logical, 1, "sssl_even"),

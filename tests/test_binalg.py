@@ -4,10 +4,11 @@ import pytest
 
 from octaplex.binalg import (
     BinMatrix,
-    lowbit_insert,
+    LowbitBasis,
     mask_from_support,
     support_from_mask,
 )
+from octaplex.codes import build_3d_triple
 
 
 def reference_rref(rows, cols):
@@ -210,12 +211,93 @@ def test_lowbit_insert_matches_elimination():
     sparse = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(20)]
     vecs += [mask_from_support(s) for s in sparse]
     vecs += [vecs[0] ^ vecs[1], vecs[2] ^ vecs[3] ^ vecs[4], 0]
-    basis: dict[int, int] = {}
+    basis = LowbitBasis()
     for i, v in enumerate(vecs):
-        before, keys = BinMatrix(vecs[:i], n), list(basis)
-        residue = lowbit_insert(basis, v)
+        before, keys = BinMatrix(vecs[:i], n), list(basis.rows)
+        residue = basis.insert(v)
         assert (residue == 0) == before.in_row_space(v)
         assert before.in_row_space(v ^ residue)
         assert not any(residue >> key & 1 for key in keys)
-    assert len(basis) == BinMatrix(vecs, n).rank()
-    assert all(row & -row == 1 << key for key, row in basis.items())
+    assert len(basis.rows) == BinMatrix(vecs, n).rank()
+    assert all(row & -row == 1 << key for key, row in basis.rows.items())
+
+
+# ---------------------------------------------------------------------------
+# the key-mask reduction against the bit-by-bit walk it replaced
+
+
+def walk_reduce(rows, v):
+    """Residue of v against ``{lowest bit: row}``, visiting every set bit."""
+    residue = 0
+    while v:
+        low = v & -v
+        row = rows.get(low.bit_length() - 1)
+        if row is None:
+            residue |= low
+            v ^= low
+        else:
+            v ^= row
+    return residue
+
+
+def walk_insert(rows, v):
+    residue = walk_reduce(rows, v)
+    if residue:
+        rows[(residue & -residue).bit_length() - 1] = residue
+    return residue
+
+
+def assert_reduces_like_walk(basis, rows, probes):
+    assert list(basis.rows.items()) == list(rows.items())
+    for v in probes:
+        assert basis.reduce(v) == walk_reduce(rows, v)
+
+
+def assert_inserts_like_walk(vecs, probes):
+    """Feed vecs to a LowbitBasis and to the walk: equal residues and equal
+    basis dicts, row for row, after every insert."""
+    basis, rows = LowbitBasis(), {}
+    for v in vecs:
+        assert basis.reduce(v) == walk_reduce(rows, v)
+        assert basis.insert(v) == walk_insert(rows, v)
+        assert list(basis.rows.items()) == list(rows.items())
+        assert basis.keys == mask_from_support(rows)
+    assert_reduces_like_walk(basis, rows, probes + list(rows.values()))
+    return basis, rows
+
+
+def test_key_mask_reduction_matches_walk_random():
+    rng = random.Random(23)
+    for n in (1, 7, 64, 65, 200):
+        for count in (1, n // 2 + 1, n + 5):
+            vecs = [rng.getrandbits(n) for _ in range(count)]
+            vecs += [vecs[0] ^ vecs[-1], 0]
+            sparse = [mask_from_support(rng.sample(range(n), 1)) for _ in range(5)]
+            assert_inserts_like_walk(vecs + sparse, [rng.getrandbits(n) for _ in range(20)])
+
+
+def _descending_lowbit(rows):
+    return sorted(rows, key=lambda r: (r & -r).bit_length(), reverse=True)
+
+
+def test_key_mask_reduction_matches_walk_on_families(family2, ladder2):
+    rng = random.Random(4)
+    triple = build_3d_triple(4)
+    matrices = [m for blk in triple.blocks for m in (blk.hx, blk.hz)]
+    matrices += [family2.blocks[0].hx, family2.blocks[0].hz, ladder2.m0, ladder2.m1]
+    for m in matrices:
+        probes = [rng.getrandbits(m.cols) for _ in range(10)] + m.rows[:5]
+        _, rows = assert_inserts_like_walk(_descending_lowbit(m.rows), probes)
+        # the matrix's own cached basis is the same dict, row for row
+        assert_reduces_like_walk(m._lowbit_basis(), rows, probes)
+
+
+def test_key_mask_missing_a_key_is_caught(family2):
+    m = family2.blocks[0].hz
+    _, rows = assert_inserts_like_walk(_descending_lowbit(m.rows), [])
+    broken = LowbitBasis(rows)
+    key = sorted(rows)[len(rows) // 2]
+    broken.keys ^= 1 << key
+    # the row at that key reduces to 0 by the walk but keeps its key bit here
+    with pytest.raises(AssertionError):
+        assert_reduces_like_walk(broken, rows, list(rows.values()))

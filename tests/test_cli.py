@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,50 @@ def test_export_bounded_all(tmp_path):
     # naming a periodic-only selector is still a usage error
     assert main(["export", "--family", "octaplex-bounded", "--L", "2",
                  "--which", "hx0,m1", "--out", str(tmp_path / "m")]) == 2
+
+
+def test_export_duplicate_selectors_written_once(tmp_path, capsys):
+    code = main(["export", "--family", "octaplex", "--L", "2",
+                 "--which", "hz1,hx0,hz1,hx0", "--out", str(tmp_path)])
+    assert code == 0
+    assert "wrote 2 files" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "octaplex_L2_hx0.alist", "octaplex_L2_hz1.alist"]
+
+
+@pytest.mark.parametrize("which, ladders", [("hx0,hz3", 0), ("hx0,m0", 1)])
+def test_export_builds_ladder_only_for_metachecks(tmp_path, monkeypatch, which, ladders):
+    import octaplex.cli
+
+    built = []
+    real = octaplex.cli.build_ladder
+    monkeypatch.setattr(octaplex.cli, "build_ladder",
+                        lambda *a: built.append(a) or real(*a))
+    assert main(["export", "--family", "octaplex", "--L", "2",
+                 "--which", which, "--out", str(tmp_path)]) == 0
+    assert len(built) == ladders
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_numpy_loaded_only_by_the_nearest_cell_oracle(tmp_path):
+    import octaplex
+
+    runs = [
+        ["report", "--family", "3d", "--L", "2"],
+        ["report", "--family", "octaplex-bounded", "--L", "2"],
+        ["export", "--family", "octaplex", "--L", "2", "--which", "hx0",
+         "--out", str(tmp_path)],
+        # last, in the same process: the oracle, the only code that uses numpy
+        ["report", "--family", "octaplex", "--L", "2", "--sections", "lattice"],
+    ]
+    script = ("import json, sys\nfrom octaplex.cli import main\n"
+              f"print(json.dumps([[main(a), 'numpy' in sys.modules] for a in {runs!r}]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(octaplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [[0, False], [0, False], [0, False], [0, True]]
 
 
 def test_selftest_passes(capsys):

@@ -1,17 +1,23 @@
 import copy
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from octaplex import transversal
 from octaplex.binalg import BinMatrix
+from octaplex.codes import build_3d_triple
+from octaplex.logicals import build_logicals
 from octaplex.transversal import (
     ALL_DISTINCT_QUADRUPLES,
     PhasePolynomial,
     STATED_QUARTETS,
     _coupling_tensor,
     _mixed_conditions,
+    _RowIndex,
+    check_ccz_conditions,
     check_cccz_conditions,
     induced_logical_z,
     multilinearity_holds,
@@ -153,12 +159,14 @@ def test_enumeration_matches_brute_force(blocks, plant):
     for _ in range(20):
         stab = _random_slots(rng, blocks, 12, plant)
         logical = _random_slots(rng, blocks, 12, plant)
+        stab_ix = [_RowIndex(rows) for rows in stab]
+        logical_ix = [_RowIndex(rows) for rows in logical]
         for n_logical in range(blocks):
-            c = _mixed_conditions(stab, logical, n_logical, "c")
+            c = _mixed_conditions(stab_ix, logical_ix, n_logical, "c")
             assert (c.passed, c.scanned, c.witness) == _oracle_condition(
                 stab, logical, n_logical
             )
-        assert _coupling_tensor(logical) == {
+        assert _coupling_tensor(logical_ix) == {
             t: w & 1 for t, w in _oracle_weights(logical)
         }
         if blocks == 3:
@@ -184,6 +192,56 @@ def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
     assert (first.passed, first.scanned, first.witness) == _oracle_condition(
         stab, logical, n_logical
     )
+
+
+def _ccz_with_histogram(monkeypatch, family, basis):
+    """check_ccz_conditions' report and the histogram it counted."""
+    seen = []
+    inner = transversal._mixed_conditions
+
+    def spy(stab, logical, n_logical, name, hist=None):
+        if hist is not None:
+            seen.append(hist)
+        return inner(stab, logical, n_logical, name, hist)
+
+    monkeypatch.setattr(transversal, "_mixed_conditions", spy)
+    rep = check_ccz_conditions(family, basis)
+    assert len(seen) == 1
+    return rep, seen[0]
+
+
+def _assert_histogram_complete(rep, hist, stab):
+    assert hist == triple_weight_histogram(stab)
+    assert hist == Counter(w for _, w in _oracle_weights(stab))
+    assert sum(hist.values()) == math.prod(map(len, stab))
+    assert rep.extras["triple_intersection_weights"] == sorted(hist)
+
+
+@pytest.mark.parametrize("L", [2, 4])
+def test_ccz_histogram_matches_brute_force(monkeypatch, L):
+    family = build_3d_triple(L)
+    rep, hist = _ccz_with_histogram(monkeypatch, family, build_logicals(family))
+    assert rep.all_even_pass
+    _assert_histogram_complete(rep, hist, [blk.hx.rows for blk in family.blocks])
+
+
+def test_ccz_flipped_stabilizer_qubit_keeps_witness_and_histogram(monkeypatch):
+    family = build_3d_triple(4)
+    basis = build_logicals(family)
+    hx = family.blocks[0].hx
+    rows = list(hx.rows)
+    rows[0] ^= 1 << (rows[0].bit_length() - 1)
+    family.blocks[0].hx = BinMatrix(rows, hx.cols)
+    rep, hist = _ccz_with_histogram(monkeypatch, family, basis)
+    sss = rep.conditions[0]
+    stab = [blk.hx.rows for blk in family.blocks]
+    assert sss.name == "sss_even" and not sss.passed
+    assert (sss.passed, sss.scanned, sss.witness) == _oracle_condition(
+        stab, basis.x_ops, 0
+    )
+    # the stream was read past the witness: every triple is counted
+    assert any(w & 1 for w in hist)
+    _assert_histogram_complete(rep, hist, stab)
 
 
 # ---------------------------------------------------------------------------
