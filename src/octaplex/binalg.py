@@ -1,20 +1,24 @@
-"""Exact linear algebra over GF(2) on bit-packed rows.
+"""Exact linear algebra over GF(2) on sparse rows and bit-packed vectors.
 
-Vectors and matrix rows are Python-int masks (bit i is column i). A
-vector's length is the width of the matrix it meets, and a bit at or beyond
-that width is a ``ValueError``. The one elimination is a basis keyed by
-lowest set bit (``LowbitBasis``): a matrix inserts its rows in descending
-order of their lowest set bit, which keeps fill-in low, and rank, row-space
-residues, kernels and rank increases all read that basis. Its keys are the
-lowest-column pivots, and the reduced row echelon form built from it is
-unique, so kernels and ranks do not depend on row order. The keys are also
-held as one mask, so a reduction jumps from key bit to key bit of a vector
-and never visits its other bits.
+A matrix stores its rows in CSR form: the sorted column indices of all rows
+in one flat ``array('i')`` plus row offsets. Its column index, built once on
+first use, is the CSR form of the transpose. Vectors are Python-int masks
+(bit i is column i); a bit at or beyond the width of the matrix a vector
+meets is a ``ValueError``. A row becomes a mask only to enter the one
+elimination, a basis keyed by lowest set bit (``LowbitBasis``), which takes
+the rows by descending lowest index to keep fill-in low. Its keys are the
+lowest-column pivots and the reduced row echelon form built from it is
+unique, so kernels and ranks do not depend on row order; the keys are also
+one mask, so a reduction jumps from key bit to key bit. ``rank`` keeps only
+the count, and only row-space queries keep the basis.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from array import array
+from itertools import accumulate, chain, compress, count, pairwise
+from operator import eq
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_from_support(support: Iterable[int]) -> int:
@@ -78,39 +82,79 @@ def _within(v: int, width: int) -> int:
 
 
 class BinMatrix:
-    """Matrix over GF(2); rows are ints, columns indexed from bit 0.
+    """Matrix over GF(2) with CSR rows, columns indexed from 0.
 
-    Rank, kernel and row-space queries share one cached lowest-bit basis.
-    Instances are treated as immutable once built.
+    ``BinMatrix(masks, cols)`` converts int-mask rows once;
+    ``from_supports`` fills the rows straight from index lists. Instances
+    are treated as immutable once built.
     """
 
     def __init__(self, rows: Sequence[int], cols: int):
-        self.cols = cols
-        self.rows = [_within(r, cols) for r in rows]
-        self._basis: LowbitBasis | None = None
+        m = self.from_supports(cols, (support_from_mask(_within(r, cols)) for r in rows))
+        self.__dict__.update(m.__dict__)
 
     @classmethod
     def from_supports(cls, cols: int, supports: Iterable[Iterable[int]]) -> "BinMatrix":
-        return cls([mask_from_support(s) for s in supports], cols)
+        """Rows from their column indices; an index outside the width or
+        repeated within one row is a ``ValueError``."""
+        rows = [sorted(s) for s in supports]
+        flat = list(chain.from_iterable(rows))
+        indptr = array("i", [0, *accumulate(map(len, rows))])
+        if flat and not 0 <= min(flat) <= max(flat) < cols:
+            raise ValueError(f"column index outside width {cols}")
+        # Equal neighbours in ``flat`` are a repeat unless a row starts between them.
+        if not set(compress(count(1), map(eq, flat, flat[1:]))) <= set(indptr):
+            raise ValueError("repeated column index in one row")
+        return cls._csr(cols, indptr, array("i", flat))
+
+    @classmethod
+    def _csr(cls, cols: int, indptr: array, indices: array) -> "BinMatrix":
+        m = cls.__new__(cls)
+        m.cols, m._indptr, m._indices = cols, indptr, indices
+        m._t = m._rank = m._basis = None  # column index, rank, row-space basis
+        return m
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.cols)
+        return (len(self._indptr) - 1, self.cols)
 
-    def _lowbit_basis(self) -> LowbitBasis:
-        """The rows' span keyed by lowest set bit, built once.
+    def supports(self) -> Iterator[array]:
+        """Each row's column indices, in increasing order."""
+        indices = self._indices
+        return (indices[a:b] for a, b in pairwise(self._indptr))
 
-        Rows go in by descending lowest set bit, so a row meets only basis
+    def weights(self) -> list[int]:
+        return [b - a for a, b in pairwise(self._indptr)]
+
+    @property
+    def rows(self) -> list[int]:
+        """The rows as int masks, built anew on every access."""
+        return [mask_from_support(s) for s in self.supports()]
+
+    def _eliminate(self) -> LowbitBasis:
+        """The rows' span keyed by lowest set bit.
+
+        Rows go in by descending lowest index, so a row meets only basis
         rows that start above it and the fill-in stays low.
         """
+        ptr, indices = self._indptr, self._indices
+        order = sorted(range(self.shape[0]), reverse=True,
+                       key=lambda i: indices[ptr[i]] + 1 if ptr[i] < ptr[i + 1] else 0)
+        basis = LowbitBasis()
+        for i in order:
+            basis.insert(mask_from_support(indices[ptr[i]:ptr[i + 1]]))
+        return basis
+
+    def _lowbit_basis(self) -> LowbitBasis:
+        """The basis that row-space queries read, built once."""
         if self._basis is None:
-            self._basis = LowbitBasis()
-            for r in sorted(self.rows, key=lambda r: (r & -r).bit_length(), reverse=True):
-                self._basis.insert(r)
+            self._basis = self._eliminate()
         return self._basis
 
     def rank(self) -> int:
-        return len(self._lowbit_basis().rows)
+        if self._rank is None:
+            self._rank = len((self._basis or self._eliminate()).rows)
+        return self._rank
 
     def reduce(self, v: int) -> int:
         """Residue of v after elimination against the row space."""
@@ -133,40 +177,50 @@ class BinMatrix:
                 kernel[f] |= 1 << c
         return list(kernel.values())
 
+    def _xor_rows(self, rows: Iterable[int]) -> set[int]:
+        """Columns where an odd number of the given rows have a 1."""
+        ptr, indices, acc = self._indptr, self._indices, set()
+        for i in rows:
+            acc.symmetric_difference_update(indices[ptr[i]:ptr[i + 1]])
+        return acc
+
+    def syndrome(self, support: Iterable[int]) -> set[int]:
+        """Rows that meet the given columns an odd number of times."""
+        return self.transpose()._xor_rows(support)
+
     def mul_vec(self, v: int) -> int:
         """Syndrome M v: bit i is the overlap parity of row i with v."""
-        _within(v, self.cols)
-        out = 0
-        for i, row in enumerate(self.rows):
-            if parity(row & v):
-                out |= 1 << i
-        return out
+        return mask_from_support(self.syndrome(support_from_mask(_within(v, self.cols))))
 
     def row_combination(self, selector: int) -> int:
         """XOR of the rows picked out by selector bits."""
-        acc = 0
-        for i in support_from_mask(_within(selector, len(self.rows))):
-            acc ^= self.rows[i]
-        return acc
+        return mask_from_support(
+            self._xor_rows(support_from_mask(_within(selector, self.shape[0])))
+        )
 
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
         """Self's rows select combinations of other's rows (composition of maps)."""
-        if self.cols != len(other.rows):
+        if self.cols != other.shape[0]:
             raise ValueError("inner dimension mismatch")
-        return BinMatrix([other.row_combination(r) for r in self.rows], other.cols)
+        return BinMatrix.from_supports(other.cols, map(other._xor_rows, self.supports()))
 
     def transpose(self) -> "BinMatrix":
-        cols_out = len(self.rows)
-        new_rows = [0] * self.cols
-        for i, row in enumerate(self.rows):
-            for j in support_from_mask(row):
-                new_rows[j] |= 1 << i
-        return BinMatrix(new_rows, cols_out)
+        """The column index: row j of the transpose lists the rows with a 1
+        in column j, in increasing order. Built once."""
+        if self._t is None:
+            columns: list[list[int]] = [[] for _ in range(self.cols)]
+            for i, s in enumerate(self.supports()):
+                for j in s:
+                    columns[j].append(i)
+            indptr = array("i", [0, *accumulate(map(len, columns))])
+            self._t = BinMatrix._csr(self.shape[0], indptr, array("i", chain(*columns)))
+        return self._t
 
     def is_zero(self) -> bool:
-        return all(r == 0 for r in self.rows)
+        return not self._indices
 
     def rank_increase(self, extra_rows: Sequence[int]) -> int:
         """By how much the row space grows when extra_rows are appended."""
-        basis = LowbitBasis(self._lowbit_basis().rows)
+        basis = LowbitBasis(self._basis.rows) if self._basis else self._eliminate()
+        self._rank = len(basis.rows)
         return sum(1 for v in extra_rows if basis.insert(v))

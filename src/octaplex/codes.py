@@ -76,13 +76,15 @@ class Codeblock:
         return self.n - self.hx.rank() - self.hz.rank()
 
     def css_commutes(self) -> bool:
-        return self.hx.matmul(self.hz.transpose()).is_zero()
+        """Every X check has an empty syndrome against the Z checks (read
+        through hz's column index: the X checks are the fewer rows)."""
+        return not any(self.hz.syndrome(s) for s in self.hx.supports())
 
     def x_weights(self) -> list[int]:
-        return sorted({r.bit_count() for r in self.hx.rows})
+        return sorted(set(self.hx.weights()))
 
     def z_weights(self) -> list[int]:
-        return sorted({r.bit_count() for r in self.hz.rows})
+        return sorted(set(self.hz.weights()))
 
 
 @dataclass
@@ -110,21 +112,19 @@ def _qubit_order(cx: CellComplex) -> tuple[list[Coord], dict[Coord, int]]:
     return qubits, {q: i for i, q in enumerate(qubits)}
 
 
-def _star_mask(center: Coord, qidx: dict[Coord, int], period: int) -> int:
+def _star(center: Coord, qidx: dict[Coord, int], period: int) -> list[int]:
     """The qubits of ``qidx`` among the 24 cells of ``star24(center)``."""
-    return mask_from_support(qidx[q] for q in star24(center, period) if q in qidx)
+    return [qidx[q] for q in star24(center, period) if q in qidx]
 
 
 def build_codeblock0(cx: CellComplex) -> Codeblock:
     """X checks on 4-cells (weight 24), Z checks on triangles (weight 3)."""
-    qubits, qidx = _qubit_order(cx)
-    hx_rows = [mask_from_support(b) for b in cx.boundary[4]]
-    hz_rows = [mask_from_support(cb) for cb in cx.coboundary[2]]
+    n = len(cx.cells[3])
     return Codeblock(
         0,
-        len(qubits),
-        BinMatrix(hx_rows, len(qubits)),
-        BinMatrix(hz_rows, len(qubits)),
+        n,
+        BinMatrix.from_supports(n, cx.boundary[4]),
+        BinMatrix.from_supports(n, cx.coboundary[2]),
         x_centers=list(cx.cells[4]),
     )
 
@@ -142,54 +142,62 @@ def _block_of(c: Coord) -> int | None:
     return _BLOCK_BY_RESIDUES.get((c[0] & 3, c[1] & 3, c[2] & 3, c[3] & 3))
 
 
+def _mask_order(support: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key putting sorted supports in the order of their masks."""
+    return support[::-1]
+
+
 def star_triangles(
     qidx: dict[Coord, int], period: int, drops: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """``(drop, mask)`` for the nonempty intersections of three stars, one
-    center from each block but the dropped one, for each block in
-    ``drops``; a mask may repeat. One grouping of each qubit's neighbours
-    serves every dropped block.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(drop, support)`` for the nonempty intersections of three stars,
+    one center from each block but the dropped one, for each block in
+    ``drops``; a support (a sorted tuple) may repeat. One grouping of each
+    qubit's neighbours serves every dropped block.
 
-    Enumerated per qubit: every nonempty intersection contains some qubit,
-    and a 3-cell lies in exactly two 4-cells and two vertices of each color
-    (among its 24 ``star24`` neighbours), so eight candidate triples per
-    qubit and dropped block cover everything. Stars are clipped to the
-    qubits that ``qidx`` holds.
+    Enumerated per qubit: a qubit lies in the star of each of its 24
+    ``star24`` neighbours, among them exactly two 4-cells and two vertices
+    of each color, so the eight candidate triples per qubit and dropped
+    block are every triple whose intersection holds that qubit. Stars are
+    clipped to the qubits that ``qidx`` holds and intersected as masks;
+    each intersection is yielded once, from its lowest qubit.
     """
-    star = cache(lambda c: _star_mask(c, qidx, period))
-    for q in qidx:
-        groups: list[list[Coord]] = [[], [], [], []]
+    star = cache(lambda c: mask_from_support(_star(c, qidx, period)))
+    for q, i in qidx.items():
+        low, groups = 1 << i, [[], [], [], []]
         for c in star24(q, period):
             block = _block_of(c)
             if block is not None:
-                groups[block].append(c)
+                groups[block].append(star(c))
         for drop in drops:
             for x, y, z in product(*(g for s, g in enumerate(groups) if s != drop)):
-                m = star(x) & star(y) & star(z)
-                if m:
-                    yield drop, m
+                m = x & y & z
+                if m & -m == low:
+                    yield drop, tuple(support_from_mask(m))
 
 
-def colored_z_supports(cx: CellComplex) -> list[list[int]]:
-    """Z check masks of the red, green and blue blocks: the nonempty triple
-    intersections of the other three blocks' X supports, each list sorted
-    by support for a stable row order."""
+def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
+    """Z check supports of the red, green and blue blocks: the nonempty
+    triple intersections of the other three blocks' X supports, each list
+    sorted for a stable row order."""
     _, qidx = _qubit_order(cx)
-    found: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
-    for drop, m in star_triangles(qidx, cx.period, drops=tuple(found)):
-        found[drop].add(m)
-    return [sorted(masks, key=support_from_mask) for masks in found.values()]
+    found: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
+    for drop, s in star_triangles(qidx, cx.period, drops=tuple(found)):
+        found[drop].add(s)
+    return [sorted(supports) for supports in found.values()]
 
 
-def _colored_codeblock(cx: CellComplex, color: Color, hz_rows: list[int]) -> Codeblock:
+def _colored_codeblock(
+    cx: CellComplex, color: Color, hz_rows: list[tuple[int, ...]]
+) -> Codeblock:
     qubits, qidx = _qubit_order(cx)
     verts = [v for v, c in zip(cx.cells[0], cx.colors) if c == color]
-    hx_rows = [_star_mask(v, qidx, cx.period) for v in verts]
+    n = len(qubits)
     return Codeblock(
         BLOCK_COLORS.index(color),
-        len(qubits),
-        BinMatrix(hx_rows, len(qubits)),
-        BinMatrix(hz_rows, len(qubits)),
+        n,
+        BinMatrix.from_supports(n, (_star(v, qidx, cx.period) for v in verts)),
+        BinMatrix.from_supports(n, hz_rows),
         x_centers=verts,
     )
 
@@ -297,35 +305,31 @@ def build_bounded_family(L: int) -> CodeFamily:
     n = len(qubits)
     period = hi + 8  # past the box: no wrapped coordinate lands in [2, 4L]
 
-    def mask(cells: Iterable[Coord]) -> int:
-        return mask_from_support(qidx[q] for q in cells)
+    def support(cells: Iterable[Coord]) -> list[int]:
+        return [qidx[q] for q in cells]
 
     # All geometric triangles with support in the box, of every block.
-    triangles = BinMatrix(
-        sorted({m for _, m in star_triangles(qidx, period, drops=range(4))}), n
+    triangles = sorted(
+        {s for _, s in star_triangles(qidx, period, drops=range(4))}, key=_mask_order
     )
 
     blocks = []
     for b in range(4):
         d = BOUNDED_ROUGH_AXIS[b]
-        hx = BinMatrix([_star_mask(c, qidx, period) for c in centers[b]], n)
-        xbar = mask(x_hyperplane(b, d, box, positions=(4, 2, 3)))
-        zbar = mask(z_string(b, d, box, base=4))
-        constraint = BinMatrix(hx.rows + [xbar], n)
-        syndromes = triangles.matmul(constraint.transpose()).rows
-        kept = [
-            m
-            for m, s in zip(triangles.rows, syndromes)
-            if not s and 2 <= m.bit_count() <= 3
-        ]
+        hx = BinMatrix.from_supports(n, (_star(c, qidx, period) for c in centers[b]))
+        xbar_cells = support(x_hyperplane(b, d, box, positions=(4, 2, 3)))
+        xbar = mask_from_support(xbar_cells)
+        zbar = mask_from_support(support(z_string(b, d, box, base=4)))
+        constraint = BinMatrix.from_supports(n, [*hx.supports(), xbar_cells])
+        kept = [s for s in triangles if 2 <= len(s) <= 3 and not constraint.syndrome(s)]
         # Deterministic completion to the full complement of hx + logical X:
         # the kernel vectors, reduced against the span so far, that add to it.
         span = LowbitBasis()
-        for m in kept:
-            span.insert(m)
+        for s in kept:
+            span.insert(mask_from_support(s))
         residues = (span.insert(v) for v in constraint.kernel_basis())
-        completion = [r for r in residues if r]
-        hz = BinMatrix(kept + completion, n)
+        completion = [support_from_mask(r) for r in residues if r]
+        hz = BinMatrix.from_supports(n, kept + completion)
         blocks.append(
             Codeblock(
                 b,
@@ -336,7 +340,7 @@ def build_bounded_family(L: int) -> CodeFamily:
                 meta={
                     "triangle_generators": len(kept),
                     "completion_generators": len(completion),
-                    "triangle_weights": sorted({m.bit_count() for m in kept}),
+                    "triangle_weights": sorted({len(s) for s in kept}),
                     "logical_x": xbar,
                     "logical_z": zbar,
                     "rough_axis": AXES[d],
@@ -390,14 +394,14 @@ def build_2d_pair(L: int) -> CodeFamily:
     eidx = {e: i for i, e in enumerate(edges)}
     n = len(edges)
 
-    def m(coords: Sequence[tuple]) -> int:
-        return mask_from_support(eidx[c] for c in coords)
+    def m(rows: Iterable[Sequence[tuple]]) -> BinMatrix:
+        return BinMatrix.from_supports(n, ([eidx[c] for c in row] for row in rows))
 
     sites = [(i, j) for i in range(L) for j in range(L)]
-    plaq = [m(_plaquette_2d(L, i, j)) for i, j in sites]
-    star = [m(_star_2d(L, i, j)) for i, j in sites]
-    block_a = Codeblock(0, n, BinMatrix(plaq, n), BinMatrix(star, n), x_centers=sites)
-    block_b = Codeblock(1, n, BinMatrix(star, n), BinMatrix(plaq, n), x_centers=sites)
+    plaq = [_plaquette_2d(L, i, j) for i, j in sites]
+    star = [_star_2d(L, i, j) for i, j in sites]
+    block_a = Codeblock(0, n, m(plaq), m(star), x_centers=sites)
+    block_b = Codeblock(1, n, m(star), m(plaq), x_centers=sites)
     return CodeFamily("2d", L, [block_a, block_b], edges)
 
 
@@ -459,8 +463,8 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
     eidx = {e: i for i, e in enumerate(edges)}
     n = len(edges)
 
-    def m(coords: Sequence[tuple]) -> int:
-        return mask_from_support(eidx[c] for c in coords)
+    def m(rows: Iterable[Sequence[tuple]]) -> BinMatrix:
+        return BinMatrix.from_supports(n, ([eidx[c] for c in row] for row in rows))
 
     if cube_color is None:
         cube_color = lambda i, j, k: (i + j + k) % 2  # noqa: E731
@@ -468,11 +472,6 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
     red = [c for c in cubes if cube_color(*c) == 0]
     blue = [c for c in cubes if cube_color(*c) == 1]
     verts = cubes
-
-    star_rows = [m(vertex_star_edges(L, *v)) for v in verts]
-    red_rows = [m(cube_edges(L, *c)) for c in red]
-    blue_rows = [m(cube_edges(L, *c)) for c in blue]
-
     faces = sorted(
         (ax, i, j, k)
         for ax in ("x", "y", "z")
@@ -480,23 +479,21 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
         for j in range(L)
         for k in range(L)
     )
-    face_rows = [m(face_edges(L, *f)) for f in faces]
 
-    def corner_triples(cube_list: list[tuple]) -> list[int]:
+    def corner_triples(cube_list: list[tuple]) -> BinMatrix:
         seen = set()
         for c in cube_list:
             ce = set(cube_edges(L, *c))
             for dv in product((0, 1), repeat=3):
                 v = tuple((a + b) % L for a, b in zip(c, dv))
-                s = set(vertex_star_edges(L, *v)) & ce
-                if s:
-                    seen.add(m(sorted(s)))
-        return sorted(seen)
+                if s := set(vertex_star_edges(L, *v)) & ce:
+                    seen.add(tuple(sorted(eidx[e] for e in s)))
+        return BinMatrix.from_supports(n, sorted(seen, key=_mask_order))
 
-    block0 = Codeblock(0, n, BinMatrix(star_rows, n), BinMatrix(face_rows, n),
-                       x_centers=verts)
-    block1 = Codeblock(1, n, BinMatrix(red_rows, n),
-                       BinMatrix(corner_triples(blue), n), x_centers=red)
-    block2 = Codeblock(2, n, BinMatrix(blue_rows, n),
-                       BinMatrix(corner_triples(red), n), x_centers=blue)
+    block0 = Codeblock(0, n, m(vertex_star_edges(L, *v) for v in verts),
+                       m(face_edges(L, *f) for f in faces), x_centers=verts)
+    block1 = Codeblock(1, n, m(cube_edges(L, *c) for c in red),
+                       corner_triples(blue), x_centers=red)
+    block2 = Codeblock(2, n, m(cube_edges(L, *c) for c in blue),
+                       corner_triples(red), x_centers=blue)
     return CodeFamily("3d", L, [block0, block1, block2], edges)

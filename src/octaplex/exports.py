@@ -15,13 +15,8 @@ from .binalg import BinMatrix, support_from_mask
 
 def matrix_to_alist(m: BinMatrix) -> str:
     rows, cols = m.shape
-    col_lists: list[list[int]] = [[] for _ in range(cols)]
-    row_lists: list[list[int]] = []
-    for i, r in enumerate(m.rows):
-        sup = support_from_mask(r)
-        for j in sup:
-            col_lists[j].append(i + 1)
-        row_lists.append([j + 1 for j in sup])
+    col_lists = [[i + 1 for i in s] for s in m.transpose().supports()]
+    row_lists = [[j + 1 for j in s] for s in m.supports()]
     max_col = max((len(c) for c in col_lists), default=0)
     max_row = max((len(r) for r in row_lists), default=0)
     lines = [
@@ -61,8 +56,8 @@ def alist_to_supports(text: str) -> tuple[int, int, list[list[int]]]:
 def matrix_to_mtx(m: BinMatrix) -> str:
     rows, cols = m.shape
     entries = []
-    for i, r in enumerate(m.rows):
-        entries.extend(f"{i + 1} {j + 1} 1" for j in support_from_mask(r))
+    for i, s in enumerate(m.supports()):
+        entries.extend(f"{i + 1} {j + 1} 1" for j in s)
     head = "%%MatrixMarket matrix coordinate integer general"
     return "\n".join([head, f"{rows} {cols} {len(entries)}"] + entries) + "\n"
 

@@ -68,7 +68,7 @@ def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
             globals2[(AXES[i], AXES[j])] = _face_plane(cx, i, j)
     globals1 = {AXES[i]: _edge_hyperplane(cx, i) for i in range(4)}
     global0 = (1 << len(cx.cells[0])) - 1
-    globalX = (1 << len(block0.hx.rows)) - 1
+    globalX = (1 << block0.hx.shape[0]) - 1
     triple_lookup = {
         tuple(sorted(cx.boundary[2][i])): i for i in range(n2)
     }
@@ -187,9 +187,9 @@ def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport
         edge_hyperplanes_zero_on_faces=edges_zero,
         edge_hyperplanes_rank_gain=gain1,
         vertex_sum_zero_on_edges=(vertex_sum == 0),
-        m0_rank_deficit=len(ladder.m0.rows) - ladder.m0.rank(),
+        m0_rank_deficit=ladder.m0.shape[0] - ladder.m0.rank(),
         hx_sum_zero=(hx_sum == 0),
-        hx_rank_deficit=len(ladder.hx.rows) - ladder.hx.rank(),
+        hx_rank_deficit=ladder.hx.shape[0] - ladder.hx.rank(),
     )
 
 
@@ -226,7 +226,7 @@ def single_shot_repair_demo(
         violated_edges=violated,
         violated_per_flip=per_flip,
         identified_face=identified,
-        edge_metacheck_row_weight=ladder.m1.rows[0].bit_count(),
+        edge_metacheck_row_weight=ladder.m1.weights()[0],
         face_boundary_edge_count=len(ladder.cx.boundary[2][0]),
     )
 
@@ -242,8 +242,8 @@ def tanner_graph_json(ladder: MetacheckLadder) -> dict:
             "vertex_metachecks": len(cx.cells[0]),
         },
         "z_check_supports": [sorted(cx.coboundary[2][i]) for i in range(len(cx.cells[2]))],
-        "edge_metacheck_supports": [support_from_mask(r) for r in ladder.m1.rows],
-        "vertex_metacheck_supports": [support_from_mask(r) for r in ladder.m0.rows],
+        "edge_metacheck_supports": [list(s) for s in ladder.m1.supports()],
+        "vertex_metacheck_supports": [list(s) for s in ladder.m0.supports()],
         "globals": {
             "face_planes": {
                 "-".join(k): support_from_mask(v) for k, v in ladder.globals2.items()

@@ -21,9 +21,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Sequence
 
 from . import __version__
-from .binalg import mask_from_support, support_from_mask
+from .binalg import BinMatrix
 from .codes import (
     CodeFamily,
     bounded_boundary_coordinate_count,
@@ -214,8 +215,8 @@ def _octaplex_codes(run: _Run):
             "k": k0 if translate else blk.k,
             "x_weights": blk.x_weights(),
             "z_weights": blk.z_weights(),
-            "x_rows": len(blk.hx.rows),
-            "z_rows": len(blk.hz.rows),
+            "x_rows": blk.hx.shape[0],
+            "z_rows": blk.hz.shape[0],
             "css": blk.css_commutes(),
         }
         passed &= (
@@ -300,8 +301,9 @@ def _octaplex_distance(run: _Run):
 
 def _octaplex_metachecks(run: _Run):
     ladder = build_ladder(run.cx, run.family.blocks[0])
-    counting = verify_counting(ladder, run.L)
+    # The rank increases eliminate m0 and m1 once and leave their ranks.
     glob = verify_global_constraints(ladder)
+    counting = verify_counting(ladder, run.L)
     demo = single_shot_repair_demo(ladder, {0})
     passed = counting.passed and glob.passed and demo.violated_per_flip == 3
     return passed, dict(
@@ -311,19 +313,21 @@ def _octaplex_metachecks(run: _Run):
     ), []
 
 
+def _row_set(m: BinMatrix, perm: Sequence[int] | None = None) -> set[tuple[int, ...]]:
+    """The rows as a set of sorted supports, each qubit mapped by ``perm``."""
+    if perm is None:
+        return {tuple(s) for s in m.supports()}
+    return {tuple(sorted(perm[i] for i in s)) for s in m.supports()}
+
+
 def _blocks_equivalent(family: CodeFamily, block: int) -> bool:
     """Row sets map onto block 0's under the block translation."""
-    cx = family.complex
-    perm = shifted_qubit_permutation(cx, block)
-
-    def permute(mask: int) -> int:
-        return mask_from_support(perm[i] for i in support_from_mask(mask))
-
+    perm = shifted_qubit_permutation(family.complex, block)
     blk = family.blocks[block]
     blk0 = family.blocks[0]
-    if {permute(r) for r in blk.hx.rows} != set(blk0.hx.rows):
+    if _row_set(blk.hx, perm) != _row_set(blk0.hx):
         return False
-    return {permute(r) for r in blk.hz.rows} == set(blk0.hz.rows)
+    return _row_set(blk.hz, perm) == _row_set(blk0.hz)
 
 
 def _bounded_codes(run: _Run):
@@ -333,9 +337,9 @@ def _bounded_codes(run: _Run):
     formula_ok = True
     for b, blk in enumerate(family.blocks):
         xw = blk.x_weights()
-        for center, row in zip(blk.x_centers, blk.hx.rows):
+        for center, weight in zip(blk.x_centers, blk.hx.weights()):
             bcount = bounded_boundary_coordinate_count(center, b, L)
-            if row.bit_count() != 8 - bcount + 16 // 2**bcount:
+            if weight != 8 - bcount + 16 // 2**bcount:
                 formula_ok = False
         entry = {
             "label": b,
@@ -384,7 +388,7 @@ def _2d_codes(run: _Run):
     family = run.family
     return all(b.k == 2 for b in family.blocks), dict(
         blocks=_warmup_blocks(family),
-        role_swap=(set(family.blocks[0].hx.rows) == set(family.blocks[1].hz.rows)),
+        role_swap=(_row_set(family.blocks[0].hx) == _row_set(family.blocks[1].hz)),
     ), []
 
 

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import parity, support_from_mask
+from .binalg import BinMatrix, parity
 from .codes import CodeFamily
 from .logicals import LogicalBasis, PauliSupport, logical_class
 
@@ -105,14 +105,12 @@ class TransversalReport:
 
 
 class _RowIndex:
-    """One row list: each row's qubits, and the rows on each qubit."""
+    """One row list, read from a matrix: each row's qubits, and, from the
+    matrix's column index, the rows on each qubit."""
 
-    def __init__(self, masks: Sequence[int]):
-        self.supports = [support_from_mask(m) for m in masks]
-        self.rows_at: dict[int, list[int]] = {}
-        for j, qubits in enumerate(self.supports):
-            for q in qubits:
-                self.rows_at.setdefault(q, []).append(j)
+    def __init__(self, m: BinMatrix):
+        self.supports = list(m.supports())
+        self.rows_at = [tuple(rows) for rows in m.transpose().supports()]
 
     def __len__(self) -> int:
         return len(self.supports)
@@ -130,7 +128,7 @@ def _nonempty_tuples(slots: Sequence[_RowIndex]) -> Iterator[tuple[tuple[int, ..
     for i, qubits in enumerate(slots[0].supports):
         counts: Counter = Counter()
         for q in qubits:
-            lists = [rows_at.get(q, ()) for rows_at in incidence]
+            lists = [rows_at[q] for rows_at in incidence]
             counts.update(itertools.product((i,), *lists))
         yield from sorted(counts.items())
 
@@ -181,7 +179,10 @@ def _coupling_tensor(logical: list[_RowIndex]) -> dict[tuple, int]:
 
 def _indexes(family: CodeFamily, basis: LogicalBasis) -> tuple[list[_RowIndex], ...]:
     """Each block's X stabilizers and each block's X logicals, indexed once."""
-    return [_RowIndex(b.hx.rows) for b in family.blocks], [_RowIndex(x) for x in basis.x_ops]
+    return (
+        [_RowIndex(b.hx) for b in family.blocks],
+        [_RowIndex(BinMatrix(x, family.n)) for x in basis.x_ops],
+    )
 
 
 def check_cz_conditions(
@@ -227,7 +228,8 @@ def check_ccz_conditions(
 def triple_weight_histogram(stab_masks: list[list[int]]) -> dict[int, int]:
     """Number of stabilizer triples, one row per block, per intersection weight."""
     hist: Counter = Counter()
-    _first_odd([_RowIndex(masks) for masks in stab_masks], hist)
+    cols = max((m.bit_length() for masks in stab_masks for m in masks), default=0)
+    _first_odd([_RowIndex(BinMatrix(masks, cols)) for masks in stab_masks], hist)
     return dict(hist)
 
 

@@ -301,3 +301,98 @@ def test_key_mask_missing_a_key_is_caught(family2):
     # the row at that key reduces to 0 by the walk but keeps its key bit here
     with pytest.raises(AssertionError):
         assert_reduces_like_walk(broken, rows, list(rows.values()))
+
+
+# ---------------------------------------------------------------------------
+# CSR rows and the column index against int-mask references
+
+
+def test_from_supports_rejects_bad_indices():
+    assert BinMatrix.from_supports(4, [[3, 0, 1], [], [2]]).rows == [0b1011, 0, 0b100]
+    with pytest.raises(ValueError, match="outside"):
+        BinMatrix.from_supports(4, [[0, 1], [4]])
+    with pytest.raises(ValueError, match="outside"):
+        BinMatrix.from_supports(4, [[-1]])
+    with pytest.raises(ValueError, match="repeated"):
+        BinMatrix.from_supports(4, [[1, 2], [3, 0, 3]])
+    # the same index at the end of one row and the start of the next is fine
+    assert BinMatrix.from_supports(4, [[1, 2], [2, 3], [], [3]]).weights() == [2, 2, 0, 1]
+    empty = BinMatrix.from_supports(5, [])
+    assert empty.shape == (0, 5)
+    assert empty.rows == [] and empty.is_zero() and empty.rank() == 0
+    assert empty.mul_vec(0b10101) == 0
+    assert empty.transpose().shape == (5, 0)
+    assert empty.kernel_basis() == [1 << i for i in range(5)]
+
+
+def random_masks(rng, rows, cols):
+    """Random rows with some empty ones and some repeated ones."""
+    masks = [rng.getrandbits(cols) if rng.random() < 0.8 else 0 for _ in range(rows)]
+    if masks:
+        masks += [rng.choice(masks) for _ in range(rng.randrange(3))]
+    return masks
+
+
+def mask_mul_vec(rows, v):
+    return sum((r & v).bit_count() % 2 << i for i, r in enumerate(rows))
+
+
+def mask_transpose(rows, cols):
+    return [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(cols)]
+
+
+def mask_combination(rows, selector):
+    acc = 0
+    for i, r in enumerate(rows):
+        if selector >> i & 1:
+            acc ^= r
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_csr_matches_mask_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        rows, cols, inner = rng.randrange(0, 12), rng.randrange(1, 70), rng.randrange(1, 9)
+        masks = random_masks(rng, rows, cols)
+        m = BinMatrix(masks, cols)
+        assert m.rows == masks
+        assert m.shape == (len(masks), cols)
+        assert m.weights() == [r.bit_count() for r in masks]
+        assert [list(s) for s in m.supports()] == [support_from_mask(r) for r in masks]
+        assert BinMatrix.from_supports(cols, m.supports()).rows == masks
+        assert m.is_zero() == (not any(masks))
+        assert m.transpose().rows == mask_transpose(masks, cols)
+        assert m.transpose().transpose().rows == masks
+        for v in [rng.getrandbits(cols) for _ in range(5)] + [0, (1 << cols) - 1]:
+            assert m.mul_vec(v) == mask_mul_vec(masks, v)
+            assert m.syndrome(support_from_mask(v)) == set(support_from_mask(m.mul_vec(v)))
+        for _ in range(3):
+            selector = rng.getrandbits(len(masks))
+            assert m.row_combination(selector) == mask_combination(masks, selector)
+        left = BinMatrix(random_masks(rng, inner, len(masks)), len(masks)) if masks else None
+        if left is not None:
+            assert left.matmul(m).rows == [mask_combination(masks, s) for s in left.rows]
+        rank = len(reference_rref(masks, cols)[1])
+        assert m.rank() == rank
+        assert m.kernel_basis() == reference_kernel(masks, cols)
+        assert BinMatrix(masks, cols).rank() == rank
+
+
+def test_rank_keeps_no_basis():
+    # ranking a block keeps its rank, not its fill-in; a later row-space
+    # query eliminates again and agrees with a fresh elimination
+    triple = build_3d_triple(4)
+    assert [blk.k for blk in triple.blocks] == [3, 3, 3]
+    matrices = [m for blk in triple.blocks for m in (blk.hx, blk.hz)]
+    assert all(m._basis is None for m in matrices)
+    rng = random.Random(12)
+    for m in matrices:
+        probes = [rng.getrandbits(m.cols) for _ in range(3)]
+        probes += [m.row_combination(rng.getrandbits(m.shape[0])) for _ in range(3)]
+        fresh = LowbitBasis()
+        for r in m.rows:
+            fresh.insert(r)
+        for v in probes:
+            assert m.in_row_space(v) == (fresh.reduce(v) == 0)
+        assert m._basis is not None and len(m._basis.rows) == m.rank()

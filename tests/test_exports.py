@@ -33,6 +33,21 @@ BYTE_CONTRACT = {
     "octaplex-bounded_L2_hz2.alist": "568cb794c9c1c3c12c8acc3b6150a5dbaf79380f8bb6c65deda76624da4a2b5b",
     "octaplex-bounded_L2_hz3.alist": "ab5cde13b97e7023fc21ed6339b3f5d82aa38f128262a079f5da97c1b895f4bf",
 }
+# sha256 of the canonical L=3 outputs of both octaplex families (slow).
+BYTE_CONTRACT_L3 = {
+    "report-L3": "6822a7e4f08500d7e22ad358fcd2f0b497111f56adc5d00c8d28e48f2b68e043",
+    "report-bounded-L3": "f341f191e1355962ed823aa22eba4203f43b66b33b172766ffcb31138d587fbe",
+    "octaplex_L3_hx0.alist": "797f59dbda726fb6a43a66be6c16145821b3ac4092674d2d8486e5d043977012",
+    "octaplex_L3_hx1.alist": "f046668960e98638adffcccd81552e211bcff70602291a1a9f56847da70078e5",
+    "octaplex_L3_hx2.alist": "d7c1b5542383906ccea35ab96207ccc98c5533524e9442502e8b1e351463f63a",
+    "octaplex_L3_hx3.alist": "eed1b75d3e01b12fbee51b8eea5d0105c14eb5a46fc42345741761da1d365365",
+    "octaplex_L3_hz0.alist": "fec5f1ee5307366480a25162caca3497b27794434d3cc8689fdd2b67b94bea6c",
+    "octaplex_L3_hz1.alist": "7115e069898fc83cfdad44a0075433aee68da7593b5a34e37401fa10e85f7065",
+    "octaplex_L3_hz2.alist": "18ba668114d241892695ec59341960a63a5e2150a51453c7bf6a0215571e2029",
+    "octaplex_L3_hz3.alist": "d886c8e97c7ff73e727577b4a19dd15adc13430ce01521f6fd00076ff0d4ccf3",
+    "octaplex_L3_m0.alist": "1e74265daa5ff609c61477385a643339d13d418b25b5f276249da94601522a63",
+    "octaplex_L3_m1.alist": "01d76f852fcab681920bb99a7b1e7f3d192b8470371c65488117d8643971b173",
+}
 # CLI argv of each pinned report, run with --threads 1 --out.
 REPORT_ARGV = {
     "report": ["report", "--family", "octaplex", "--L", "2"],
@@ -40,17 +55,30 @@ REPORT_ARGV = {
     "report-2d": ["report", "--family", "2d", "--L", "2"],
     "report-3d": ["report", "--family", "3d", "--L", "2"],
     "selftest": ["selftest"],
+    "report-L3": ["report", "--family", "octaplex", "--L", "3"],
+    "report-bounded-L3": ["report", "--family", "octaplex-bounded", "--L", "3"],
 }
-# CLI argv that writes every pinned octaplex-bounded_* file, with --out DIR.
-BOUNDED_EXPORT_ARGV = ["export", "--family", "octaplex-bounded", "--L", "2",
-                       "--which", "all", "--format", "alist"]
+# CLI argv that writes every pinned export file of one prefix, with --out DIR.
+EXPORT_ARGV = {
+    "octaplex-bounded_": ["export", "--family", "octaplex-bounded", "--L", "2",
+                          "--which", "all", "--format", "alist"],
+    "octaplex_L3_": ["export", "--family", "octaplex", "--L", "3",
+                     "--which", "all", "--format", "alist"],
+}
 
 
 @pytest.fixture(scope="module")
-def bounded_export_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("bounded")
-    assert main([*BOUNDED_EXPORT_ARGV, "--out", str(out)]) == 0
-    return out
+def export_dirs(tmp_path_factory):
+    """Each export prefix's output directory, written on first use."""
+    dirs = {}
+
+    def get(prefix):
+        if prefix not in dirs:
+            dirs[prefix] = tmp_path_factory.mktemp("export")
+            assert main([*EXPORT_ARGV[prefix], "--out", str(dirs[prefix])]) == 0
+        return dirs[prefix]
+
+    return get
 
 
 def test_alist_roundtrip_small():
@@ -114,16 +142,21 @@ def test_logicals_json(family2, basis2):
     assert len(d["operators"]["x_w_block0"]) == 80
 
 
-@pytest.mark.parametrize("name", sorted(BYTE_CONTRACT))
-def test_byte_contract(name, family2, ladder2, tmp_path, request):
+@pytest.mark.parametrize(
+    "name",
+    sorted(BYTE_CONTRACT)
+    + [pytest.param(name, marks=pytest.mark.slow) for name in sorted(BYTE_CONTRACT_L3)],
+)
+def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs):
+    prefix = next((p for p in EXPORT_ARGV if name.startswith(p)), None)
     if name in REPORT_ARGV:
         out = tmp_path / "report.json"
         assert main([*REPORT_ARGV[name], "--threads", "1", "--out", str(out)]) == 0
         data = out.read_bytes()
-    elif name.startswith("octaplex-bounded_"):
-        data = (request.getfixturevalue("bounded_export_dir") / name).read_bytes()
+    elif prefix is not None:
+        data = (export_dirs(prefix) / name).read_bytes()
     else:
         key, fmt = name.split(".")
         m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
         data = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m).encode("utf-8")
-    assert hashlib.sha256(data).hexdigest() == BYTE_CONTRACT[name]
+    assert hashlib.sha256(data).hexdigest() == {**BYTE_CONTRACT, **BYTE_CONTRACT_L3}[name]

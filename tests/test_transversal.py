@@ -159,8 +159,8 @@ def test_enumeration_matches_brute_force(blocks, plant):
     for _ in range(20):
         stab = _random_slots(rng, blocks, 12, plant)
         logical = _random_slots(rng, blocks, 12, plant)
-        stab_ix = [_RowIndex(rows) for rows in stab]
-        logical_ix = [_RowIndex(rows) for rows in logical]
+        stab_ix = [_RowIndex(BinMatrix(rows, 12)) for rows in stab]
+        logical_ix = [_RowIndex(BinMatrix(rows, 12)) for rows in logical]
         for n_logical in range(blocks):
             c = _mixed_conditions(stab_ix, logical_ix, n_logical, "c")
             assert (c.passed, c.scanned, c.witness) == _oracle_condition(
