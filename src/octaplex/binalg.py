@@ -219,8 +219,13 @@ class BinMatrix:
     def is_zero(self) -> bool:
         return not self._indices
 
-    def rank_increase(self, extra_rows: Sequence[int]) -> int:
-        """By how much the row space grows when extra_rows are appended."""
+    def residues(self, extra_rows: Iterable[int]) -> Iterator[int]:
+        """Each extra row's residue against the row space and the extra rows
+        before it; 0 for a row that adds nothing. Row order cannot change it."""
         basis = LowbitBasis(self._basis.rows) if self._basis else self._eliminate()
         self._rank = len(basis.rows)
-        return sum(1 for v in extra_rows if basis.insert(v))
+        return (basis.insert(_within(v, self.cols)) for v in extra_rows)
+
+    def rank_increase(self, extra_rows: Iterable[int]) -> int:
+        """By how much the row space grows when extra_rows are appended."""
+        return sum(1 for r in self.residues(extra_rows) if r)

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import BinMatrix, LowbitBasis, mask_from_support, support_from_mask
+from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .lattice import (
     AXES,
     CellComplex,
@@ -324,10 +324,8 @@ def build_bounded_family(L: int) -> CodeFamily:
         kept = [s for s in triangles if 2 <= len(s) <= 3 and not constraint.syndrome(s)]
         # Deterministic completion to the full complement of hx + logical X:
         # the kernel vectors, reduced against the span so far, that add to it.
-        span = LowbitBasis()
-        for s in kept:
-            span.insert(mask_from_support(s))
-        residues = (span.insert(v) for v in constraint.kernel_basis())
+        # A residue depends on the span alone, so the fill order is free.
+        residues = BinMatrix.from_supports(n, kept).residues(constraint.kernel_basis())
         completion = [support_from_mask(r) for r in residues if r]
         hz = BinMatrix.from_supports(n, kept + completion)
         blocks.append(

@@ -139,6 +139,12 @@ def _int_adjacent(v: int, period: int) -> int:
     return (v - 1) % period if v % 4 == 1 else (v + 1) % period
 
 
+_STAR_OFFSETS = [  # star24's offsets, in its order: ±2 on one axis, then (±1)^4
+    *(tuple(s if i == axis else 0 for i in range(4)) for axis in range(4) for s in (2, -2)),
+    *product((1, -1), repeat=4),
+]
+
+
 def star24(center: Coord, period: int) -> list[Coord]:
     """The 24 cells offset by ±2 on one axis or ±1 on every axis.
 
@@ -146,15 +152,9 @@ def star24(center: Coord, period: int) -> list[Coord]:
     set of octahedra containing it. Both coincide with the cells at squared
     scaled distance 4.
     """
-    out: list[Coord] = []
-    for i in range(4):
-        for s in (2, -2):
-            d = list(center)
-            d[i] = (d[i] + s) % period
-            out.append(tuple(d))
-    for signs in product((1, -1), repeat=4):
-        out.append(tuple((v + s) % period for v, s in zip(center, signs)))
-    return out
+    a, b, c, d = center
+    return [((a + p) % period, (b + q) % period, (c + r) % period, (d + s) % period)
+            for p, q, r, s in _STAR_OFFSETS]
 
 
 def sublattice(values: Iterable[int], *residues: int) -> list[int]:
@@ -210,13 +210,7 @@ def boundary_coords(c: Coord, period: int) -> list[Coord]:
             out.append(tuple(a))
         return out
     if t is CellType.C3III:
-        out = []
-        for i in range(4):
-            for s in (1, -1):
-                a = list(c)
-                a[i] = (a[i] + s) % period
-                out.append(tuple(a))
-        return out
+        return [c[:i] + ((c[i] + s) % period,) + c[i + 1:] for i in range(4) for s in (1, -1)]
     # 4-cells
     return star24(c, period)
 

@@ -52,6 +52,7 @@ def assert_matches_reference(m, rng):
         assert m.reduce(v) == reference_reduce(m.rows, m.cols, v)
     extra = probes[:3] + [probes[0] ^ probes[1]]
     assert m.rank_increase(extra) == len(reference_rref(m.rows + extra, m.cols)[1]) - rank
+    assert m.rank_increase(extra) == sum(1 for r in m.residues(extra) if r)
 
 
 @pytest.mark.parametrize("shape", ["wide", "tall", "zero-row", "duplicate-row", "full-rank"])
@@ -187,6 +188,47 @@ def test_rank_increase():
     assert m.rank_increase([0b101]) == 0
     assert m.rank_increase([0b1000, 0b1011]) == 1
     assert m.rank_increase([0b1000, 0b0001]) == 2
+
+
+def test_residues_of_span_members_are_zero():
+    m = BinMatrix([0b0011, 0b0110], 4)
+    assert list(m.residues([0b0011, 0b0101, 0])) == [0, 0, 0]
+    # each residue joins the span before the next row is reduced
+    assert list(m.residues([0b1000, 0b1011, 0b0001])) == [0b1000, 0, 0b0100]
+    with pytest.raises(ValueError):
+        list(m.residues([0b10000]))
+
+
+def lowbit_residues(rows, probes):
+    """Residues of probes against the span of rows, inserted in the given order."""
+    basis = LowbitBasis()
+    for r in rows:
+        basis.insert(r)
+    return [basis.reduce(v) for v in probes]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_residues_do_not_depend_on_row_order(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(20, 150)
+    # sparse rows, so that the two orders build different fill
+    rows = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            for _ in range(rng.randrange(5, n))]
+    probes = [rng.getrandbits(n) for _ in range(20)]
+    ascending = lowbit_residues(sorted(rows), probes)
+    assert ascending == lowbit_residues(_descending_lowbit(rows), probes)
+    # the method, which eliminates in fill order, gives the same residues
+    # and then grows the span by each probe in turn
+    grown = LowbitBasis()
+    for r in sorted(rows):
+        grown.insert(r)
+    assert list(BinMatrix(rows, n).residues(probes)) == [grown.insert(v) for v in probes]
+    # negative control: without one independent row the span shrinks and
+    # some residue changes
+    rank = BinMatrix(rows, n).rank()
+    i = next(i for i in range(len(rows)) if BinMatrix(rows[:i] + rows[i + 1:], n).rank() < rank)
+    dropped = rows[:i] + rows[i + 1:]
+    assert lowbit_residues(sorted(dropped), probes + [rows[i]]) != ascending + [0]
 
 
 def test_mask_helpers():

@@ -1,6 +1,6 @@
 import pytest
 
-from octaplex.binalg import parity
+from octaplex.binalg import BinMatrix, LowbitBasis, parity
 from octaplex.codes import bounded_boundary_coordinate_count, build_bounded_family
 from octaplex.logicals import verify_logical_basis
 from octaplex.transversal import check_cccz_conditions
@@ -78,3 +78,36 @@ def test_logical_x_commutes_with_all_z(bounded2, bounded_basis2):
     for b, blk in enumerate(bounded2.blocks):
         x = bounded_basis2.x_ops[b][0]
         assert all(parity(x & z) == 0 for z in blk.hz.rows)
+
+
+# ---------------------------------------------------------------------------
+# the completion layer against the sequential construction
+
+
+def reference_completion(block):
+    """The kept triangles inserted one by one in ascending mask order, then
+    each kernel vector of hx + logical X; the residues that grow the span."""
+    kept = sorted(block.hz.rows[: block.meta["triangle_generators"]])
+    constraint = BinMatrix([*block.hx.rows, block.meta["logical_x"]], block.n)
+    span = LowbitBasis()
+    for row in kept:
+        span.insert(row)
+    residues = (span.insert(v) for v in constraint.kernel_basis())
+    return [r for r in residues if r]
+
+
+def assert_completion_matches_reference(family):
+    for blk in family.blocks:
+        completion = blk.hz.rows[blk.meta["triangle_generators"]:]
+        assert len(completion) == blk.meta["completion_generators"]
+        assert completion == reference_completion(blk)
+
+
+def test_completion_matches_sequential_reference(bounded2):
+    assert [blk.meta["completion_generators"] for blk in bounded2.blocks] == [36] * 4
+    assert_completion_matches_reference(bounded2)
+
+
+@pytest.mark.slow
+def test_completion_matches_sequential_reference_l3():
+    assert_completion_matches_reference(build_bounded_family(3))

@@ -1,4 +1,5 @@
 import copy
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from octaplex.lattice import (
     cross_check_nearest,
     euler_characteristic,
     incident_cells,
+    star24,
     toroidal_dist2,
+    try_classify,
     vertex_color,
 )
 
@@ -252,3 +255,37 @@ def test_json_export_roundtrip(cx2):
     assert len(d["cells"]["3"]) == 384
     assert len(d["boundary"]["4"][0]) == 24
     assert len(d["vertex_colors"]) == 96
+
+
+def star24_by_definition(center, period):
+    """±2 on one axis, then (±1)^4, each coordinate taken mod the period."""
+    out = []
+    for axis in range(4):
+        for s in (2, -2):
+            out.append(tuple((v + (s if i == axis else 0)) % period for i, v in enumerate(center)))
+    for signs in product((1, -1), repeat=4):
+        out.append(tuple((v + s) % period for v, s in zip(center, signs)))
+    return out
+
+
+STAR_CENTER_TYPES = (CellType.H4I, CellType.H4II, CellType.V0,
+                     CellType.C3I, CellType.C3II, CellType.C3III)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_star24_matches_definition(L):
+    cx = build_octaplex(L)
+    centers = cx.cells[4] + cx.cells[0] + cx.cells[3]
+    assert len(centers) == (2 + 6 + 24) * L**4
+    for c in centers:
+        assert star24(c, cx.period) == star24_by_definition(c, cx.period)
+
+
+def test_star24_matches_definition_on_bounded_period():
+    L = 2
+    period = 4 * L + 8
+    centers = [c for c in product(range(2, 4 * L + 1), repeat=4)
+               if try_classify(c) in STAR_CENTER_TYPES]
+    assert centers
+    for c in centers:
+        assert star24(c, period) == star24_by_definition(c, period)
