@@ -19,8 +19,9 @@ logical counts are always computed from ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .binalg import BinMatrix, mask_from_support, support_from_mask
@@ -321,7 +322,9 @@ def build_bounded_family(L: int) -> CodeFamily:
         xbar = mask_from_support(xbar_cells)
         zbar = mask_from_support(support(z_string(b, d, box, base=4)))
         constraint = BinMatrix.from_supports(n, [*hx.supports(), xbar_cells])
-        kept = [s for s in triangles if 2 <= len(s) <= 3 and not constraint.syndrome(s)]
+        rows_of = [mask_from_support(r) for r in constraint.transpose().supports()]
+        kept = [s for s in triangles  # the triangles whose qubits' constraint rows cancel
+                if 2 <= len(s) <= 3 and not reduce(xor, map(rows_of.__getitem__, s))]
         # Deterministic completion to the full complement of hx + logical X:
         # the kernel vectors, reduced against the span so far, that add to it.
         # A residue depends on the span alone, so the fill order is free.
@@ -470,22 +473,15 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
     red = [c for c in cubes if cube_color(*c) == 0]
     blue = [c for c in cubes if cube_color(*c) == 1]
     verts = cubes
-    faces = sorted(
-        (ax, i, j, k)
-        for ax in ("x", "y", "z")
-        for i in range(L)
-        for j in range(L)
-        for k in range(L)
-    )
+    faces = edges  # labels (normal axis, i, j, k): the edges' form and order
 
     def corner_triples(cube_list: list[tuple]) -> BinMatrix:
-        seen = set()
-        for c in cube_list:
-            ce = set(cube_edges(L, *c))
-            for dv in product((0, 1), repeat=3):
-                v = tuple((a + b) % L for a, b in zip(c, dv))
-                if s := set(vertex_star_edges(L, *v)) & ce:
-                    seen.add(tuple(sorted(eidx[e] for e in s)))
+        seen = set()  # the three edges of cube (i, j, k) at corner (i + b0, j + b1, k + b2)
+        for i, j, k in cube_list:
+            for b0, b1, b2 in product((0, 1), repeat=3):
+                i1, j1, k1 = (i + b0) % L, (j + b1) % L, (k + b2) % L
+                seen.add(tuple(sorted((eidx["x", i, j1, k1], eidx["y", i1, j, k1],
+                                       eidx["z", i1, j1, k]))))
         return BinMatrix.from_supports(n, sorted(seen, key=_mask_order))
 
     block0 = Codeblock(0, n, m(vertex_star_edges(L, *v) for v in verts),

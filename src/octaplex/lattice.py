@@ -22,19 +22,21 @@ odd components):
 
 The 3-cells (octahedra) carry the physical qubits. Boundary maps follow the
 explicit offset rules below; `cross_check_nearest` re-derives them from the
-nearest-in-2-norm definition as an independent oracle. It reads each cell
-c through the ball c+δ, |δ|² ≤ 4, which for L ≥ 2 holds every cell within
-squared distance 4 with no offset aliased; an empty ball fails the check.
+nearest-in-2-norm definition as an independent oracle. A cell's residues fix
+the types of the cells around it, so the oracle reads each cell c at c+δ for
+the offsets of least |δ|² ≤ 4 that its residue class allows, from a table
+built on first use; a missing cell there fails the check. ∂∘∂ = 0 is
+checked on the boundary tuples themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from functools import cache
+from itertools import chain, product
+from operator import add
 from typing import Iterable, Sequence
-
-from .binalg import BinMatrix
 
 Coord = tuple[int, int, int, int]
 
@@ -231,12 +233,6 @@ class CellComplex:
     coboundary: list[list[tuple[int, ...]]]     # coboundary[d][i], d in 0..3
     colors: list[Color] = field(default_factory=list)
 
-    def incidence_matrix(self, dim: int) -> BinMatrix:
-        """Boundary map as a matrix: rows are dim-cells over (dim-1)-cells."""
-        return BinMatrix.from_supports(
-            len(self.cells[dim - 1]), self.boundary[dim]
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "L": self.L,
@@ -309,37 +305,25 @@ def toroidal_dist2(a: Coord, b: Coord, period: int) -> int:
     return s
 
 
-# The oracle's 89 offsets |δ|² ≤ 4, as tuples: only a run of the oracle loads numpy.
+# The nearest-cell oracle's window, the 89 scaled offsets |δ|² ≤ 4, and the
+# candidate types of each 1-, 3- and 4-cell type (anchor-restricted at d=3).
 _WINDOW = [o for o in product(range(-2, 3), repeat=4) if sum(x * x for x in o) <= 4]
-_CHUNK = 512  # d-cells per numpy pass; keeps the temporaries under 1 MB
+_CANDIDATES = {CellType.E1: {CellType.V0}, CellType.C3I: {CellType.F2I},
+               CellType.C3II: {CellType.F2II}, CellType.C3III: {CellType.F2I, CellType.F2II},
+               **dict.fromkeys(FOURCELL_TYPES, set(QUBIT_TYPES))}
 
 
-def _boundary_is_nearest(
-    cx: CellComplex, d: int, cells: Sequence[int], candidates: Sequence[int]
-) -> bool:
-    """Whether each listed d-cell's boundary is its set of nearest listed
-    (d-1)-cells within the window. A dense array, padded by 2 with the
-    torus's wrap, maps each candidate's coordinate to its index."""
-    import numpy as np
-
-    lookup = np.full((cx.period,) * 4, -1, dtype=np.int32)
-    lookup[tuple(zip(*(cx.cells[d - 1][j] for j in candidates)))] = candidates
-    lookup = np.pad(lookup, 2, mode="wrap").ravel()
-    strides = (cx.period + 4) ** np.arange(3, -1, -1)
-    window = np.array(_WINDOW)
-    centers = (np.array([cx.cells[d][i] for i in cells]).reshape(-1, 4) + 2) @ strides
-    for start in range(0, len(cells), _CHUNK):
-        hits = lookup[centers[start:start + _CHUNK, None] + window @ strides]
-        d2 = np.where(hits >= 0, (window * window).sum(axis=1), 5)  # 5: none there
-        dmin = d2.min(axis=1, keepdims=True)
-        if (dmin == 5).any():
-            return False  # an empty ball: the nearest cell is out of reach
-        rows, cols = np.nonzero(d2 == dmin)
-        found = set(zip(rows.tolist(), hits[rows, cols].tolist()))
-        chunk = cells[start:start + _CHUNK]
-        if found != {(r, j) for r, i in enumerate(chunk) for j in cx.boundary[d][i]}:
-            return False
-    return True
+@cache
+def _nearest_offsets() -> dict[Coord, tuple[Coord, ...]]:
+    """Each residue class mod 4 of a 1-, 3- or 4-cell → the window offsets
+    of least |δ|² that land on a candidate type. Built on first use."""
+    table = {}
+    for r in product(range(4), repeat=4):
+        if (allowed := _CANDIDATES.get(try_classify(r))) is not None:
+            near = [o for o in _WINDOW if try_classify(tuple(map(add, r, o))) in allowed]
+            least = min(sum(x * x for x in o) for o in near)
+            table[r] = tuple(o for o in near if sum(x * x for x in o) == least)
+    return table
 
 
 def cross_check_nearest(cx: CellComplex) -> bool:
@@ -353,32 +337,49 @@ def cross_check_nearest(cx: CellComplex) -> bool:
     half-integer sheet bound F2I triangles, integer-sheet ones bound F2II;
     the all-quarter octahedra see both types and need no restriction).
 
-    Each cell c is compared only with the candidates at c+δ mod 4L for the
-    89 scaled offsets |δ|² ≤ 4. This is exact: for L ≥ 2 (period ≥ 8) no two
-    offsets alias and every cell within toroidal squared distance 4 is some
-    c+δ, so a ball minimum ≤ 4 is the global minimum and its argmin set the
-    global one. A cell whose ball holds no candidate fails the check.
+    Cell c's nearest candidates sit at c+δ mod 4L for its residue class's
+    ``_nearest_offsets``, each of which must hold a listed cell (a missing
+    one fails, as an empty ball does). This is exact once the listed 0-, 2-
+    and 3-cells are distinct, each its index entry, and the 0- and 3-cells
+    typed and on the torus: for L ≥ 2 no two window offsets alias.
     """
-    every = [range(len(cells)) for cells in cx.cells]
-    faces = [classify(f) for f in cx.cells[2]]
-    octahedra = [classify(c) for c in cx.cells[3]]
-    anchors = {CellType.C3I: {CellType.F2I}, CellType.C3II: {CellType.F2II},
-               CellType.C3III: {CellType.F2I, CellType.F2II}}
-    checks = [(1, every[1], every[0]), (4, every[4], every[3])] + [
-        (3, [i for i, t in enumerate(octahedra) if t is kind],
-         [j for j, t in enumerate(faces) if t in allowed])
-        for kind, allowed in anchors.items()
-    ]
-    return all(_boundary_is_nearest(cx, *check) for check in checks)
+    period, table = cx.period, _nearest_offsets()
+    for d in (0, 2, 3):
+        idx, cells = cx.index[d], cx.cells[d]
+        if len(idx) != len(cells) or any(idx.get(c) != j for j, c in enumerate(cells)):
+            return False
+    if any(DIM_OF.get(try_classify(c)) != d or min(c) < 0 or max(c) >= period
+           for d in (0, 3) for c in cx.cells[d]):
+        return False
+    for d in (1, 3, 4):
+        get = cx.index[d - 1].get
+        for (a, b, e, f), bs in zip(cx.cells[d], cx.boundary[d], strict=True):
+            offsets = table.get((a & 3, b & 3, e & 3, f & 3))
+            if offsets is None:
+                return False
+            found = {get(((a + p) % period, (b + q) % period, (e + r) % period, (f + s) % period))
+                     for p, q, r, s in offsets}
+            if None in found or found != set(bs):
+                return False
+    return True
 
 
 def boundary_composition_is_zero(cx: CellComplex) -> bool:
-    """∂_{d-1} ∘ ∂_d = 0 over GF(2) for d in {2, 3, 4}."""
+    """∂_{d-1} ∘ ∂_d = 0 over GF(2) for d in {2, 3, 4}: each index appears an
+    even number of times among the boundary tuples of a d-cell's boundary.
+    A boundary tuple that is not a set of (d-1)-cell indices, or a boundary
+    list of the wrong length, is a ``ValueError``."""
+    for d in range(1, 5):
+        tuples, flat = cx.boundary[d], list(chain.from_iterable(cx.boundary[d]))
+        if (len(tuples) != len(cx.cells[d]) or sum(map(len, map(set, tuples))) != len(flat)
+                or flat and not 0 <= min(flat) <= max(flat) < len(cx.cells[d - 1])):
+            raise ValueError(f"boundary[{d}] is not one set of (d-1)-cell indices per d-cell")
     for d in (2, 3, 4):
-        outer = cx.incidence_matrix(d)
-        inner = cx.incidence_matrix(d - 1)
-        if not outer.matmul(inner).is_zero():
-            return False
+        inner = cx.boundary[d - 1].__getitem__
+        for bs in cx.boundary[d]:
+            s = sorted(chain.from_iterable(map(inner, bs)))
+            if s[::2] != s[1::2]:
+                return False
     return True
 
 

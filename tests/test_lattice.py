@@ -1,5 +1,9 @@
 import copy
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,90 @@ def test_nearest_cross_check_fails_on_an_empty_ball(cx2):
     assert not cross_check_nearest(cx)
 
 
+def test_nearest_cross_check_rejects_a_wrong_type_vertex(cx2):
+    # a triangle listed among the vertices, indexed, at squared distance 1
+    # from an edge: the definition makes it that edge's only nearest vertex
+    cx = copy.deepcopy(cx2)
+    assert classify((1, 2, 1, 1)) is CellType.F2II
+    assert toroidal_dist2((0, 2, 1, 1), (1, 2, 1, 1), cx.period) == 1
+    cx.index[0][(1, 2, 1, 1)] = len(cx.cells[0])
+    cx.cells[0].append((1, 2, 1, 1))
+    assert not nearest_reference(cx)
+    assert not cross_check_nearest(cx)
+
+
+def test_nearest_cross_check_rejects_a_dropped_vertex(cx2):
+    # the last vertex leaves the cells, the index and its edges' boundaries:
+    # each such edge's one listed vertex left is its nearest, so the all-pairs
+    # definition accepts, but a nearest offset now holds no cell
+    cx = copy.deepcopy(cx2)
+    gone = len(cx.cells[0]) - 1
+    del cx.index[0][cx.cells[0].pop()]
+    cx.boundary[1] = [tuple(j for j in b if j != gone) for b in cx.boundary[1]]
+    assert nearest_reference(cx)
+    assert not cross_check_nearest(cx)
+
+
+def test_nearest_cross_check_rejects_a_vertex_left_in_the_index(cx2):
+    cx = copy.deepcopy(cx2)
+    cx.cells[0].pop()
+    assert not nearest_reference(cx)
+    assert not cross_check_nearest(cx)
+
+
+def test_nearest_table_is_built_on_first_use():
+    import octaplex
+
+    script = ("import octaplex.lattice as lat\n"
+              "before = lat._nearest_offsets.cache_info().currsize\n"
+              "lat.cross_check_nearest(lat.build_octaplex(2))\n"
+              "print(before, lat._nearest_offsets.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(octaplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.slow
+def test_nearest_cross_check_l4():
+    cx4 = build_octaplex(4)
+    assert cross_check_nearest(cx4)
+    assert nearest_reference(cx4)
+
+
+def composition_reference(cx):
+    """∂∘∂ = 0 as products of the incidence matrices, each d-cell a row over
+    the (d-1)-cells."""
+    def incidence(d):
+        return BinMatrix.from_supports(len(cx.cells[d - 1]), cx.boundary[d])
+
+    return all(incidence(d).matmul(incidence(d - 1)).is_zero() for d in (2, 3, 4))
+
+
+@pytest.mark.parametrize("d, kind", [
+    (2, {CellType.F2I}),
+    (3, {CellType.C3III}),
+    (4, {CellType.H4II}),
+])
+def test_boundary_composition_rejects_a_swapped_boundary(cx2, d, kind):
+    assert composition_reference(cx2)
+    bad = _swap_one(cx2, d, kind)
+    assert not composition_reference(bad)
+    assert not boundary_composition_is_zero(bad)
+
+
+@pytest.mark.parametrize("entry", ["repeated", "outside"])
+def test_boundary_composition_rejects_a_malformed_tuple(cx2, entry):
+    cx = copy.deepcopy(cx2)
+    a, b, _ = cx.boundary[2][0]
+    cx.boundary[2][0] = (a, a, b) if entry == "repeated" else (a, b, len(cx.cells[1]))
+    with pytest.raises(ValueError):
+        composition_reference(cx)
+    with pytest.raises(ValueError):
+        boundary_composition_is_zero(cx)
+
+
 def test_fourcell_boundary_distance(cx2):
     i = cx2.index[4][(0, 0, 0, 0)]
     for j in cx2.boundary[4][i]:
@@ -241,12 +329,6 @@ def test_role_exchange_translation(cx2):
         shifted_boundary = {shift(cx2.cells[3][j]) for j in cx2.boundary[4][i]}
         assert vertex_color(shift(c)) is Color.RED
         assert shifted_boundary == set(star24(shift(c), cx2.period))
-
-
-def test_incidence_matrix_shapes(cx2):
-    m = cx2.incidence_matrix(3)
-    assert m.shape == (len(cx2.cells[3]), len(cx2.cells[2]))
-    assert isinstance(m, BinMatrix)
 
 
 def test_json_export_roundtrip(cx2):

@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from octaplex.codes import build_2d_pair, build_3d_triple
+from octaplex.codes import build_2d_pair, build_3d_triple, cube_edges, vertex_star_edges
 from octaplex.logicals import build_logicals, verify_logical_basis
 from octaplex.transversal import (
     ALL_DISTINCT_TRIPLES,
@@ -100,6 +102,30 @@ def test_3d_parameters(triple3d):
     assert triple3d.blocks[2].x_weights() == [12]
     assert triple3d.blocks[1].z_weights() == [3]
     assert triple3d.blocks[0].z_weights() == [4]
+
+
+def corner_triples_by_intersection(family, cubes):
+    """Each Z row of a cube-color block as the edges that a cube shares with
+    the vertex star of one of its corners, sorted in mask order."""
+    L, eidx = family.L, family.qubit_index()
+    seen = set()
+    for c in cubes:
+        ce = set(cube_edges(L, *c))
+        for dv in product((0, 1), repeat=3):
+            v = tuple((a + b) % L for a, b in zip(c, dv))
+            if s := set(vertex_star_edges(L, *v)) & ce:
+                seen.add(tuple(sorted(eidx[e] for e in s)))
+    return sorted(seen, key=lambda s: s[::-1])
+
+
+@pytest.mark.parametrize("L", [2, 12])
+def test_3d_corner_triples_match_intersection(L):
+    fam = build_3d_triple(L)
+    cubes = list(product(range(L), repeat=3))
+    for block, color in ((1, 1), (2, 0)):  # each color's Z rows sit on the other's cubes
+        other = [c for c in cubes if sum(c) % 2 == color]
+        assert [tuple(s) for s in fam.blocks[block].hz.supports()] == \
+            corner_triples_by_intersection(fam, other)
 
 
 def test_3d_odd_l_rejected():
