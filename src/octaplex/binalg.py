@@ -123,6 +123,12 @@ class BinMatrix:
         indices = self._indices
         return (indices[a:b] for a, b in pairwise(self._indptr))
 
+    def mapped_rows(self, table: Sequence) -> list[list]:
+        """Each row as ``[table[j] for j in row]``: the index array is
+        mapped in one pass and sliced per row."""
+        flat = list(map(table.__getitem__, self._indices))
+        return [flat[a:b] for a, b in pairwise(self._indptr)]
+
     def weights(self) -> list[int]:
         return [b - a for a, b in pairwise(self._indptr)]
 

@@ -83,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fault(kind: str | None) -> Fault | None:
+    """The requested fault; an OCTAPLEX_SEED that is no integer is a ValueError."""
     if kind is None:
         return None
     return Fault(kind, seed=int(os.environ.get("OCTAPLEX_SEED", "0")))
@@ -115,8 +116,12 @@ def cmd_report(args) -> int:
         print(f"error: fault {args.inject_fault} is caught by the {catcher} "
               "section, which is not requested", file=sys.stderr)
         return USAGE_ERROR
-    result = RUNNERS[args.family](args.L, sections=sections,
-                                  fault=_fault(args.inject_fault))
+    try:
+        fault = _fault(args.inject_fault)
+    except ValueError:
+        print("error: OCTAPLEX_SEED must be an integer", file=sys.stderr)
+        return USAGE_ERROR
+    result = RUNNERS[args.family](args.L, sections=sections, fault=fault)
     text = render_text(result)
     sys.stdout.write(text)
     payload = report_json(result)

@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import product
-from operator import xor
+from operator import add, xor
 from typing import Iterable, Iterator, Sequence
 
 from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .lattice import (
     AXES,
+    _STAR_OFFSETS,
     CellComplex,
     CellType,
     Color,
@@ -148,33 +149,46 @@ def _mask_order(support: tuple[int, ...]) -> tuple[int, ...]:
     return support[::-1]
 
 
+@cache
+def _triangle_table(residues: Coord, drops: tuple[int, ...]) -> tuple[tuple[Coord, ...], tuple]:
+    """For a qubit of this residue class: its triangle partners' offsets, and
+    ``(drop, j, k)`` per triangle, j and k the positions of its other two
+    cells in that list.
+
+    Of the qubit's 24 ``_STAR_OFFSETS`` neighbours, two are 4-cells and two
+    are vertices of each color, so the eight triples per dropped block are
+    every triple whose stars meet at the qubit. Stars meet at ±4 on one axis
+    only from centers ±2 apart on it, of one block, so a triangle lies within
+    ±3 of the qubit and its offsets do not alias on any period ≥ 8.
+    """
+    groups = [[o for o in _STAR_OFFSETS if _block_of(tuple(map(add, residues, o))) == b]
+              for b in range(4)]
+    star = {o: {tuple(map(add, o, s)) for s in _STAR_OFFSETS} for g in groups for o in g}
+    triangles = sorted({(drop, tuple(sorted(star[x] & star[y] & star[z])))
+                        for drop in drops
+                        for x, y, z in product(*(g for b, g in enumerate(groups) if b != drop))})
+    partners = tuple(sorted({o for _, t in triangles for o in t if any(o)}))
+    return partners, tuple((drop, *(partners.index(o) for o in t if any(o))) for drop, t in triangles)
+
+
 def star_triangles(
     qidx: dict[Coord, int], period: int, drops: Sequence[int]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(drop, support)`` for the nonempty intersections of three stars,
     one center from each block but the dropped one, for each block in
-    ``drops``; a support (a sorted tuple) may repeat. One grouping of each
-    qubit's neighbours serves every dropped block.
-
-    Enumerated per qubit: a qubit lies in the star of each of its 24
-    ``star24`` neighbours, among them exactly two 4-cells and two vertices
-    of each color, so the eight candidate triples per qubit and dropped
-    block are every triple whose intersection holds that qubit. Stars are
-    clipped to the qubits that ``qidx`` holds and intersected as masks;
-    each intersection is yielded once, from its lowest qubit.
+    ``drops``; a support (a sorted tuple) may repeat. Each qubit looks its
+    ``_triangle_table`` partners up in ``qidx`` once; a triangle is clipped
+    to the qubits of ``qidx`` and yielded from its lowest one.
     """
-    star = cache(lambda c: mask_from_support(_star(c, qidx, period)))
-    for q, i in qidx.items():
-        low, groups = 1 << i, [[], [], [], []]
-        for c in star24(q, period):
-            block = _block_of(c)
-            if block is not None:
-                groups[block].append(star(c))
-        for drop in drops:
-            for x, y, z in product(*(g for s, g in enumerate(groups) if s != drop)):
-                m = x & y & z
-                if m & -m == low:
-                    yield drop, tuple(support_from_mask(m))
+    n, w = len(qidx), [*range(period)] * 2  # w[v + δ] = (v + δ) mod period for |δ| ≤ 3
+    for (a, b, c, d), i in qidx.items():
+        partners, triangles = _triangle_table((a & 3, b & 3, c & 3, d & 3), tuple(drops))
+        ix = [qidx.get((w[a + p], w[b + q], w[c + r], w[d + s]), n) for p, q, r, s in partners]
+        for drop, j, k in triangles:
+            x, y = ix[j], ix[k]
+            if i < x and i < y:  # a partner outside qidx reads n and sorts last
+                s = (i, x, y) if x < y else (i, y, x)
+                yield drop, s[:3 - s.count(n)]
 
 
 def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:

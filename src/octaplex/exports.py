@@ -15,20 +15,14 @@ from .binalg import BinMatrix, support_from_mask
 
 def matrix_to_alist(m: BinMatrix) -> str:
     rows, cols = m.shape
-    col_lists = [[i + 1 for i in s] for s in m.transpose().supports()]
-    row_lists = [[j + 1 for j in s] for s in m.supports()]
-    max_col = max((len(c) for c in col_lists), default=0)
-    max_row = max((len(r) for r in row_lists), default=0)
-    lines = [
-        f"{cols} {rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(c)) for c in col_lists),
-        " ".join(str(len(r)) for r in row_lists),
-    ]
-    for c in col_lists:
-        lines.append(" ".join(str(v) for v in c + [0] * (max_col - len(c))))
-    for r in row_lists:
-        lines.append(" ".join(str(v) for v in r + [0] * (max_row - len(r))))
+    names = list(map(str, range(1, max(m.shape) + 1)))  # names[j] is str(j + 1)
+    lists = m.transpose().mapped_rows(names), m.mapped_rows(names)
+    widths = [max(map(len, t), default=0) for t in lists]
+    lines = [f"{cols} {rows}", " ".join(map(str, widths)),
+             *(" ".join(map(str, map(len, t))) for t in lists)]
+    for t, width in zip(lists, widths):
+        zeros = ["0"] * width
+        lines += [" ".join(r + zeros[len(r):]) for r in t]
     return "\n".join(lines) + "\n"
 
 
@@ -55,11 +49,12 @@ def alist_to_supports(text: str) -> tuple[int, int, list[list[int]]]:
 
 def matrix_to_mtx(m: BinMatrix) -> str:
     rows, cols = m.shape
-    entries = []
-    for i, s in enumerate(m.supports()):
-        entries.extend(f"{i + 1} {j + 1} 1" for j in s)
-    head = "%%MatrixMarket matrix coordinate integer general"
-    return "\n".join([head, f"{rows} {cols} {len(entries)}"] + entries) + "\n"
+    names = list(map(str, range(1, max(m.shape) + 1)))  # names[j] is str(j + 1)
+    lines = ["%%MatrixMarket matrix coordinate integer general", f"{rows} {cols} {sum(m.weights())}"]
+    for i, t in enumerate(m.mapped_rows(names)):
+        if t:  # the row's entries "i j 1", one per line
+            lines.append(f"{names[i]} " + f" 1\n{names[i]} ".join(t) + " 1")
+    return "\n".join(lines) + "\n"
 
 
 def write_text(path: Path, text: str) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -245,31 +245,45 @@ class CellComplex:
         }
 
 
+@cache
+def _cell_classes() -> dict[Coord, tuple[int, tuple[Coord, ...]]]:
+    """Each residue class mod 4 → its dimension (-1: no cell) and boundary
+    offsets, read from ``boundary_coords`` at its representative in 0..3."""
+    table = {}
+    for r in product(range(4), repeat=4):
+        d = DIM_OF.get(try_classify(r), -1)
+        bs = boundary_coords(r, 8) if d > 0 else []
+        table[r] = d, tuple(tuple((v - u + 4) % 8 - 4 for u, v in zip(r, b)) for b in bs)
+    return table
+
+
 def build_octaplex(L: int) -> CellComplex:
     """Construct the periodic tessellation at linear size L (L >= 2).
 
     At L=1 the ±2 offsets alias modulo 4 and distinct boundary cells
-    collapse, so small sizes are rejected.
+    collapse, so small sizes are rejected. Each cell's dimension and
+    boundary offsets come from its residue class's ``_cell_classes`` entry.
     """
     if L < 2:
         raise ValueError(
             "L must be >= 2: the ±2 cell offsets alias modulo 4L when L=1"
         )
     period = 4 * L
-    cells: list[list[Coord]] = [[] for _ in range(5)]
-    for c in product(range(period), repeat=4):
-        t = try_classify(c)
-        if t is not None:
-            cells[DIM_OF[t]].append(c)
-    # product() already yields lexicographic order
+    table = _cell_classes()
+    residues = [v & 3 for v in range(period)]
+    dims = [table[r][0] for r in product(residues, repeat=4)]
+    # product() yields lexicographic order, and so does each compressed slice
+    cells = [list(compress(product(range(period), repeat=4), map(d.__eq__, dims))) for d in range(5)]
     index = [{c: i for i, c in enumerate(cells[d])} for d in range(5)]
 
     boundary: list[list[tuple[int, ...]]] = [[] for _ in range(5)]
+    w = [*range(period)] * 2  # w[v + δ] = (v + δ) mod 4L for |δ| ≤ 2
     for d in range(1, 5):
-        idx = index[d - 1]
-        for c in cells[d]:
-            bs = boundary_coords(c, period)
-            boundary[d].append(tuple(sorted(idx[b] for b in bs)))
+        idx, out = index[d - 1], boundary[d]
+        classes = compress(product(residues, repeat=4), map(d.__eq__, dims))
+        for (a, b, c, e), r in zip(cells[d], classes):
+            out.append(tuple(sorted([idx[w[a + p], w[b + q], w[c + s], w[e + t]]
+                                     for p, q, s, t in table[r][1]])))
 
     coboundary: list[list[tuple[int, ...]]] = [[] for _ in range(5)]
     for d in range(4):
@@ -277,7 +291,7 @@ def build_octaplex(L: int) -> CellComplex:
         for i, bs in enumerate(boundary[d + 1]):
             for j in bs:
                 buckets[j].append(i)
-        coboundary[d] = [tuple(sorted(b)) for b in buckets]
+        coboundary[d] = list(map(tuple, buckets))  # filled in increasing order
 
     colors = [vertex_color(v) for v in cells[0]]
     return CellComplex(L, period, cells, index, boundary, coboundary, colors)

@@ -402,6 +402,8 @@ def test_csr_matches_mask_reference(seed):
         assert m.shape == (len(masks), cols)
         assert m.weights() == [r.bit_count() for r in masks]
         assert [list(s) for s in m.supports()] == [support_from_mask(r) for r in masks]
+        assert m.mapped_rows([-j for j in range(cols)]) == [
+            [-j for j in support_from_mask(r)] for r in masks]
         assert BinMatrix.from_supports(cols, m.supports()).rows == masks
         assert m.is_zero() == (not any(masks))
         assert m.transpose().rows == mask_transpose(masks, cols)

@@ -224,3 +224,18 @@ def test_injected_recolor_fails(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["sections"]["lattice"]["status"] == "fail"
     assert payload["sections"]["lattice"]["same_color_edge_witness"]
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--inject-fault", "perturb-logical"],
+    ["report", "--family", "octaplex", "--L", "2", "--sections", "lattice",
+     "--inject-fault", "recolor-vertex"],
+])
+def test_non_integer_fault_seed_is_a_usage_error(monkeypatch, capsys, seed, argv):
+    # exit 1 means a failed verification, so a bad seed must stop before the run
+    monkeypatch.setenv("OCTAPLEX_SEED", seed)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: OCTAPLEX_SEED must be an integer"]

@@ -1,17 +1,30 @@
 import copy
+from functools import cache
 from itertools import product
 
 import pytest
 
-from octaplex.binalg import BinMatrix, parity
+import octaplex.codes as codes
+from octaplex.binalg import BinMatrix, mask_from_support, parity, support_from_mask
 from octaplex.codes import (
     BLOCK_COLORS,
     _block_of,
+    _star,
     build_codeblock0,
     build_colored_codeblock,
     shifted_qubit_permutation,
+    star_triangles,
 )
-from octaplex.lattice import FOURCELL_TYPES, CellType, Color, try_classify, vertex_color
+from octaplex.lattice import (
+    FOURCELL_TYPES,
+    QUBIT_TYPES,
+    CellType,
+    Color,
+    build_octaplex,
+    star24,
+    try_classify,
+    vertex_color,
+)
 from octaplex.report import SECTIONS, _Run
 
 
@@ -193,3 +206,65 @@ def test_colored_z_rows_are_all_triple_intersections(family2, block):
     hz = family2.blocks[block].hz.rows
     assert len(hz) == len(set(hz))
     assert set(hz) == oracle
+
+
+def star_triangles_reference(qidx, period, drops):
+    """The mask form of ``star_triangles``: each qubit's eight candidate
+    triples per dropped block, their stars clipped to ``qidx`` and ANDed as
+    n-bit masks, each nonempty intersection yielded from its lowest qubit."""
+    star = cache(lambda c: mask_from_support(_star(c, qidx, period)))
+    for q, i in qidx.items():
+        low, groups = 1 << i, [[], [], [], []]
+        for c in star24(q, period):
+            block = _block_of(c)
+            if block is not None:
+                groups[block].append(star(c))
+        for drop in drops:
+            for x, y, z in product(*(g for s, g in enumerate(groups) if s != drop)):
+                m = x & y & z
+                if m & -m == low:
+                    yield drop, tuple(support_from_mask(m))
+
+
+def torus_qubits(L):
+    return {q: i for i, q in enumerate(build_octaplex(L).cells[3])}, 4 * L
+
+
+def box_qubits(L):
+    box = range(2, 4 * L + 1)
+    qubits = [c for c in product(box, repeat=4) if try_classify(c) in QUBIT_TYPES]
+    return {q: i for i, q in enumerate(qubits)}, 4 * L + 8
+
+
+@pytest.mark.parametrize("qubits, L", [
+    # at L=2 the period is 8, so offsets of ±4 alias
+    (torus_qubits, 2), (torus_qubits, 3),
+    pytest.param(torus_qubits, 4, marks=pytest.mark.slow),
+    (box_qubits, 2), (box_qubits, 3),
+])
+def test_star_triangles_match_mask_reference(qubits, L):
+    qidx, period = qubits(L)
+    drops = (0, 1, 2, 3)
+    found = set(star_triangles(qidx, period, drops))
+    assert found == set(star_triangles_reference(qidx, period, drops))
+    assert {len(s) for _, s in found} == ({3} if qubits is torus_qubits else {1, 2, 3})
+
+
+def test_star_triangles_miss_a_dropped_table_entry(monkeypatch):
+    # negative control: one class's table without one triangle, one whose
+    # partners both lie lexicographically above the qubit, so that the
+    # qubit is its lowest member away from the wrap
+    table = codes._triangle_table
+
+    def short(residues, drops):
+        partners, triangles = table(residues, drops)
+        if residues != (1, 1, 1, 1):
+            return partners, triangles
+        gone = next(e for e in triangles if min(partners[e[1]], partners[e[2]]) > (0, 0, 0, 0))
+        return partners, [e for e in triangles if e is not gone]
+
+    qidx, period = torus_qubits(2)
+    monkeypatch.setattr(codes, "_triangle_table", short)
+    found = set(star_triangles(qidx, period, (1, 2, 3)))
+    expected = set(star_triangles_reference(qidx, period, (1, 2, 3)))
+    assert found < expected

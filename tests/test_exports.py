@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -160,3 +161,82 @@ def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs):
         m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
         data = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == {**BYTE_CONTRACT, **BYTE_CONTRACT_L3}[name]
+
+
+def alist_reference(m):
+    """The per-element alist writer: one ``str`` per entry and per pad."""
+    rows, cols = m.shape
+    col_lists = [[i + 1 for i in s] for s in m.transpose().supports()]
+    row_lists = [[j + 1 for j in s] for s in m.supports()]
+    max_col = max((len(c) for c in col_lists), default=0)
+    max_row = max((len(r) for r in row_lists), default=0)
+    lines = [
+        f"{cols} {rows}",
+        f"{max_col} {max_row}",
+        " ".join(str(len(c)) for c in col_lists),
+        " ".join(str(len(r)) for r in row_lists),
+    ]
+    for c in col_lists:
+        lines.append(" ".join(str(v) for v in c + [0] * (max_col - len(c))))
+    for r in row_lists:
+        lines.append(" ".join(str(v) for v in r + [0] * (max_row - len(r))))
+    return "\n".join(lines) + "\n"
+
+
+def mtx_reference(m):
+    """The per-element MatrixMarket writer: one formatted line per entry."""
+    rows, cols = m.shape
+    entries = []
+    for i, s in enumerate(m.supports()):
+        entries.extend(f"{i + 1} {j + 1} 1" for j in s)
+    head = "%%MatrixMarket matrix coordinate integer general"
+    return "\n".join([head, f"{rows} {cols} {len(entries)}"] + entries) + "\n"
+
+
+def random_matrix(rng, rows, cols, density):
+    """Random rows over ``cols`` columns; empty rows and columns are likely."""
+    return BinMatrix.from_supports(
+        cols, ([j for j in range(cols) if rng.random() < density] for _ in range(rows)))
+
+
+EDGE_MATRICES = {
+    "zero-rows": BinMatrix.from_supports(5, []),
+    "zero-rows-zero-cols": BinMatrix.from_supports(0, []),
+    "empty-rows-zero-cols": BinMatrix.from_supports(0, [[], []]),
+    "one-column": BinMatrix.from_supports(1, [[0], [], [0], []]),
+    "all-empty": BinMatrix.from_supports(4, [[], [], []]),
+    "empty-rows-and-columns": BinMatrix.from_supports(12, [[0, 3, 10], [1], [], [2, 10]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MATRICES))
+def test_emitters_match_reference_on_edge_cases(name):
+    m = EDGE_MATRICES[name]
+    assert matrix_to_alist(m) == alist_reference(m)
+    assert matrix_to_mtx(m) == mtx_reference(m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emitters_match_reference_on_random_matrices(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        rows, cols = rng.randrange(0, 40), rng.randrange(1, 130)
+        m = random_matrix(rng, rows, cols, rng.choice((0.01, 0.05, 0.3)))
+        assert matrix_to_alist(m) == alist_reference(m)
+        assert matrix_to_mtx(m) == mtx_reference(m)
+
+
+def test_emitter_reference_sees_a_changed_byte():
+    # negative control: the reference tells apart matrices one entry apart
+    a = BinMatrix.from_supports(6, [[0, 2], [5]])
+    b = BinMatrix.from_supports(6, [[0, 3], [5]])
+    assert alist_reference(a) != alist_reference(b)
+    assert mtx_reference(a) != mtx_reference(b)
+    assert matrix_to_alist(a) != alist_reference(b)
+
+
+@pytest.mark.parametrize("key", ["hx1", "hz1", "m1"])
+def test_emitters_match_reference_on_the_l2_matrices(family2, ladder2, key):
+    m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
+    assert matrix_to_alist(m) == alist_reference(m)
+    assert matrix_to_mtx(m) == mtx_reference(m)

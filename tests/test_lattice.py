@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import octaplex.lattice as lattice
 from octaplex.binalg import BinMatrix
 from octaplex.lattice import (
+    DIM_OF,
     CellType,
     Color,
     NotACellError,
     boundary_composition_is_zero,
+    boundary_coords,
     build_octaplex,
     classify,
     cross_check_nearest,
@@ -82,31 +85,75 @@ def test_incident_cells_counts(cx2):
         incident_cells(cx2, 0, 0, 5)
 
 
+@pytest.mark.parametrize("L", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_cell_table_matches_boundary_coords(L):
+    # the residue-class table against the per-cell classification and
+    # boundary rules it is read from
+    cx = build_octaplex(L)
+    by_dim = [[] for _ in range(5)]
+    for c in product(range(cx.period), repeat=4):
+        if (t := try_classify(c)) is not None:
+            by_dim[DIM_OF[t]].append(c)
+    assert cx.cells == by_dim
+    for d in range(1, 5):
+        idx = cx.index[d - 1]
+        for c, bs in zip(cx.cells[d], cx.boundary[d], strict=True):
+            assert bs == tuple(sorted(idx[b] for b in boundary_coords(c, cx.period))), c
+
+
+def test_cell_table_entry_reaches_the_complex(monkeypatch):
+    # negative control: one class with one boundary offset fewer
+    table = dict(lattice._cell_classes())
+    dim, offsets = table[1, 1, 1, 1]
+    table[1, 1, 1, 1] = dim, offsets[1:]
+    monkeypatch.setattr(lattice, "_cell_classes", lambda: table)
+    cx = build_octaplex(2)
+    c = (1, 1, 1, 1)
+    bs = cx.boundary[3][cx.index[3][c]]
+    assert len(bs) == 7
+    assert set(bs) < {cx.index[2][b] for b in boundary_coords(c, cx.period)}
+
+
 def test_boundary_squared_is_zero(cx2):
     assert boundary_composition_is_zero(cx2)
 
 
-def nearest_reference(cx):
+def nearest_reference(cx, rows=128):
     """The all-pairs form of ``cross_check_nearest``: every d-cell against
-    every (d-1)-cell, anchor-type restricted at d=3."""
+    every (d-1)-cell, anchor-type restricted at d=3, as numpy distance
+    blocks of up to ``rows`` d-cells of one type."""
     period = cx.period
 
-    def argmin_set(c, candidates, ids):
-        diff = np.abs(candidates - np.array(c, dtype=np.int64))
-        diff = np.minimum(diff, period - diff)
-        dist2 = (diff * diff).sum(axis=1)
-        return set(ids[np.flatnonzero(dist2 == dist2.min())].tolist())
+    def dist2(block, candidates):
+        total = 0
+        for k in range(4):
+            diff = np.abs(block[:, k, None] - candidates[None, :, k])
+            total = total + np.minimum(diff, period - diff) ** 2
+        return total
 
     f2i = np.array([classify(f) is CellType.F2I for f in cx.cells[2]])
     anchored = {CellType.C3I: f2i, CellType.C3II: ~f2i,
                 CellType.C3III: np.ones_like(f2i)}
     for d in (1, 3, 4):
-        lower = np.array(cx.cells[d - 1], dtype=np.int64)
-        ids = np.arange(len(lower))
+        lower = np.array(cx.cells[d - 1], dtype=np.int32).reshape(-1, 4)
+        groups = {}
         for i, c in enumerate(cx.cells[d]):
-            keep = anchored[classify(c)] if d == 3 else slice(None)
-            if argmin_set(c, lower[keep], ids[keep]) != set(cx.boundary[d][i]):
-                return False
+            groups.setdefault(classify(c) if d == 3 else None, []).append(i)
+        for kind, members in groups.items():
+            ids = np.flatnonzero(anchored[kind]) if d == 3 else np.arange(len(lower))
+            slot = dict(zip(ids.tolist(), range(len(ids))))  # candidate id -> column
+            for start in range(0, len(members), rows):
+                chunk = members[start:start + rows]
+                block = np.array([cx.cells[d][i] for i in chunk], dtype=np.int32)
+                dist = dist2(block, lower[ids])
+                nearest = dist == dist.min(axis=1, keepdims=True)
+                listed = np.zeros_like(nearest)
+                for r, i in enumerate(chunk):
+                    if any(j not in slot for j in cx.boundary[d][i]):
+                        return False
+                    listed[r, [slot[j] for j in cx.boundary[d][i]]] = True
+                if not np.array_equal(nearest, listed):
+                    return False
     return True
 
 

@@ -2,11 +2,14 @@
 name; every name it wraps must exist, or ``perfbench/run.py --trace 1``
 fails."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src"
 
 
 def _load_tracer():
@@ -24,3 +27,50 @@ def test_wrapped_names_resolve():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), f"{modname}.{attr}"
+
+
+def _top_level_names(tree):
+    """Names a module binds at top level: its defs, classes, assignments and
+    imports, and each class's method names under ``Class.method``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= {f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def wrapped_table():
+    """The ``WRAPPED`` tuple of tracer.py, read from its syntax tree."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("tracer.py assigns no WRAPPED table")
+
+
+def test_wrapped_names_resolve_in_the_source_tree():
+    # static: neither tracer.py nor the package is executed
+    table = wrapped_table()
+    assert table
+    defined = {}
+    for modname, attr, _span in table:
+        assert modname.startswith("octaplex."), modname
+        if modname not in defined:
+            path = SRC.joinpath(*modname.split(".")).with_suffix(".py")
+            assert path.is_file(), f"{modname} has no file under src/"
+            defined[modname] = _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert attr in defined[modname], f"{modname}.{attr} is not defined"
+
+
+def test_static_resolution_rejects_a_renamed_name():
+    names = _top_level_names(ast.parse("def f(): pass\nclass C:\n    def m(self): pass\n"))
+    assert {"f", "C", "C.m"} <= names
+    assert "g" not in names and "C.n" not in names
