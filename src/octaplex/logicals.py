@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 from .binalg import BinMatrix, mask_from_support, parity, support_from_mask
 from .codes import CodeFamily, x_hyperplane, z_string
@@ -118,34 +118,22 @@ def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
 def build_3d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "3d":
         raise ValueError("3d family required")
-    qidx = family.qubit_index()
-    ax_i = {"x": 0, "y": 1, "z": 2}
+    L, qidx = family.L, family.qubit_index()
 
-    def m(pred) -> int:
-        return mask_from_support(i for q, i in qidx.items() if pred(q))
+    def edges(axes: str, running: set[int]) -> int:
+        """The edges along ``axes`` whose coordinates in ``running`` run
+        over the torus and whose other coordinates are 0."""
+        ranges = [range(L) if i in running else (0,) for i in range(3)]
+        return mask_from_support(qidx[(e, *c)] for e in axes for c in product(*ranges))
 
-    def parallel_plane(d: str) -> int:
-        return m(lambda e: e[0] == d and e[1 + ax_i[d]] == 0)
-
-    def line(d: str) -> int:
-        return m(lambda e: e[0] == d and all(e[1 + i] == 0 for i in range(3) if i != ax_i[d]))
-
-    def in_plane(d: str) -> int:
-        return m(lambda e: e[0] != d and e[1 + ax_i[d]] == 0)
-
-    def comb(d: str) -> int:
-        other = "xyz"[(ax_i[d] + 1) % 3]
-        return m(lambda e: e[0] == other
-                 and all(e[1 + i] == 0 for i in range(3) if i != ax_i[d]))
-
-    dirs = "xyz"
-    x_ops = [[parallel_plane(d) for d in dirs],
-             [in_plane(d) for d in dirs],
-             [in_plane(d) for d in dirs]]
-    z_ops = [[line(d) for d in dirs],
-             [comb(d) for d in dirs],
-             [comb(d) for d in dirs]]
-    return LogicalBasis("3d", x_ops, z_ops, labels=list(dirs))
+    dirs = range(3)
+    parallel_plane = [edges("xyz"[a], {0, 1, 2} - {a}) for a in dirs]
+    line = [edges("xyz"[a], {a}) for a in dirs]
+    in_plane = [edges("xyz".replace("xyz"[a], ""), {0, 1, 2} - {a}) for a in dirs]
+    comb = [edges("xyz"[(a + 1) % 3], {a}) for a in dirs]
+    x_ops = [parallel_plane, in_plane, list(in_plane)]
+    z_ops = [line, comb, list(comb)]
+    return LogicalBasis("3d", x_ops, z_ops, labels=list("xyz"))
 
 
 def build_logicals(family: CodeFamily) -> LogicalBasis:

@@ -175,6 +175,138 @@ def test_enumeration_matches_brute_force(blocks, plant):
             )
 
 
+def _long_slot0(rng, blocks, n, rows0, plant_row=None):
+    """Pair-built slots (every intersection even) whose slot 0 has ``rows0``
+    rows, empty on both sides of every block edge. With ``plant_row``, one
+    bit of that slot-0 row is flipped on a pair that row 0 of every other
+    slot holds: the odd tuples are then exactly those through ``plant_row``
+    and, in every other slot, a row holding that pair."""
+    B = transversal.BLOCK_ROWS
+    slots = _random_slots(rng, blocks, n, 0)
+    slots[0] = [0 if i % B in (0, B - 1) else sum(3 << (2 * p) for p in rng.sample(range(n // 2), 2))
+                for i in range(rows0)]
+    if plant_row is not None:
+        pair = rng.randrange(n // 2)
+        for rows in slots[1:]:
+            rows[0] |= 3 << (2 * pair)
+        slots[0][plant_row] ^= 1 << (2 * pair)
+    return slots
+
+
+def _indexed(slots, n):
+    return [_RowIndex(BinMatrix(rows, n)) for rows in slots]
+
+
+def _histogram(slots, n):
+    hist = Counter()
+    odd = transversal._first_odd(_indexed(slots, n), hist)
+    return odd, hist
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4])
+def test_block_edges_match_brute_force(blocks):
+    rng = random.Random(7 + blocks)
+    rows0 = 3 * transversal.BLOCK_ROWS + 3  # three full blocks and a partial one
+    for plant_row in (None, rows0 - 1, rows0 // 2):
+        stab = _long_slot0(rng, blocks, 12, rows0, plant_row)
+        logical = _long_slot0(rng, blocks, 12, rows0)
+        stab_ix, logical_ix = _indexed(stab, 12), _indexed(logical, 12)
+        for n_logical in range(blocks):
+            c = _mixed_conditions(stab_ix, logical_ix, n_logical, "c")
+            assert (c.passed, c.scanned, c.witness) == _oracle_condition(
+                stab, logical, n_logical
+            )
+        assert _coupling_tensor(logical_ix) == {
+            t: w & 1 for t, w in _oracle_weights(logical)
+        }
+        odd, hist = _histogram(stab, 12)
+        assert hist == Counter(w for _, w in _oracle_weights(stab))
+        assert sum(hist.values()) == math.prod(map(len, stab))
+        assert odd == next((t for t, w in _oracle_weights(stab) if w & 1), None)
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 4])
+def test_odd_tuple_only_in_last_partial_block(blocks):
+    rng = random.Random(31 + blocks)
+    B = transversal.BLOCK_ROWS
+    rows0 = 3 * B + 2
+    stab = _long_slot0(rng, blocks, 12, rows0, plant_row=rows0 - 1)
+    logical = _long_slot0(rng, blocks, 12, B)
+    c = _mixed_conditions(_indexed(stab, 12), _indexed(logical, 12), 0, "c")
+    expected = _oracle_condition(stab, logical, 0)
+    assert not expected[0] and expected[2][1][0] == rows0 - 1
+    assert (c.passed, c.scanned, c.witness) == expected
+    odd, hist = _histogram(stab, 12)
+    assert odd == expected[2][1]
+    assert sum(hist.values()) == math.prod(map(len, stab))
+    assert hist == Counter(w for _, w in _oracle_weights(stab))
+
+
+def _reports_per_block_size(monkeypatch, rows, run):
+    """``run()`` under block sizes 1, 2, rows + 1 and the module's own."""
+    results = [run()]
+    for size in (1, 2, rows + 1):
+        monkeypatch.setattr(transversal, "BLOCK_ROWS", size)
+        results.append(run())
+    return results
+
+
+def test_cccz_report_independent_of_block_size(monkeypatch, family2, basis2):
+    rows = max(blk.hx.shape[0] for blk in family2.blocks)
+    first, *others = _reports_per_block_size(
+        monkeypatch, rows, lambda: check_cccz_conditions(family2, basis2))
+    for rep in others:
+        assert rep.as_dict() == first.as_dict()
+        assert rep.tensor == first.tensor
+
+
+def test_ccz_report_and_histogram_independent_of_block_size(monkeypatch):
+    family = build_3d_triple(4)
+    basis = build_logicals(family)
+    rows = max(blk.hx.shape[0] for blk in family.blocks)
+    first, *others = _reports_per_block_size(
+        monkeypatch, rows, lambda: _ccz_with_histogram(monkeypatch, family, basis))
+    for rep, hist in others:
+        assert rep.as_dict() == first[0].as_dict()
+        assert rep.tensor == first[0].tensor
+        assert hist == first[1]
+
+
+def _spy_blocks(monkeypatch):
+    """Every block `_weight_counts` yields, with the slot-0 index it read."""
+    read = []
+    inner = transversal._weight_counts
+
+    def spy(slots):
+        for counts in inner(slots):
+            read.append((slots[0], counts))
+            yield counts
+
+    monkeypatch.setattr(transversal, "_weight_counts", spy)
+    return read
+
+
+def test_failing_condition_reads_no_block_after_its_witness(monkeypatch):
+    rng = random.Random(5)
+    B = transversal.BLOCK_ROWS
+    rows0 = 4 * B + 1
+    plant_row = B + 1  # in the second block
+    logical = _long_slot0(rng, 3, 12, rows0, plant_row)
+    stab = _long_slot0(rng, 3, 12, rows0)
+    stab_ix, logical_ix = _indexed(stab, 12), _indexed(logical, 12)
+    read = _spy_blocks(monkeypatch)
+    # placements (0,), (1,), (2,): the first holds the witness
+    c = _mixed_conditions(stab_ix, logical_ix, 1, "c")
+    assert (c.passed, c.scanned, c.witness) == _oracle_condition(stab, logical, 1)
+    assert c.witness[0] == (0,) and c.witness[1][0] == plant_row
+    assert [slot0 for slot0, _ in read] == [logical_ix[0]] * (plant_row // B + 1)
+    assert c.witness[1] in read[-1][1]
+    # with a histogram, every block of every placement is read
+    read.clear()
+    _mixed_conditions(stab_ix, logical_ix, 1, "c", Counter())
+    assert len(read) == 3 * -(-rows0 // B)
+
+
 def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
     faulty = copy.deepcopy(family2)
     hx = faulty.blocks[2].hx
