@@ -109,11 +109,6 @@ class CodeFamily:
 # periodic octaplex family
 
 
-def _qubit_order(cx: CellComplex) -> tuple[list[Coord], dict[Coord, int]]:
-    qubits = cx.cells[3]
-    return qubits, {q: i for i, q in enumerate(qubits)}
-
-
 def _star(center: Coord, qidx: dict[Coord, int], period: int) -> list[int]:
     """The qubits of ``qidx`` among the 24 cells of ``star24(center)``."""
     return [qidx[q] for q in star24(center, period) if q in qidx]
@@ -195,9 +190,8 @@ def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
     """Z check supports of the red, green and blue blocks: the nonempty
     triple intersections of the other three blocks' X supports, each list
     sorted for a stable row order."""
-    _, qidx = _qubit_order(cx)
     found: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
-    for drop, s in star_triangles(qidx, cx.period, drops=tuple(found)):
+    for drop, s in star_triangles(cx.index[3], cx.period, drops=tuple(found)):
         found[drop].add(s)
     return [sorted(supports) for supports in found.values()]
 
@@ -205,13 +199,12 @@ def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
 def _colored_codeblock(
     cx: CellComplex, color: Color, hz_rows: list[tuple[int, ...]]
 ) -> Codeblock:
-    qubits, qidx = _qubit_order(cx)
     verts = [v for v, c in zip(cx.cells[0], cx.colors) if c == color]
-    n = len(qubits)
+    n = len(cx.cells[3])
     return Codeblock(
         BLOCK_COLORS.index(color),
         n,
-        BinMatrix.from_supports(n, (_star(v, qidx, cx.period) for v in verts)),
+        BinMatrix.from_supports(n, (_star(v, cx.index[3], cx.period) for v in verts)),
         BinMatrix.from_supports(n, hz_rows),
         x_centers=verts,
     )
@@ -229,8 +222,7 @@ def build_family(cx: CellComplex) -> CodeFamily:
     blocks = [build_codeblock0(cx)]
     for color, hz_rows in zip(BLOCK_COLORS[1:], colored_z_supports(cx)):
         blocks.append(_colored_codeblock(cx, color, hz_rows))
-    qubits, _ = _qubit_order(cx)
-    return CodeFamily("octaplex", cx.L, blocks, qubits, complex=cx)
+    return CodeFamily("octaplex", cx.L, blocks, cx.cells[3], complex=cx)
 
 
 def build_periodic_family(L: int) -> CodeFamily:
@@ -239,10 +231,9 @@ def build_periodic_family(L: int) -> CodeFamily:
 
 def shifted_qubit_permutation(cx: CellComplex, block: int) -> list[int]:
     """Qubit permutation induced by the block-equivalence translation."""
-    qubits, qidx = _qubit_order(cx)
-    t = BLOCK_SHIFTS[block]
+    qidx, t = cx.index[3], BLOCK_SHIFTS[block]
     return [
-        qidx[tuple((v + s) % cx.period for v, s in zip(q, t))] for q in qubits
+        qidx[tuple((v + s) % cx.period for v, s in zip(q, t))] for q in cx.cells[3]
     ]
 
 
@@ -375,95 +366,54 @@ def bounded_boundary_coordinate_count(center: Coord, block: int, L: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# 2D warm-up: two toric-code blocks with swapped roles
+# 2D and 3D warm-ups on the cubic torus (Z/L)^dim
+#
+# Vertex v is read as a base-L number with axis 0 the top digit. Edge (a, v)
+# runs from v along axis a and has index a·L^dim + v, the order of its label
+# (axis name, *v). Checks are edge sets read off by index arithmetic.
 
 
-def _edges_2d(L: int) -> list[tuple]:
-    return sorted(
-        (kind, i, j) for kind in ("h", "v") for i in range(L) for j in range(L)
-    )
+class _CubicTorus:
+    def __init__(self, L: int, dim: int):
+        self.L, self.dim, self.size = L, dim, L**dim
 
+    def step(self, v: int, a: int, s: int = 1) -> int:
+        """Vertex v + s·e_a."""
+        st = self.L ** (self.dim - 1 - a)
+        digit = v // st % self.L
+        return v + ((digit + s) % self.L - digit) * st
 
-def _plaquette_2d(L: int, i: int, j: int) -> list[tuple]:
-    return [
-        ("h", i, j),
-        ("h", i, (j + 1) % L),
-        ("v", i, j),
-        ("v", (i + 1) % L, j),
-    ]
+    def corners(self, v: int, axes: Sequence[int]) -> list[int]:
+        """Corner t of the cell spanned by ``axes`` at v: v plus e_axes[i]
+        for each bit i of t. A step along one axis adds the same amount at
+        every corner, as stepping along the others leaves its digit alone."""
+        c = [v]
+        for a in axes:
+            d = self.step(v, a) - v
+            c += [u + d for u in c]
+        return c
 
+    def cell(self, v: int, axes: Sequence[int]) -> list[int]:
+        """The edges of the cell spanned by ``axes`` at v: along each axis a,
+        from the corners of the cell spanned by the others."""
+        return [a * self.size + u for a in axes for u in self.corners(v, [b for b in axes if b != a])]
 
-def _star_2d(L: int, i: int, j: int) -> list[tuple]:
-    return [
-        ("h", i, j),
-        ("h", (i - 1) % L, j),
-        ("v", i, j),
-        ("v", i, (j - 1) % L),
-    ]
+    def star(self, v: int) -> list[int]:
+        """The edges (a, v) and (a, v - e_a)."""
+        return [a * self.size + u for a in range(self.dim) for u in (v, self.step(v, a, -1))]
 
 
 def build_2d_pair(L: int) -> CodeFamily:
+    """Two toric-code blocks with swapped roles: plaquettes and vertex stars."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    edges = _edges_2d(L)
-    eidx = {e: i for i, e in enumerate(edges)}
-    n = len(edges)
-
-    def m(rows: Iterable[Sequence[tuple]]) -> BinMatrix:
-        return BinMatrix.from_supports(n, ([eidx[c] for c in row] for row in rows))
-
-    sites = [(i, j) for i in range(L) for j in range(L)]
-    plaq = [_plaquette_2d(L, i, j) for i, j in sites]
-    star = [_star_2d(L, i, j) for i, j in sites]
-    block_a = Codeblock(0, n, m(plaq), m(star), x_centers=sites)
-    block_b = Codeblock(1, n, m(star), m(plaq), x_centers=sites)
-    return CodeFamily("2d", L, [block_a, block_b], edges)
-
-
-# ---------------------------------------------------------------------------
-# 3D warm-up: two cube colors plus vertex stars
-
-
-def _edges_3d(L: int) -> list[tuple]:
-    return sorted(
-        (ax, i, j, k)
-        for ax in ("x", "y", "z")
-        for i in range(L)
-        for j in range(L)
-        for k in range(L)
-    )
-
-
-def cube_edges(L: int, i: int, j: int, k: int) -> list[tuple]:
-    out = []
-    for b in (0, 1):
-        for c in (0, 1):
-            out.append(("x", i, (j + b) % L, (k + c) % L))
-            out.append(("y", (i + b) % L, j, (k + c) % L))
-            out.append(("z", (i + b) % L, (j + c) % L, k))
-    return out
-
-
-def vertex_star_edges(L: int, i: int, j: int, k: int) -> list[tuple]:
-    return [
-        ("x", i, j, k),
-        ("x", (i - 1) % L, j, k),
-        ("y", i, j, k),
-        ("y", i, (j - 1) % L, k),
-        ("z", i, j, k),
-        ("z", i, j, (k - 1) % L),
-    ]
-
-
-def face_edges(L: int, normal: str, i: int, j: int, k: int) -> list[tuple]:
-    if normal == "z":
-        return [("x", i, j, k), ("x", i, (j + 1) % L, k),
-                ("y", i, j, k), ("y", (i + 1) % L, j, k)]
-    if normal == "y":
-        return [("x", i, j, k), ("x", i, j, (k + 1) % L),
-                ("z", i, j, k), ("z", (i + 1) % L, j, k)]
-    return [("y", i, j, k), ("y", i, j, (k + 1) % L),
-            ("z", i, j, k), ("z", i, (j + 1) % L, k)]
+    torus, sites = _CubicTorus(L, 2), list(product(range(L), repeat=2))
+    n, verts = 2 * torus.size, range(torus.size)
+    plaq = BinMatrix.from_supports(n, (torus.cell(v, (0, 1)) for v in verts))
+    star = BinMatrix.from_supports(n, map(torus.star, verts))
+    return CodeFamily("2d", L, [Codeblock(0, n, plaq, star, x_centers=sites),
+                                Codeblock(1, n, star, plaq, x_centers=sites)],
+                      [(a, *s) for a in "hv" for s in sites])
 
 
 def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
@@ -474,34 +424,25 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
     """
     if L < 2 or L % 2:
         raise ValueError("L must be even and >= 2 (cube 2-coloring)")
-    edges = _edges_3d(L)
-    eidx = {e: i for i, e in enumerate(edges)}
-    n = len(edges)
-
-    def m(rows: Iterable[Sequence[tuple]]) -> BinMatrix:
-        return BinMatrix.from_supports(n, ([eidx[c] for c in row] for row in rows))
-
     if cube_color is None:
         cube_color = lambda i, j, k: (i + j + k) % 2  # noqa: E731
-    cubes = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
-    red = [c for c in cubes if cube_color(*c) == 0]
-    blue = [c for c in cubes if cube_color(*c) == 1]
-    verts = cubes
-    faces = edges  # labels (normal axis, i, j, k): the edges' form and order
+    torus, cubes = _CubicTorus(L, 3), list(product(range(L), repeat=3))
+    size, verts = torus.size, range(torus.size)
+    n = 3 * size
 
-    def corner_triples(cube_list: list[tuple]) -> BinMatrix:
-        seen = set()  # the three edges of cube (i, j, k) at corner (i + b0, j + b1, k + b2)
-        for i, j, k in cube_list:
-            for b0, b1, b2 in product((0, 1), repeat=3):
-                i1, j1, k1 = (i + b0) % L, (j + b1) % L, (k + b2) % L
-                seen.add(tuple(sorted((eidx["x", i, j1, k1], eidx["y", i1, j, k1],
-                                       eidx["z", i1, j1, k]))))
-        return BinMatrix.from_supports(n, sorted(seen, key=_mask_order))
+    def cube_block(label: int, color: int) -> Codeblock:
+        """X checks on the cubes of one color; a Z check on the three edges
+        at each corner of each cube of the other (the edge along a ends at
+        corner t with bit a cleared), sorted in mask order."""
+        own = [v for v in verts if cube_color(*cubes[v]) == color]
+        other = (torus.corners(v, range(3)) for v in verts if cube_color(*cubes[v]) == 1 - color)
+        triples = sorted(((c[t & 6], size + c[t & 5], 2 * size + c[t & 3])
+                          for c in other for t in range(8)), key=_mask_order)
+        return Codeblock(label, n, BinMatrix.from_supports(n, (torus.cell(v, range(3)) for v in own)),
+                         BinMatrix.from_supports(n, triples), x_centers=[cubes[v] for v in own])
 
-    block0 = Codeblock(0, n, m(vertex_star_edges(L, *v) for v in verts),
-                       m(face_edges(L, *f) for f in faces), x_centers=verts)
-    block1 = Codeblock(1, n, m(cube_edges(L, *c) for c in red),
-                       corner_triples(blue), x_centers=red)
-    block2 = Codeblock(2, n, m(cube_edges(L, *c) for c in blue),
-                       corner_triples(red), x_centers=blue)
-    return CodeFamily("3d", L, [block0, block1, block2], edges)
+    faces = (torus.cell(v, axes) for axes in ((1, 2), (0, 2), (0, 1)) for v in verts)  # normal x, y, z
+    block0 = Codeblock(0, n, BinMatrix.from_supports(n, map(torus.star, verts)),
+                       BinMatrix.from_supports(n, faces), x_centers=cubes)
+    return CodeFamily("3d", L, [block0, cube_block(1, 0), cube_block(2, 1)],
+                      [(a, *c) for a in "xyz" for c in cubes])

@@ -18,7 +18,7 @@ accounts for all dependencies, leaving 4 logical qubits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .codes import Codeblock
@@ -36,7 +36,6 @@ class MetacheckLadder:
     globals1: dict[str, int]               # edge hyperplanes (m1 rows), per axis
     global0: int                           # all vertices (m0 rows)
     globalX: int                           # all X stabilizer rows
-    face_of_edge_triple: dict[tuple[int, ...], int] = field(default_factory=dict)
 
 
 def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> int:
@@ -69,13 +68,9 @@ def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
     globals1 = {AXES[i]: _edge_hyperplane(cx, i) for i in range(4)}
     global0 = (1 << len(cx.cells[0])) - 1
     globalX = (1 << block0.hx.shape[0]) - 1
-    triple_lookup = {
-        tuple(sorted(cx.boundary[2][i])): i for i in range(n2)
-    }
     return MetacheckLadder(
         cx, block0.hz, block0.hx, m1, m0,
         globals2, globals1, global0, globalX,
-        face_of_edge_triple=triple_lookup,
     )
 
 
@@ -213,7 +208,8 @@ def single_shot_repair_demo(
     A single flipped triangular check violates the metachecks of its three
     boundary edges (a triangle has three edges); each edge metacheck spans
     four faces. Both counts are reported. For single flips the flipped check
-    is recovered uniquely from its violated-edge set.
+    is recovered uniquely from its violated-edge set: it is the face on the
+    first violated edge whose boundary is exactly that set.
     """
     flip_mask = mask_from_support(flipped_checks)
     violated = support_from_mask(ladder.m1.mul_vec(flip_mask))
@@ -221,7 +217,8 @@ def single_shot_repair_demo(
     per_flip = None
     if len(flipped_checks) == 1:
         per_flip = len(violated)
-        identified = ladder.face_of_edge_triple.get(tuple(sorted(violated)))
+        faces = ladder.cx.coboundary[1][violated[0]] if violated else ()
+        identified = next((f for f in faces if sorted(ladder.cx.boundary[2][f]) == violated), None)
     return RepairDemo(
         violated_edges=violated,
         violated_per_flip=per_flip,

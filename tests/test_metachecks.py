@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from octaplex.binalg import BinMatrix
 from octaplex.metachecks import (
     build_ladder,
     single_shot_repair_demo,
@@ -94,6 +97,19 @@ def test_unique_identification_over_sample(ladder2):
     for f in range(0, 1024, 37):
         demo = single_shot_repair_demo(ladder2, {f})
         assert demo.identified_face == f
+
+
+@pytest.mark.parametrize("pos", range(3))
+def test_flip_missing_from_one_edge_metacheck_is_not_identified(ladder2, pos):
+    # negative control: drop face f from the metacheck of one of its edges;
+    # the flip {f} then violates two edges, and no face has that boundary
+    f = 37
+    e = ladder2.cx.boundary[2][f][pos]
+    m1 = BinMatrix.from_supports(ladder2.m1.cols, (
+        [x for x in row if (i, x) != (e, f)] for i, row in enumerate(ladder2.m1.supports())))
+    demo = single_shot_repair_demo(replace(ladder2, m1=m1), {f})
+    assert demo.violated_per_flip == 2
+    assert demo.identified_face is None
 
 
 def test_tanner_export(ladder2):

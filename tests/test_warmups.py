@@ -2,13 +2,126 @@ from itertools import product
 
 import pytest
 
-from octaplex.codes import build_2d_pair, build_3d_triple, cube_edges, vertex_star_edges
+from octaplex.codes import build_2d_pair, build_3d_triple
 from octaplex.logicals import build_logicals, verify_logical_basis
 from octaplex.transversal import (
     ALL_DISTINCT_TRIPLES,
     check_ccz_conditions,
     check_cz_conditions,
 )
+
+
+# ---------------------------------------------------------------------------
+# Label reference for the warm-up builders: every edge is a label
+# (axis name, *vertex) and every check a list of labels, mapped to qubit
+# indices through the sorted labels.
+
+
+def edges_2d(L):
+    return sorted((kind, i, j) for kind in ("h", "v") for i in range(L) for j in range(L))
+
+
+def plaquette_2d(L, i, j):
+    return [("h", i, j), ("h", i, (j + 1) % L), ("v", i, j), ("v", (i + 1) % L, j)]
+
+
+def star_2d(L, i, j):
+    return [("h", i, j), ("h", (i - 1) % L, j), ("v", i, j), ("v", i, (j - 1) % L)]
+
+
+def edges_3d(L):
+    return sorted((ax, i, j, k) for ax in ("x", "y", "z")
+                  for i in range(L) for j in range(L) for k in range(L))
+
+
+def cube_edges(L, i, j, k):
+    out = []
+    for b in (0, 1):
+        for c in (0, 1):
+            out.append(("x", i, (j + b) % L, (k + c) % L))
+            out.append(("y", (i + b) % L, j, (k + c) % L))
+            out.append(("z", (i + b) % L, (j + c) % L, k))
+    return out
+
+
+def vertex_star_edges(L, i, j, k):
+    return [("x", i, j, k), ("x", (i - 1) % L, j, k),
+            ("y", i, j, k), ("y", i, (j - 1) % L, k),
+            ("z", i, j, k), ("z", i, j, (k - 1) % L)]
+
+
+def face_edges(L, normal, i, j, k):
+    if normal == "z":
+        return [("x", i, j, k), ("x", i, (j + 1) % L, k),
+                ("y", i, j, k), ("y", (i + 1) % L, j, k)]
+    if normal == "y":
+        return [("x", i, j, k), ("x", i, j, (k + 1) % L),
+                ("z", i, j, k), ("z", (i + 1) % L, j, k)]
+    return [("y", i, j, k), ("y", i, j, (k + 1) % L),
+            ("z", i, j, k), ("z", i, (j + 1) % L, k)]
+
+
+def reference_2d(L):
+    """Qubit labels and (x_centers, hx rows, hz rows) per block."""
+    edges = edges_2d(L)
+    eidx = {e: i for i, e in enumerate(edges)}
+    sites = [(i, j) for i in range(L) for j in range(L)]
+    plaq = [tuple(sorted(eidx[e] for e in plaquette_2d(L, *s))) for s in sites]
+    star = [tuple(sorted(eidx[e] for e in star_2d(L, *s))) for s in sites]
+    return edges, [(sites, plaq, star), (sites, star, plaq)]
+
+
+def reference_3d(L, cube_color):
+    """Qubit labels and (x_centers, hx rows, hz rows) per block."""
+    edges = edges_3d(L)
+    eidx = {e: i for i, e in enumerate(edges)}
+
+    def rows(labels):
+        return [tuple(sorted(eidx[e] for e in row)) for row in labels]
+
+    def corner_triples(cube_list):
+        seen = set()  # the three edges of cube (i, j, k) at corner (i + b0, j + b1, k + b2)
+        for i, j, k in cube_list:
+            for b0, b1, b2 in product((0, 1), repeat=3):
+                i1, j1, k1 = (i + b0) % L, (j + b1) % L, (k + b2) % L
+                seen.add(tuple(sorted((eidx["x", i, j1, k1], eidx["y", i1, j, k1],
+                                       eidx["z", i1, j1, k]))))
+        return sorted(seen, key=lambda s: s[::-1])
+
+    cubes = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
+    red = [c for c in cubes if cube_color(*c) == 0]
+    blue = [c for c in cubes if cube_color(*c) == 1]
+    return edges, [
+        (cubes, rows(vertex_star_edges(L, *v) for v in cubes), rows(face_edges(L, *f) for f in edges)),
+        (red, rows(cube_edges(L, *c) for c in red), corner_triples(blue)),
+        (blue, rows(cube_edges(L, *c) for c in blue), corner_triples(red)),
+    ]
+
+
+def as_reference(family):
+    return family.qubit_labels, [
+        (b.x_centers, [tuple(s) for s in b.hx.supports()], [tuple(s) for s in b.hz.supports()])
+        for b in family.blocks
+    ]
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_2d_matches_label_reference(L):
+    assert as_reference(build_2d_pair(L)) == reference_2d(L)
+
+
+def checkerboard(i, j, k):
+    return (i + j + k) % 2
+
+
+def stripes(i, j, k):
+    return i % 2
+
+
+@pytest.mark.parametrize("L, cube_color", [(2, None), (4, None), (12, None), (2, stripes)])
+def test_3d_matches_label_reference(L, cube_color):
+    fam = build_3d_triple(L, cube_color=cube_color)
+    assert as_reference(fam) == reference_3d(L, cube_color or checkerboard)
 
 
 # ---------------------------------------------------------------------------
