@@ -2,15 +2,16 @@
 
 A matrix stores its rows in CSR form: the sorted column indices of all rows
 in one flat ``array('i')`` plus row offsets. Its column index, built once on
-first use, is the CSR form of the transpose. Vectors are Python-int masks
-(bit i is column i); a bit at or beyond the width of the matrix a vector
-meets is a ``ValueError``. A row becomes a mask only to enter the one
-elimination, a basis keyed by lowest set bit (``LowbitBasis``), which takes
-the rows by descending lowest index to keep fill-in low. Its keys are the
-lowest-column pivots and the reduced row echelon form built from it is
-unique, so kernels and ranks do not depend on row order; the keys are also
-one mask, so a reduction jumps from key bit to key bit. ``rank`` keeps only
-the count, and only row-space queries keep the basis.
+first use, is the CSR form of the transpose, whose own transpose is the
+matrix itself. Vectors are Python-int masks (bit i is column i); a bit at or
+beyond the width of the matrix a vector meets is a ``ValueError``. A row
+becomes a mask only to enter the one elimination, a basis keyed by lowest
+set bit (``LowbitBasis``), which takes the rows by descending lowest index
+to keep fill-in low. Its keys are the lowest-column pivots and the reduced
+row echelon form built from it is unique, so kernels and ranks do not
+depend on row order; the keys are also one mask, so a reduction jumps from
+key bit to key bit. ``rank`` keeps only the count, and only row-space
+queries keep the basis.
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ class BinMatrix:
         indices = self._indices
         return (indices[a:b] for a, b in pairwise(self._indptr))
 
+    def support(self, i: int) -> array:
+        """Row i's column indices; a row outside 0..rows-1 is an ``IndexError``."""
+        if not 0 <= i < len(self._indptr) - 1:
+            raise IndexError(f"row {i} outside the {self.shape[0]} rows")
+        return self._indices[self._indptr[i]:self._indptr[i + 1]]
+
     def mapped_rows(self, table: Sequence) -> list[list]:
         """Each row as ``[table[j] for j in row]``: the index array is
         mapped in one pass and sliced per row."""
@@ -190,8 +197,11 @@ class BinMatrix:
             acc.symmetric_difference_update(indices[ptr[i]:ptr[i + 1]])
         return acc
 
-    def syndrome(self, support: Iterable[int]) -> set[int]:
-        """Rows that meet the given columns an odd number of times."""
+    def syndrome(self, support: Sequence[int]) -> set[int]:
+        """Rows that meet the given columns an odd number of times; a column
+        outside the width is a ``ValueError``."""
+        if support and not 0 <= min(support) <= max(support) < self.cols:
+            raise ValueError(f"column index outside width {self.cols}")
         return self.transpose()._xor_rows(support)
 
     def mul_vec(self, v: int) -> int:
@@ -212,7 +222,8 @@ class BinMatrix:
 
     def transpose(self) -> "BinMatrix":
         """The column index: row j of the transpose lists the rows with a 1
-        in column j, in increasing order. Built once."""
+        in column j, in increasing order. Built once, and linked back, so
+        the transpose's transpose is this matrix."""
         if self._t is None:
             columns: list[list[int]] = [[] for _ in range(self.cols)]
             for i, s in enumerate(self.supports()):
@@ -220,6 +231,7 @@ class BinMatrix:
                     columns[j].append(i)
             indptr = array("i", [0, *accumulate(map(len, columns))])
             self._t = BinMatrix._csr(self.shape[0], indptr, array("i", chain(*columns)))
+            self._t._t = self
         return self._t
 
     def is_zero(self) -> bool:

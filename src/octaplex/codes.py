@@ -115,15 +115,9 @@ def _star(center: Coord, qidx: dict[Coord, int], period: int) -> list[int]:
 
 
 def build_codeblock0(cx: CellComplex) -> Codeblock:
-    """X checks on 4-cells (weight 24), Z checks on triangles (weight 3)."""
-    n = len(cx.cells[3])
-    return Codeblock(
-        0,
-        n,
-        BinMatrix.from_supports(n, cx.boundary[4]),
-        BinMatrix.from_supports(n, cx.coboundary[2]),
-        x_centers=list(cx.cells[4]),
-    )
+    """hx0 = ∂4: X checks on 4-cells (weight 24); hz0 = ∂3ᵀ: Z checks on triangles (weight 3)."""
+    return Codeblock(0, len(cx.cells[3]), cx.boundary[4], cx.boundary[3].transpose(),
+                     x_centers=list(cx.cells[4]))
 
 
 _BLOCK_BY_RESIDUES = {  # residues mod 4 of a cell carrying X checks -> block

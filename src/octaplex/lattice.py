@@ -21,12 +21,13 @@ odd components):
     H4II  (0,4,0)  24-cell at half-integer coordinates
 
 The 3-cells (octahedra) carry the physical qubits. Boundary maps follow the
-explicit offset rules below; `cross_check_nearest` re-derives them from the
+explicit offset rules below and are kept as CSR matrices, the periodic check
+matrices themselves; `cross_check_nearest` re-derives them from the
 nearest-in-2-norm definition as an independent oracle. A cell's residues fix
 the types of the cells around it, so the oracle reads each cell c at c+δ for
 the offsets of least |δ|² ≤ 4 that its residue class allows, from a table
 built on first use; a missing cell there fails the check. ∂∘∂ = 0 is
-checked on the boundary tuples themselves.
+checked on the maps' rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from functools import cache
 from itertools import chain, compress, product
 from operator import add
 from typing import Iterable, Sequence
+
+from .binalg import BinMatrix
 
 Coord = tuple[int, int, int, int]
 
@@ -219,18 +222,20 @@ def boundary_coords(c: Coord, period: int) -> list[Coord]:
 
 @dataclass
 class CellComplex:
-    """Cells of all dimensions with boundary/co-boundary incidence.
+    """Cells of all dimensions and their boundary maps.
 
-    Cells are lexicographically ordered per dimension; all downstream check
-    matrices inherit that order, so reports are byte-stable.
+    ``boundary[d]`` is ∂d, a ``BinMatrix`` with one row per d-cell over the
+    (d-1)-cells (no columns at d = 0): hx0 = ∂4, hz0 = ∂3ᵀ, m1 = ∂2ᵀ and
+    m0 = ∂1ᵀ. A coboundary is ``boundary[d + 1].transpose()``. Cells are
+    lexicographically ordered per dimension; all downstream check matrices
+    inherit that order, so reports are byte-stable.
     """
 
     L: int
     period: int
     cells: list[list[Coord]]
     index: list[dict[Coord, int]]
-    boundary: list[list[tuple[int, ...]]]       # boundary[d][i], d in 1..4
-    coboundary: list[list[tuple[int, ...]]]     # coboundary[d][i], d in 0..3
+    boundary: list[BinMatrix]
     colors: list[Color] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -238,9 +243,7 @@ class CellComplex:
             "L": self.L,
             "scale": 4,
             "cells": {str(d): [list(c) for c in self.cells[d]] for d in range(5)},
-            "boundary": {
-                str(d): [list(b) for b in self.boundary[d]] for d in range(1, 5)
-            },
+            "boundary": {str(d): list(map(list, self.boundary[d].supports())) for d in range(1, 5)},
             "vertex_colors": [c.value for c in self.colors],
         }
 
@@ -276,25 +279,17 @@ def build_octaplex(L: int) -> CellComplex:
     cells = [list(compress(product(range(period), repeat=4), map(d.__eq__, dims))) for d in range(5)]
     index = [{c: i for i, c in enumerate(cells[d])} for d in range(5)]
 
-    boundary: list[list[tuple[int, ...]]] = [[] for _ in range(5)]
+    boundary = [BinMatrix.from_supports(0, [()] * len(cells[0]))]
     w = [*range(period)] * 2  # w[v + δ] = (v + δ) mod 4L for |δ| ≤ 2
     for d in range(1, 5):
-        idx, out = index[d - 1], boundary[d]
+        idx = index[d - 1]
         classes = compress(product(residues, repeat=4), map(d.__eq__, dims))
-        for (a, b, c, e), r in zip(cells[d], classes):
-            out.append(tuple(sorted([idx[w[a + p], w[b + q], w[c + s], w[e + t]]
-                                     for p, q, s, t in table[r][1]])))
-
-    coboundary: list[list[tuple[int, ...]]] = [[] for _ in range(5)]
-    for d in range(4):
-        buckets: list[list[int]] = [[] for _ in cells[d]]
-        for i, bs in enumerate(boundary[d + 1]):
-            for j in bs:
-                buckets[j].append(i)
-        coboundary[d] = list(map(tuple, buckets))  # filled in increasing order
+        boundary.append(BinMatrix.from_supports(len(cells[d - 1]), (
+            [idx[w[a + p], w[b + q], w[c + s], w[e + t]] for p, q, s, t in table[r][1]]
+            for (a, b, c, e), r in zip(cells[d], classes))))
 
     colors = [vertex_color(v) for v in cells[0]]
-    return CellComplex(L, period, cells, index, boundary, coboundary, colors)
+    return CellComplex(L, period, cells, index, boundary, colors)
 
 
 def incident_cells(cx: CellComplex, dim: int, i: int, target_dim: int) -> list[int]:
@@ -304,8 +299,8 @@ def incident_cells(cx: CellComplex, dim: int, i: int, target_dim: int) -> list[i
     current = {i}
     d = dim
     while d != target_dim:
-        step = cx.boundary[d] if target_dim < d else cx.coboundary[d]
-        current = {j for c in current for j in step[c]}
+        step = cx.boundary[d] if target_dim < d else cx.boundary[d + 1].transpose()
+        current = {j for c in current for j in step.support(c)}
         d += -1 if target_dim < d else 1
     return sorted(current)
 
@@ -367,7 +362,7 @@ def cross_check_nearest(cx: CellComplex) -> bool:
         return False
     for d in (1, 3, 4):
         get = cx.index[d - 1].get
-        for (a, b, e, f), bs in zip(cx.cells[d], cx.boundary[d], strict=True):
+        for (a, b, e, f), bs in zip(cx.cells[d], cx.boundary[d].supports(), strict=True):
             offsets = table.get((a & 3, b & 3, e & 3, f & 3))
             if offsets is None:
                 return False
@@ -380,18 +375,16 @@ def cross_check_nearest(cx: CellComplex) -> bool:
 
 def boundary_composition_is_zero(cx: CellComplex) -> bool:
     """∂_{d-1} ∘ ∂_d = 0 over GF(2) for d in {2, 3, 4}: each index appears an
-    even number of times among the boundary tuples of a d-cell's boundary.
-    A boundary tuple that is not a set of (d-1)-cell indices, or a boundary
-    list of the wrong length, is a ``ValueError``."""
+    even number of times among the rows of ∂_{d-1} that a row of ∂_d picks.
+    A map whose shape is not (d-cells, (d-1)-cells) is a ``ValueError``; a
+    repeated or outside entry is already one when the map is built."""
     for d in range(1, 5):
-        tuples, flat = cx.boundary[d], list(chain.from_iterable(cx.boundary[d]))
-        if (len(tuples) != len(cx.cells[d]) or sum(map(len, map(set, tuples))) != len(flat)
-                or flat and not 0 <= min(flat) <= max(flat) < len(cx.cells[d - 1])):
-            raise ValueError(f"boundary[{d}] is not one set of (d-1)-cell indices per d-cell")
+        if cx.boundary[d].shape != (len(cx.cells[d]), len(cx.cells[d - 1])):
+            raise ValueError(f"boundary[{d}] is not a map from the {d}- to the {d - 1}-cells")
     for d in (2, 3, 4):
-        inner = cx.boundary[d - 1].__getitem__
-        for bs in cx.boundary[d]:
-            s = sorted(chain.from_iterable(map(inner, bs)))
+        inner = list(map(tuple, cx.boundary[d - 1].supports()))
+        for rows in cx.boundary[d].mapped_rows(inner):
+            s = sorted(chain.from_iterable(rows))
             if s[::2] != s[1::2]:
                 return False
     return True

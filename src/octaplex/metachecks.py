@@ -30,8 +30,8 @@ class MetacheckLadder:
     cx: CellComplex
     hz: BinMatrix                        # 2-cells x qubits
     hx: BinMatrix                        # 4-cells x qubits
-    m1: BinMatrix                        # 1-cells x 2-cells
-    m0: BinMatrix                        # 0-cells x 1-cells
+    m1: BinMatrix                        # 1-cells x 2-cells, cx.boundary[2] transposed
+    m0: BinMatrix                        # 0-cells x 1-cells, cx.boundary[1] transposed
     globals2: dict[tuple[str, str], int]   # face planes (hz rows), per axis pair
     globals1: dict[str, int]               # edge hyperplanes (m1 rows), per axis
     global0: int                           # all vertices (m0 rows)
@@ -57,10 +57,6 @@ def _edge_hyperplane(cx: CellComplex, axis: int) -> int:
 
 
 def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
-    n2 = len(cx.cells[2])
-    n1 = len(cx.cells[1])
-    m1 = BinMatrix.from_supports(n2, cx.coboundary[1])
-    m0 = BinMatrix.from_supports(n1, cx.coboundary[0])
     globals2 = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -69,7 +65,7 @@ def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
     global0 = (1 << len(cx.cells[0])) - 1
     globalX = (1 << block0.hx.shape[0]) - 1
     return MetacheckLadder(
-        cx, block0.hz, block0.hx, m1, m0,
+        cx, block0.hz, block0.hx, cx.boundary[2].transpose(), cx.boundary[1].transpose(),
         globals2, globals1, global0, globalX,
     )
 
@@ -217,14 +213,15 @@ def single_shot_repair_demo(
     per_flip = None
     if len(flipped_checks) == 1:
         per_flip = len(violated)
-        faces = ladder.cx.coboundary[1][violated[0]] if violated else ()
-        identified = next((f for f in faces if sorted(ladder.cx.boundary[2][f]) == violated), None)
+        d2 = ladder.cx.boundary[2]
+        faces = d2.transpose().support(violated[0]) if violated else ()
+        identified = next((f for f in faces if d2.support(f).tolist() == violated), None)
     return RepairDemo(
         violated_edges=violated,
         violated_per_flip=per_flip,
         identified_face=identified,
         edge_metacheck_row_weight=ladder.m1.weights()[0],
-        face_boundary_edge_count=len(ladder.cx.boundary[2][0]),
+        face_boundary_edge_count=len(ladder.cx.boundary[2].support(0)),
     )
 
 
@@ -238,7 +235,7 @@ def tanner_graph_json(ladder: MetacheckLadder) -> dict:
             "edge_metachecks": len(cx.cells[1]),
             "vertex_metachecks": len(cx.cells[0]),
         },
-        "z_check_supports": [sorted(cx.coboundary[2][i]) for i in range(len(cx.cells[2]))],
+        "z_check_supports": [list(s) for s in ladder.hz.supports()],
         "edge_metacheck_supports": [list(s) for s in ladder.m1.supports()],
         "vertex_metacheck_supports": [list(s) for s in ladder.m0.supports()],
         "globals": {

@@ -178,12 +178,8 @@ def _octaplex_lattice(run: _Run):
         c.value: sum(1 for col in cx.colors if col is c)
         for c in set(cx.colors)
     }
-    same_color_edge = None
-    for i, e in enumerate(cx.cells[1]):
-        a, b = cx.boundary[1][i]
-        if cx.colors[a] is cx.colors[b]:
-            same_color_edge = [a, b]
-            break
+    same_color_edge = next(([a, b] for a, b in cx.boundary[1].supports()
+                            if cx.colors[a] is cx.colors[b]), None)
     passed = (
         counts == expected
         and euler_characteristic(cx) == 0

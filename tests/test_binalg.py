@@ -407,7 +407,11 @@ def test_csr_matches_mask_reference(seed):
         assert BinMatrix.from_supports(cols, m.supports()).rows == masks
         assert m.is_zero() == (not any(masks))
         assert m.transpose().rows == mask_transpose(masks, cols)
-        assert m.transpose().transpose().rows == masks
+        assert m.transpose().transpose() is m
+        # a transpose built afresh from the column index, not linked to m
+        fresh = BinMatrix.from_supports(len(masks), m.transpose().supports())
+        assert fresh.transpose() is not m and fresh.transpose().rows == masks
+        assert [m.support(i) for i in range(len(masks))] == list(m.supports())
         for v in [rng.getrandbits(cols) for _ in range(5)] + [0, (1 << cols) - 1]:
             assert m.mul_vec(v) == mask_mul_vec(masks, v)
             assert m.syndrome(support_from_mask(v)) == set(support_from_mask(m.mul_vec(v)))
@@ -440,3 +444,32 @@ def test_rank_keeps_no_basis():
         for v in probes:
             assert m.in_row_space(v) == (fresh.reduce(v) == 0)
         assert m._basis is not None and len(m._basis.rows) == m.rank()
+
+
+def test_support_rejects_a_row_outside():
+    m = BinMatrix.from_supports(4, [[0, 3], [], [1]])
+    assert [m.support(i).tolist() for i in range(3)] == [[0, 3], [], [1]]
+    for i in (-1, 3):
+        with pytest.raises(IndexError):
+            m.support(i)
+    with pytest.raises(IndexError):
+        BinMatrix.from_supports(4, []).support(0)
+
+
+def test_syndrome_rejects_a_column_outside():
+    m = BinMatrix.from_supports(3, [[0, 2], [1]])
+    assert m.syndrome([2]) == {0} and m.syndrome([0, 1, 2]) == {1} and m.syndrome([]) == set()
+    for bad in ([-1], [3], [0, -1], [2, 3]):
+        with pytest.raises(ValueError, match="outside"):
+            m.syndrome(bad)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_transpose_of_transpose_is_the_matrix(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        cols = rng.randrange(1, 40)
+        m = BinMatrix(random_masks(rng, rng.randrange(0, 10), cols), cols)
+        t = m.transpose()
+        assert t.transpose() is m and m.transpose() is t
+        assert t.transpose().transpose() is t

@@ -63,17 +63,26 @@ def test_small_l_rejected():
 
 
 def test_boundary_cardinalities(cx2):
-    assert all(len(b) == 24 for b in cx2.boundary[4])
-    assert all(len(b) == 8 for b in cx2.boundary[3])
-    assert all(len(b) == 3 for b in cx2.boundary[2])
-    assert all(len(b) == 2 for b in cx2.boundary[1])
+    assert all(len(b) == 24 for b in cx2.boundary[4].supports())
+    assert all(len(b) == 8 for b in cx2.boundary[3].supports())
+    assert all(len(b) == 3 for b in cx2.boundary[2].supports())
+    assert all(len(b) == 2 for b in cx2.boundary[1].supports())
 
 
 def test_coboundary_cardinalities(cx2):
-    assert all(len(c) == 3 for c in cx2.coboundary[2])   # faces in 3 octahedra
-    assert all(len(c) == 4 for c in cx2.coboundary[1])   # edges in 4 faces
-    assert all(len(c) == 2 for c in cx2.coboundary[3])   # octahedra in 2 bodies
-    assert all(len(c) == 16 for c in cx2.coboundary[0])  # vertices in 16 edges
+    assert all(len(c) == 3 for c in cx2.boundary[3].transpose().supports())   # faces in 3 octahedra
+    assert all(len(c) == 4 for c in cx2.boundary[2].transpose().supports())   # edges in 4 faces
+    assert all(len(c) == 2 for c in cx2.boundary[4].transpose().supports())   # octahedra in 2 bodies
+    assert all(len(c) == 16 for c in cx2.boundary[1].transpose().supports())  # vertices in 16 edges
+
+
+def test_boundary_maps_are_linked_to_their_transposes(cx2):
+    assert cx2.boundary[0].shape == (len(cx2.cells[0]), 0)
+    for d in range(1, 5):
+        m = cx2.boundary[d]
+        assert m.shape == (len(cx2.cells[d]), len(cx2.cells[d - 1]))
+        assert m.transpose().transpose() is m
+        assert m.transpose().shape == (len(cx2.cells[d - 1]), len(cx2.cells[d]))
 
 
 def test_incident_cells_counts(cx2):
@@ -97,8 +106,8 @@ def test_cell_table_matches_boundary_coords(L):
     assert cx.cells == by_dim
     for d in range(1, 5):
         idx = cx.index[d - 1]
-        for c, bs in zip(cx.cells[d], cx.boundary[d], strict=True):
-            assert bs == tuple(sorted(idx[b] for b in boundary_coords(c, cx.period))), c
+        for c, bs in zip(cx.cells[d], cx.boundary[d].supports(), strict=True):
+            assert list(bs) == sorted(idx[b] for b in boundary_coords(c, cx.period)), c
 
 
 def test_cell_table_entry_reaches_the_complex(monkeypatch):
@@ -109,7 +118,7 @@ def test_cell_table_entry_reaches_the_complex(monkeypatch):
     monkeypatch.setattr(lattice, "_cell_classes", lambda: table)
     cx = build_octaplex(2)
     c = (1, 1, 1, 1)
-    bs = cx.boundary[3][cx.index[3][c]]
+    bs = cx.boundary[3].support(cx.index[3][c])
     assert len(bs) == 7
     assert set(bs) < {cx.index[2][b] for b in boundary_coords(c, cx.period)}
 
@@ -149,9 +158,9 @@ def nearest_reference(cx, rows=128):
                 nearest = dist == dist.min(axis=1, keepdims=True)
                 listed = np.zeros_like(nearest)
                 for r, i in enumerate(chunk):
-                    if any(j not in slot for j in cx.boundary[d][i]):
+                    if any(j not in slot for j in cx.boundary[d].support(i)):
                         return False
-                    listed[r, [slot[j] for j in cx.boundary[d][i]]] = True
+                    listed[r, [slot[j] for j in cx.boundary[d].support(i)]] = True
                 if not np.array_equal(nearest, listed):
                     return False
     return True
@@ -173,8 +182,10 @@ def _swap_one(cx, d, kind):
     for a member of another such cell's boundary."""
     bad = copy.deepcopy(cx)
     i, other = [k for k, c in enumerate(cx.cells[d]) if classify(c) in kind][:2]
-    outside = next(j for j in cx.boundary[d][other] if j not in cx.boundary[d][i])
-    bad.boundary[d][i] = tuple(sorted(cx.boundary[d][i][1:] + (outside,)))
+    rows = [list(s) for s in cx.boundary[d].supports()]
+    outside = next(j for j in rows[other] if j not in rows[i])
+    rows[i] = rows[i][1:] + [outside]
+    bad.boundary[d] = BinMatrix.from_supports(cx.boundary[d].cols, rows)
     return bad
 
 
@@ -194,7 +205,8 @@ def test_nearest_cross_check_fails_on_an_empty_ball(cx2):
     # one edge whose only candidate vertex lies at squared distance 30: the
     # all-pairs definition accepts it, the windowed check may not
     cx = copy.deepcopy(cx2)
-    cx.cells[0], cx.cells[1], cx.boundary[1] = [(4, 4, 4, 4)], [(0, 2, 1, 3)], [(0,)]
+    cx.cells[0], cx.cells[1] = [(4, 4, 4, 4)], [(0, 2, 1, 3)]
+    cx.boundary[1] = BinMatrix.from_supports(1, [[0]])
     assert toroidal_dist2((0, 2, 1, 3), (4, 4, 4, 4), cx.period) == 30
     assert nearest_reference(cx)
     assert not cross_check_nearest(cx)
@@ -219,7 +231,8 @@ def test_nearest_cross_check_rejects_a_dropped_vertex(cx2):
     cx = copy.deepcopy(cx2)
     gone = len(cx.cells[0]) - 1
     del cx.index[0][cx.cells[0].pop()]
-    cx.boundary[1] = [tuple(j for j in b if j != gone) for b in cx.boundary[1]]
+    cx.boundary[1] = BinMatrix.from_supports(gone, (
+        [j for j in b if j != gone] for b in cx.boundary[1].supports()))
     assert nearest_reference(cx)
     assert not cross_check_nearest(cx)
 
@@ -253,12 +266,9 @@ def test_nearest_cross_check_l4():
 
 
 def composition_reference(cx):
-    """∂∘∂ = 0 as products of the incidence matrices, each d-cell a row over
-    the (d-1)-cells."""
-    def incidence(d):
-        return BinMatrix.from_supports(len(cx.cells[d - 1]), cx.boundary[d])
-
-    return all(incidence(d).matmul(incidence(d - 1)).is_zero() for d in (2, 3, 4))
+    """∂∘∂ = 0 as products of the boundary maps, each d-cell a row over the
+    (d-1)-cells."""
+    return all(cx.boundary[d].matmul(cx.boundary[d - 1]).is_zero() for d in (2, 3, 4))
 
 
 @pytest.mark.parametrize("d, kind", [
@@ -274,26 +284,45 @@ def test_boundary_composition_rejects_a_swapped_boundary(cx2, d, kind):
 
 
 @pytest.mark.parametrize("entry", ["repeated", "outside"])
-def test_boundary_composition_rejects_a_malformed_tuple(cx2, entry):
-    cx = copy.deepcopy(cx2)
-    a, b, _ = cx.boundary[2][0]
-    cx.boundary[2][0] = (a, a, b) if entry == "repeated" else (a, b, len(cx.cells[1]))
+def test_boundary_map_rejects_a_malformed_row(cx2, entry):
+    # a repeated or outside entry cannot enter a map: building it fails
+    rows = [list(s) for s in cx2.boundary[2].supports()]
+    a, b, _ = rows[0]
+    rows[0] = [a, a, b] if entry == "repeated" else [a, b, len(cx2.cells[1])]
     with pytest.raises(ValueError):
-        composition_reference(cx)
+        BinMatrix.from_supports(len(cx2.cells[1]), rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("change", ["one column more", "one row fewer"])
+def test_boundary_composition_rejects_a_wrong_shape(cx2, d, change):
+    cx = copy.copy(cx2)
+    cx.boundary = list(cx2.boundary)
+    m = cx2.boundary[d]
+    rows = list(m.supports())
+    cx.boundary[d] = (BinMatrix.from_supports(m.cols + 1, rows) if change == "one column more"
+                      else BinMatrix.from_supports(m.cols, rows[:-1]))
     with pytest.raises(ValueError):
         boundary_composition_is_zero(cx)
+    # the reference's products check only the inner dimensions: ∂d's columns
+    # for d ≥ 2, its rows for d ≤ 3
+    if (d >= 2) if change == "one column more" else (d <= 3):
+        with pytest.raises(ValueError):
+            composition_reference(cx)
+    else:
+        assert composition_reference(cx)
 
 
 def test_fourcell_boundary_distance(cx2):
     i = cx2.index[4][(0, 0, 0, 0)]
-    for j in cx2.boundary[4][i]:
+    for j in cx2.boundary[4].support(i):
         assert toroidal_dist2((0, 0, 0, 0), cx2.cells[3][j], cx2.period) == 4
 
 
 def test_fourcell_boundary_composition(cx2):
     # 8 octahedra at +-2 along one axis, 16 at (+-1,+-1,+-1,+-1)
     i = cx2.index[4][(0, 0, 0, 0)]
-    types = [classify(cx2.cells[3][j]) for j in cx2.boundary[4][i]]
+    types = [classify(cx2.cells[3][j]) for j in cx2.boundary[4].support(i)]
     assert sum(1 for t in types if t is CellType.C3II) == 8
     assert sum(1 for t in types if t is CellType.C3III) == 16
 
@@ -301,14 +330,14 @@ def test_fourcell_boundary_composition(cx2):
 def test_edge_boundary_distance(cx2):
     for i in range(0, len(cx2.cells[1]), 97):
         e = cx2.cells[1][i]
-        for j in cx2.boundary[1][i]:
+        for j in cx2.boundary[1].support(i):
             assert toroidal_dist2(e, cx2.cells[0][j], cx2.period) == 2
 
 
 def test_edge_adjacency_iff_distance_eight(cx2):
     # vertices share an edge exactly when their toroidal distance^2 is 8
     adj = set()
-    for a, b in cx2.boundary[1]:
+    for a, b in cx2.boundary[1].supports():
         adj.add((min(a, b), max(a, b)))
     verts = cx2.cells[0]
     count = 0
@@ -324,7 +353,7 @@ def test_edge_adjacency_iff_distance_eight(cx2):
 
 
 def test_no_same_color_edge(cx2):
-    for a, b in cx2.boundary[1]:
+    for a, b in cx2.boundary[1].supports():
         assert cx2.colors[a] is not cx2.colors[b]
 
 
@@ -373,7 +402,7 @@ def test_role_exchange_translation(cx2):
 
     for i in (0, 11, 31):
         c = cx2.cells[4][i]
-        shifted_boundary = {shift(cx2.cells[3][j]) for j in cx2.boundary[4][i]}
+        shifted_boundary = {shift(cx2.cells[3][j]) for j in cx2.boundary[4].support(i)}
         assert vertex_color(shift(c)) is Color.RED
         assert shifted_boundary == set(star24(shift(c), cx2.period))
 

@@ -19,6 +19,18 @@ def test_matrix_shapes(ladder2):
     assert all(r.bit_count() == 16 for r in ladder2.m0.rows)
 
 
+def test_block0_and_ladder_are_the_boundary_maps(cx2, family2, ladder2):
+    # hx0 = ∂4, hz0 = ∂3ᵀ, m1 = ∂2ᵀ, m0 = ∂1ᵀ: the complex's own objects
+    assert family2.complex is cx2 and ladder2.cx is cx2
+    block0 = family2.blocks[0]
+    assert block0.hx is cx2.boundary[4]
+    assert block0.hz.transpose() is cx2.boundary[3]
+    assert ladder2.hx is block0.hx and ladder2.hz is block0.hz
+    assert ladder2.m1.transpose() is cx2.boundary[2]
+    assert ladder2.m0.transpose() is cx2.boundary[1]
+    assert build_ladder(cx2, block0).m1 is ladder2.m1
+
+
 def test_m0_kernel_dimension(ladder2):
     # 768 edges minus rank 95 leaves a 673-dimensional kernel
     assert len(ladder2.m0.kernel_basis()) == 768 - 95
@@ -104,7 +116,7 @@ def test_flip_missing_from_one_edge_metacheck_is_not_identified(ladder2, pos):
     # negative control: drop face f from the metacheck of one of its edges;
     # the flip {f} then violates two edges, and no face has that boundary
     f = 37
-    e = ladder2.cx.boundary[2][f][pos]
+    e = ladder2.cx.boundary[2].support(f)[pos]
     m1 = BinMatrix.from_supports(ladder2.m1.cols, (
         [x for x in row if (i, x) != (e, f)] for i, row in enumerate(ladder2.m1.supports())))
     demo = single_shot_repair_demo(replace(ladder2, m1=m1), {f})
