@@ -11,7 +11,7 @@ to keep fill-in low. Its keys are the lowest-column pivots and the reduced
 row echelon form built from it is unique, so kernels and ranks do not
 depend on row order; the keys are also one mask, so a reduction jumps from
 key bit to key bit. ``rank`` keeps only the count, and only row-space
-queries keep the basis.
+queries keep the basis; ``peel`` bounds the rank from below with none.
 """
 
 from __future__ import annotations
@@ -234,8 +234,43 @@ class BinMatrix:
             self._t._t = self
         return self._t
 
+    def stacked(self, supports: Iterable[Iterable[int]]) -> "BinMatrix":
+        """This matrix with the given rows appended below."""
+        extra, ptr = BinMatrix.from_supports(self.cols, supports), self._indptr
+        return BinMatrix._csr(self.cols, ptr + array("i", (p + ptr[-1] for p in extra._indptr[1:])),
+                              self._indices + extra._indices)
+
     def is_zero(self) -> bool:
         return not self._indices
+
+    def peel(self) -> int:
+        """A lower bound on the rank, with no basis: while a column has one
+        live row, that row is a pivot and leaves, else the live row of lowest
+        index leaves uncounted. In a sum of pivot rows the earliest alone
+        meets its column, so the pivots are independent."""
+        ptr, indices, t = self._indptr, self._indices, self.transpose()
+        tptr, tindices, live = t._indptr, t._indices, t.weights()
+        dead, pivots, lowest = bytearray(len(ptr) - 1), 0, 0
+        singles = [c for c, k in enumerate(live) if k == 1]
+        while True:
+            if singles:
+                c = singles.pop()
+                if live[c] != 1:
+                    continue
+                for r in tindices[tptr[c]:tptr[c + 1]]:
+                    if not dead[r]:
+                        break
+                pivots += 1
+            else:
+                lowest = dead.find(0, lowest)
+                if lowest < 0:
+                    return pivots
+                r = lowest
+            dead[r] = 1
+            for j in indices[ptr[r]:ptr[r + 1]]:
+                k = live[j] = live[j] - 1
+                if k == 1:
+                    singles.append(j)
 
     def residues(self, extra_rows: Iterable[int]) -> Iterator[int]:
         """Each extra row's residue against the row space and the extra rows

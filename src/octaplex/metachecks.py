@@ -14,15 +14,38 @@ exactly, and the rank bookkeeping
     rank(hz) = 22L^4-3, rank(hx) = 2L^4-1
 
 accounts for all dependencies, leaving 4 logical qubits.
+
+Each rank is certified by peeling (``BinMatrix.peel``), not elimination.
+A ledger matrix M has a dependency set D with D*M = 0 verified, so
+rank(M) + rank(D) <= rows(M), and peel lower bounds that sum to rows(M)
+are both exact:
+
+    M   peeled as         D, peeled as                      D*M = 0 from
+    m1  faces x edges     [m0; edge hyperplanes]            m0*m1, hyperplanes
+    hz  faces x qubits    [m1; face planes], faces x edges  m1*hz, face planes
+    m0  vertices x edges  the all-vertices row              vertex sum
+    hx  4-cells x qubits  the all-X row                     X sum
+
+A pair that does not close is ranked by elimination and named in
+``Ledger.fallbacks``, which the report never carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .binalg import BinMatrix, mask_from_support, support_from_mask
 from .codes import Codeblock
 from .lattice import AXES, CellComplex
+
+
+@dataclass
+class Ledger:
+    ranks: dict[str, int]    # of m0, m1, hz, hx and of their dependency sets
+    zero: dict[str, bool]    # the verified zero products
+    fallbacks: list[str]     # the ranks taken by elimination
 
 
 @dataclass
@@ -37,31 +60,51 @@ class MetacheckLadder:
     global0: int                           # all vertices (m0 rows)
     globalX: int                           # all X stabilizer rows
 
+    @cached_property
+    def ledger(self) -> Ledger:
+        """The zero products and the certified ranks, each computed once."""
+        m0, m1, hz, hx = self.m0, self.m1, self.hz, self.hx
+        planes, hyperplanes = self.globals2.values(), self.globals1.values()
+        zero = {
+            "m1_hz": m1.matmul(hz).is_zero(),
+            "m0_m1": m0.matmul(m1).is_zero(),
+            "faces": all(not hz.row_combination(g) for g in planes),
+            "edges": all(not m1.row_combination(g) for g in hyperplanes),
+            "vertices": not m0.row_combination(self.global0),
+            "hx": not hx.row_combination(self.globalX),
+        }
+        pairs = (  # M, M as peeled, D's name, D as peeled, D*M = 0 verified
+            ("m1", m1.transpose(), "m0+edges", m0.stacked(map(support_from_mask, hyperplanes)),
+             zero["m0_m1"] and zero["edges"]),
+            ("hz", hz, "m1+faces", m1.stacked(map(support_from_mask, planes)).transpose(),
+             zero["m1_hz"] and zero["faces"]),
+            ("m0", m0, "vertices", BinMatrix([self.global0], m0.shape[0]), zero["vertices"]),
+            ("hx", hx, "x", BinMatrix([self.globalX], hx.shape[0]), zero["hx"]),
+        )
+        ledger = Ledger({}, zero, [])
+        for name, peeled, dep, d, closed in pairs:
+            m = getattr(self, name)
+            lower = (peeled.peel(), d.peel())
+            if not closed or sum(lower) != m.shape[0]:
+                lower = (m.rank(), d.rank())
+                ledger.fallbacks += [name, dep]
+            ledger.ranks[name], ledger.ranks[dep] = lower
+        return ledger
+
 
 def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> int:
     """Faces with both transverse coordinates at value 1 and the (ax1, ax2)
     coordinates on the integer/quarter sublattices in either order."""
-    other = [i for i in range(4) if i not in (ax1, ax2)]
-    sel = []
-    for i, f in enumerate(cx.cells[2]):
-        if f[other[0]] != 1 or f[other[1]] != 1:
-            continue
-        a, b = f[ax1], f[ax2]
-        if (a % 4 == 0 and b % 2 == 1) or (a % 2 == 1 and b % 4 == 0):
-            sel.append(i)
-    return mask_from_support(sel)
-
-
-def _edge_hyperplane(cx: CellComplex, axis: int) -> int:
-    return mask_from_support(i for i, e in enumerate(cx.cells[1]) if e[axis] == 1)
+    o1, o2 = (i for i in range(4) if i not in (ax1, ax2))
+    return mask_from_support(
+        i for i, f in enumerate(cx.cells[2]) if f[o1] == f[o2] == 1
+        and (f[ax1] % 4 == 0 and f[ax2] % 2 or f[ax1] % 2 and f[ax2] % 4 == 0))
 
 
 def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
-    globals2 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            globals2[(AXES[i], AXES[j])] = _face_plane(cx, i, j)
-    globals1 = {AXES[i]: _edge_hyperplane(cx, i) for i in range(4)}
+    globals2 = {(AXES[i], AXES[j]): _face_plane(cx, i, j) for i, j in combinations(range(4), 2)}
+    globals1 = {AXES[a]: mask_from_support(i for i, e in enumerate(cx.cells[1]) if e[a] == 1)
+                for a in range(4)}
     global0 = (1 << len(cx.cells[0])) - 1
     globalX = (1 << block0.hx.shape[0]) - 1
     return MetacheckLadder(
@@ -92,41 +135,23 @@ class CountingReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "ranks": self.ranks,
-            "expected": self.expected,
-            "chain_m1_hz_zero": self.chain_m1_hz_zero,
-            "chain_m0_m1_zero": self.chain_m0_m1_zero,
-            "k": self.k,
-            "sum_hx_rows_zero": self.sum_hx_rows_zero,
-            "total_independent_generators": self.total_independent,
-            "passed": self.passed,
-        }
+        d = {k: v for k, v in self.__dict__.items() if k not in ("L", "total_independent")}
+        return {**d, "total_independent_generators": self.total_independent,
+                "passed": self.passed}
 
 
 def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
-    ranks = {
-        "m0": ladder.m0.rank(),
-        "m1": ladder.m1.rank(),
-        "hz": ladder.hz.rank(),
-        "hx": ladder.hx.rank(),
-    }
-    expected = {
-        "m0": 6 * L**4 - 1,
-        "m1": 42 * L**4 - 3,
-        "hz": 22 * L**4 - 3,
-        "hx": 2 * L**4 - 1,
-    }
-    n = ladder.hz.cols
-    k = n - ranks["hx"] - ranks["hz"]
+    ledger = ladder.ledger
+    ranks = {name: ledger.ranks[name] for name in ("m0", "m1", "hz", "hx")}
+    expected = {"m0": 6 * L**4 - 1, "m1": 42 * L**4 - 3, "hz": 22 * L**4 - 3, "hx": 2 * L**4 - 1}
     return CountingReport(
         L=L,
         ranks=ranks,
         expected=expected,
-        chain_m1_hz_zero=ladder.m1.matmul(ladder.hz).is_zero(),
-        chain_m0_m1_zero=ladder.m0.matmul(ladder.m1).is_zero(),
-        k=k,
-        sum_hx_rows_zero=(ladder.hx.row_combination(ladder.globalX) == 0),
+        chain_m1_hz_zero=ledger.zero["m1_hz"],
+        chain_m0_m1_zero=ledger.zero["m0_m1"],
+        k=ladder.hz.cols - ranks["hx"] - ranks["hz"],
+        sum_hx_rows_zero=ledger.zero["hx"],
         total_independent=ranks["hx"] + ranks["hz"],
     )
 
@@ -162,25 +187,18 @@ class GlobalConstraintReport:
 
 
 def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport:
-    faces_zero = all(not ladder.hz.row_combination(g) for g in ladder.globals2.values())
-    # A face plane is a dependency among hz rows; independence from the local
-    # (edge) dependencies shows up as rank gain over m1's row space.
-    gain2 = ladder.m1.rank_increase(list(ladder.globals2.values()))
-
-    edges_zero = all(not ladder.m1.row_combination(g) for g in ladder.globals1.values())
-    gain1 = ladder.m0.rank_increase(list(ladder.globals1.values()))
-
-    vertex_sum = ladder.m0.row_combination(ladder.global0)
-    hx_sum = ladder.hx.row_combination(ladder.globalX)
+    # A global is a dependency of hz (face planes) or of m1 (edge hyperplanes)
+    # that the local ones, m1 and m0, do not span: the gain is a rank difference.
+    zero, ranks = ladder.ledger.zero, ladder.ledger.ranks
     return GlobalConstraintReport(
-        face_planes_zero_on_qubits=faces_zero,
-        face_planes_rank_gain=gain2,
-        edge_hyperplanes_zero_on_faces=edges_zero,
-        edge_hyperplanes_rank_gain=gain1,
-        vertex_sum_zero_on_edges=(vertex_sum == 0),
-        m0_rank_deficit=ladder.m0.shape[0] - ladder.m0.rank(),
-        hx_sum_zero=(hx_sum == 0),
-        hx_rank_deficit=ladder.hx.shape[0] - ladder.hx.rank(),
+        face_planes_zero_on_qubits=zero["faces"],
+        face_planes_rank_gain=ranks["m1+faces"] - ranks["m1"],
+        edge_hyperplanes_zero_on_faces=zero["edges"],
+        edge_hyperplanes_rank_gain=ranks["m0+edges"] - ranks["m0"],
+        vertex_sum_zero_on_edges=zero["vertices"],
+        m0_rank_deficit=ladder.m0.shape[0] - ranks["m0"],
+        hx_sum_zero=zero["hx"],
+        hx_rank_deficit=ladder.hx.shape[0] - ranks["hx"],
     )
 
 

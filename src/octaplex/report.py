@@ -19,7 +19,7 @@ reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -63,7 +63,8 @@ from .transversal import (
 
 SECTION_NAMES = ("lattice", "codes", "logicals", "transversal", "distance", "metachecks")
 # Each fault kind and the section that must catch it.
-FAULT_KINDS = {"perturb-logical": "logicals", "recolor-vertex": "lattice"}
+FAULT_KINDS = {"perturb-logical": "logicals", "recolor-vertex": "lattice",
+               "drop-m1-entry": "metachecks"}
 
 
 @dataclass
@@ -200,7 +201,8 @@ def _octaplex_codes(run: _Run):
     family, L = run.family, run.L
     # A block verified to be a translate of block 0 has block 0's k; any
     # other block is ranked on its own.
-    translates = [True] + [_blocks_equivalent(family, b) for b in (1, 2, 3)]
+    rows0 = _row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz)
+    translates = [True] + [_blocks_equivalent(family, b, rows0) for b in (1, 2, 3)]
     k0 = family.blocks[0].k
     block_data = []
     passed = True
@@ -297,7 +299,12 @@ def _octaplex_distance(run: _Run):
 
 def _octaplex_metachecks(run: _Run):
     ladder = build_ladder(run.cx, run.family.blocks[0])
-    # The rank increases eliminate m0 and m1 once and leave their ranks.
+    if run.fault is not None and run.fault.kind == "drop-m1-entry":
+        rows = [list(s) for s in ladder.m1.supports()]
+        edge = run.fault.pick(len(rows))
+        face = rows[edge].pop(run.fault.pick(len(rows[edge])))
+        ladder = replace(ladder, m1=BinMatrix.from_supports(ladder.m1.cols, rows))
+        run.report["fault"] = {"kind": run.fault.kind, "edge": edge, "face": face}
     glob = verify_global_constraints(ladder)
     counting = verify_counting(ladder, run.L)
     demo = single_shot_repair_demo(ladder, {0})
@@ -312,18 +319,15 @@ def _octaplex_metachecks(run: _Run):
 def _row_set(m: BinMatrix, perm: Sequence[int] | None = None) -> set[tuple[int, ...]]:
     """The rows as a set of sorted supports, each qubit mapped by ``perm``."""
     if perm is None:
-        return {tuple(s) for s in m.supports()}
-    return {tuple(sorted(perm[i] for i in s)) for s in m.supports()}
+        return set(map(tuple, m.supports()))
+    return {tuple(sorted(row)) for row in m.mapped_rows(perm)}
 
 
-def _blocks_equivalent(family: CodeFamily, block: int) -> bool:
-    """Row sets map onto block 0's under the block translation."""
+def _blocks_equivalent(family: CodeFamily, block: int, rows0: tuple[set, set]) -> bool:
+    """Row sets map onto block 0's, ``rows0`` (X, Z), under the block translation."""
     perm = shifted_qubit_permutation(family.complex, block)
     blk = family.blocks[block]
-    blk0 = family.blocks[0]
-    if _row_set(blk.hx, perm) != _row_set(blk0.hx):
-        return False
-    return _row_set(blk.hz, perm) == _row_set(blk0.hz)
+    return _row_set(blk.hx, perm) == rows0[0] and _row_set(blk.hz, perm) == rows0[1]
 
 
 def _bounded_codes(run: _Run):

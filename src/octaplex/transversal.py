@@ -107,14 +107,17 @@ class TransversalReport:
 
 class _RowIndex:
     """One row list, read from a matrix: its CSR form with each entry's row,
-    and, from the matrix's column index, the rows on each qubit."""
+    and the rows on each qubit (the empty tuple on a qubit no row meets)."""
 
     def __init__(self, m: BinMatrix):
         weights = m.weights()
         self.offsets = [0, *accumulate(weights)]
         self.qubits = array("i", chain.from_iterable(m.supports()))
         self.rowid = array("i", chain.from_iterable(map(repeat, range(len(weights)), weights)))
-        self.rows_at = [tuple(rows) for rows in m.transpose().supports()]
+        self.rows_at = rows_at = [()] * m.cols
+        for r, s in enumerate(m.supports()):
+            for q in s:
+                rows_at[q] += (r,)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -473,3 +473,43 @@ def test_transpose_of_transpose_is_the_matrix(seed):
         t = m.transpose()
         assert t.transpose() is m and m.transpose() is t
         assert t.transpose().transpose() is t
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peel_is_a_lower_bound_on_the_rank(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+    m = BinMatrix(random_masks(rng, rows, cols), cols)
+    rank = len(reference_rref(m.rows, m.cols)[1])
+    assert 0 <= m.peel() <= rank
+    # a unit triangular matrix peels exactly, column 0 first
+    tri = [1 << i | rng.getrandbits(cols) >> (i + 1) << (i + 1) for i in range(cols)]
+    assert BinMatrix(tri, cols).peel() == cols
+
+
+def test_peel_falls_short_without_a_singleton():
+    # full rank, but every column meets two rows or more: row 0 is dropped,
+    # and only rows 2 and 1 are then peeled
+    m = BinMatrix([0b011, 0b110, 0b111], 3)
+    assert m.rank() == 3
+    assert m.peel() == 2
+
+
+def test_peel_counts_zero_and_repeated_rows_once():
+    m = BinMatrix([0, 0b101, 0b101, 0], 3)
+    assert m.peel() == m.rank() == 1
+    assert BinMatrix([], 4).peel() == 0
+
+
+def test_peel_meets_the_rank_on_the_octaplex_maps(family2, ladder2):
+    for m in (ladder2.m1.transpose(), ladder2.hz, ladder2.m0, ladder2.hx):
+        assert m.peel() == m.rank()
+
+
+def test_stacked_appends_rows():
+    m = BinMatrix([0b011, 0b100], 3)
+    s = m.stacked([[2, 0], []])
+    assert s.rows == [0b011, 0b100, 0b101, 0]
+    assert s.transpose().transpose() is s
+    with pytest.raises(ValueError):
+        m.stacked([[3]])

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from octaplex import report
 from octaplex.cli import main
 from octaplex.report import run_report
 
@@ -73,6 +74,8 @@ def test_usage_errors():
                  "--sections", "codes", "--inject-fault", "perturb-logical"]) == 2
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", "codes", "--inject-fault", "recolor-vertex"]) == 2
+    assert main(["report", "--family", "octaplex", "--L", "2",
+                 "--sections", "codes", "--inject-fault", "drop-m1-entry"]) == 2
     # an empty selector list names nothing; it must not mean "everything"
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", ","]) == 2
@@ -224,6 +227,32 @@ def test_injected_recolor_fails(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["sections"]["lattice"]["status"] == "fail"
     assert payload["sections"]["lattice"]["same_color_edge_witness"]
+
+
+@pytest.mark.parametrize("seed", ["0", "5", "11"])
+def test_injected_m1_entry_drop_fails(tmp_path, monkeypatch, seed):
+    # one entry of m1 is removed after the ladder is built: the m1*hz chain
+    # product is no longer zero, and both pairs that read m1 are eliminated
+    monkeypatch.setenv("OCTAPLEX_SEED", seed)
+    ladders = []
+    counting = report.verify_counting
+    monkeypatch.setattr(report, "verify_counting",
+                        lambda ladder, L: ladders.append(ladder) or counting(ladder, L))
+    out = tmp_path / "bad3.json"
+    code = main(["report", "--family", "octaplex", "--L", "2",
+                 "--sections", "metachecks", "--inject-fault", "drop-m1-entry",
+                 "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    section = payload["sections"]["metachecks"]
+    assert section["status"] == "fail"
+    assert section["counting"]["chain_m1_hz_zero"] is False
+    fault = payload["fault"]
+    assert fault["kind"] == "drop-m1-entry"
+    (ladder,) = ladders
+    assert fault["face"] not in ladder.m1.support(fault["edge"])
+    assert fault["face"] in ladder.cx.boundary[2].transpose().support(fault["edge"])
+    assert {"m1", "m0+edges", "hz", "m1+faces"} <= set(ladder.ledger.fallbacks)
 
 
 @pytest.mark.parametrize("seed", ["abc", "1.5", ""])

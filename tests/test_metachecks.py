@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from octaplex.binalg import BinMatrix
+from octaplex.codes import build_periodic_family
 from octaplex.metachecks import (
     build_ladder,
     single_shot_repair_demo,
@@ -10,6 +12,7 @@ from octaplex.metachecks import (
     verify_counting,
     verify_global_constraints,
 )
+from octaplex.report import report_json, run_report
 
 
 def test_matrix_shapes(ladder2):
@@ -132,3 +135,90 @@ def test_tanner_export(ladder2):
     }
     assert len(g["globals"]["face_planes"]) == 6
     assert len(g["globals"]["edge_hyperplanes"]) == 4
+
+
+def assert_ledger_matches_elimination(ladder, L):
+    # elimination is the oracle: every certified rank equals BinMatrix.rank()
+    ranks = ladder.ledger.ranks
+    for name in ("m0", "m1", "hz", "hx"):
+        assert ranks[name] == getattr(ladder, name).rank()
+    stack = lambda m, g: BinMatrix(m.rows + list(g.values()), m.cols).rank()
+    assert ranks["m0+edges"] == stack(ladder.m0, ladder.globals1) == 6 * L**4 + 3
+    assert ranks["m1+faces"] == stack(ladder.m1, ladder.globals2) == 42 * L**4 + 3
+    assert ranks["vertices"] == ranks["x"] == 1
+    assert ladder.ledger.fallbacks == []
+    assert all(ladder.ledger.zero.values())
+
+
+def test_certified_ranks_equal_elimination_l2(ladder2):
+    assert_ledger_matches_elimination(ladder2, 2)
+
+
+def test_certified_ranks_equal_elimination_l3(family3):
+    assert_ledger_matches_elimination(build_ladder(family3.complex, family3.blocks[0]), 3)
+
+
+@pytest.mark.slow
+def test_certified_ranks_equal_elimination_l4():
+    family = build_periodic_family(4)
+    assert_ledger_matches_elimination(build_ladder(family.complex, family.blocks[0]), 4)
+
+
+def test_dropped_edge_hyperplane_falls_back_to_elimination(ladder2):
+    # three hyperplanes: the zero products hold, but peel(m1ᵀ) + peel([m0; three
+    # hyperplanes]) is one short of the 768 edges, so the pair is eliminated
+    short = replace(ladder2, globals1=dict(list(ladder2.globals1.items())[1:]))
+    ledger = short.ledger
+    assert ledger.zero["edges"] and ledger.zero["m0_m1"]
+    assert ledger.fallbacks == ["m1", "m0+edges"]
+    assert ledger.ranks["m1"] == ladder2.m1.rank() == 669
+    assert ledger.ranks["m0+edges"] == ladder2.m0.rank() + 3
+    glob = verify_global_constraints(short)
+    assert glob.edge_hyperplanes_rank_gain == 3 and not glob.passed
+
+
+def test_flipped_vertex_bit_falls_back_to_elimination(ladder2):
+    # the all-vertices row minus vertex 0 no longer annihilates m0
+    flipped = replace(ladder2, global0=ladder2.global0 ^ 1)
+    ledger = flipped.ledger
+    assert not ledger.zero["vertices"]
+    assert ledger.fallbacks == ["m0", "vertices"]
+    assert ledger.ranks["m0"] == ladder2.m0.rank() == 95
+    assert not verify_global_constraints(flipped).passed
+    assert verify_counting(flipped, 2).ranks["m0"] == 95
+
+
+def test_uncorrupted_ledger_runs_no_fallback(ladder2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(BinMatrix, "rank", lambda self: calls.append(self.shape))
+    ledger = replace(ladder2).ledger
+    assert ledger.fallbacks == [] and calls == []
+
+
+def test_dropped_m1_entry_falls_back_on_both_pairs(ladder2):
+    rows = [list(s) for s in ladder2.m1.supports()]
+    rows[5].pop(0)
+    ledger = replace(ladder2, m1=BinMatrix.from_supports(ladder2.m1.cols, rows)).ledger
+    assert not ledger.zero["m1_hz"] and not ledger.zero["m0_m1"]
+    assert ledger.fallbacks == ["m1", "m0+edges", "hz", "m1+faces"]
+    assert ledger.ranks["hz"] == ladder2.hz.rank()
+
+
+@pytest.mark.slow
+def test_periodic_report_eliminates_no_ledger_matrix(monkeypatch):
+    from test_exports import BYTE_CONTRACT_L3
+
+    shapes = []
+    eliminate = BinMatrix._eliminate
+    monkeypatch.setattr(BinMatrix, "_eliminate",
+                        lambda self: shapes.append(self.shape) or eliminate(self))
+    result = run_report("octaplex", 3)
+    n0, n1, n2, n4 = (c * 3**4 for c in (6, 48, 64, 2))
+    ledger_shapes = {
+        (n1, n2), (n2, n1), (n0, n1), (n1, n0),   # m1, m0 and their transposes
+        (n0 + 4, n1), (n1 + 6, n2), (n2, n1 + 6),  # the stacked dependency sets
+        (1, n0), (1, n4),                          # the all-vertices and all-X rows
+    }
+    assert shapes and not ledger_shapes & set(shapes)
+    digest = hashlib.sha256(report_json(result).encode()).hexdigest()
+    assert digest == BYTE_CONTRACT_L3["report-L3"]
