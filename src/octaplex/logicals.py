@@ -9,18 +9,21 @@ weight 10 L^3). Warm-up families get loop/plane bases of the same flavor.
 Distances are certified two-sided: families of pairwise-disjoint
 stabilizer-equivalent representatives give lower bounds, the constructed
 operators give upper bounds, and (at L=2) an exhaustive search over low
-weights confirms the Z distance independently.
+weights confirms the Z distance independently, the one row-space test.
+Equivalence is decided by syndrome and pairing against the conjugate
+logicals, which the metacheck ledger's k makes a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations, product
 
 from .binalg import BinMatrix, mask_from_support, parity, support_from_mask
 from .codes import CodeFamily, x_hyperplane, z_string
 from .lattice import AXES, Coord, line, sheet, sublattice
+from .metachecks import MetacheckLadder
 
 DIRS = (0, 1, 2, 3)  # axis indices x, y, z, w
 
@@ -224,18 +227,10 @@ class DistanceCertificate:
     exhaustive_candidates: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "dz": self.dz,
-            "dx_lower": self.dx_lower,
-            "dx_upper": self.dx_upper,
-            "disjoint_z_reps_per_direction": self.disjoint_z_reps,
-            "disjoint_z_breakdown": self.disjoint_z_breakdown,
-            "disjoint_x_reps_per_direction": self.disjoint_x_reps,
-            "dx_stated_formula_8L3": self.dx_stated_formula,
-            "dx_formula_discrepancy": self.dx_formula_discrepancy,
-            "exhaustive_dz": self.exhaustive_dz,
-            "exhaustive_candidates": self.exhaustive_candidates,
-        }
+        names = {"disjoint_z_reps": "disjoint_z_reps_per_direction",
+                 "disjoint_x_reps": "disjoint_x_reps_per_direction",
+                 "dx_stated_formula": "dx_stated_formula_8L3"}
+        return {names.get(k, k): v for k, v in self.__dict__.items() if k != "L"}
 
 
 def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[int]]:
@@ -260,9 +255,19 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[int]]:
     return out
 
 
+def disjoint_x_hyperplanes(family: CodeFamily, d: int) -> list[int]:
+    """The L disjoint translates, by 4 along d, of the direction-d hyperplane on block 0."""
+    qidx, values = family.qubit_index(), range(4 * family.L)
+    return [mask_from_support(qidx[c] for c in x_hyperplane(
+        0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS)))
+        for shift in range(family.L)]
+
+
 def _verify_disjoint_equivalent(
-    reps: list[int], reference: int, stab_space: BinMatrix, check_matrix: BinMatrix
+    reps: list[int], d: int, conjugates: list[int], check_matrix: BinMatrix
 ) -> None:
+    """Pairwise disjoint, each with an empty syndrome and pairing e_d with ``conjugates``."""
+    unit = [int(j == d) for j in range(len(conjugates))]
     acc = 0
     for m in reps:
         if acc & m:
@@ -270,8 +275,8 @@ def _verify_disjoint_equivalent(
         acc |= m
         if check_matrix.mul_vec(m):
             raise AssertionError("representative violates a stabilizer")
-        if not stab_space.in_row_space(m ^ reference):
-            raise AssertionError("representative is not stabilizer-equivalent")
+        if [parity(m & c) for c in conjugates] != unit:
+            raise AssertionError(f"representative is not stabilizer-equivalent to logical {d}")
 
 
 def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]:
@@ -294,92 +299,67 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     for q in range(n):
         syndromes.setdefault(blk.hx.mul_vec(1 << q), []).append(q)
     candidates += n * (n - 1) // 2
-    found = False
-    for group in syndromes.values():
-        for a, b in combinations(group, 2):
-            v = (1 << a) | (1 << b)
-            if not blk.hz.in_row_space(v):
-                found = True
-                break
-        if found:
-            break
-    if not found:
+    pairs = (1 << a | 1 << b for group in syndromes.values() for a, b in combinations(group, 2))
+    if all(blk.hz.in_row_space(v) for v in pairs):
         raise AssertionError("no weight-2 logical found at L=2")
     return 2, candidates
 
 
-def certify_distances(family: CodeFamily, basis: LogicalBasis) -> DistanceCertificate:
+def certify_distances(
+    family: CodeFamily, basis: LogicalBasis, ladder: MetacheckLadder
+) -> DistanceCertificate:
     """Two-sided distance certificates of block 0; at L=2 the exhaustive
-    search confirms d_Z as well."""
+    search confirms d_Z as well.
+
+    Once block 0's ledger k (``ladder.k``) equals ``basis.k`` and its
+    logicals commute with the opposing checks and pair as the identity, a Z
+    operator with an empty syndrome is equivalent to Z_d iff it pairs with
+    the X logicals as e_d (dually for X): the k pairings vanish on the
+    stabilizers, the logicals show them independent on ker(hx)/rowspace(hz),
+    and that quotient has the certified dimension k.
+    """
     if family.kind != "octaplex":
         raise ValueError("distance certificates target the periodic family")
-    L = family.L
-    blk0 = family.blocks[0]
-    qidx = family.qubit_index()
+    L, blk0 = family.L, family.blocks[0]
+    if ladder.k != basis.k:
+        raise AssertionError(f"ledger k={ladder.k} differs from the basis's k={basis.k}")
+    for w in verify_logical_basis(replace(family, blocks=[blk0]), basis)[1]:
+        raise AssertionError(f"block 0 logicals fail: {w.as_dict()}")
 
-    disjoint_counts = None
-    breakdown: dict = {}
+    breakdowns = []
     for d in DIRS:
         fams = disjoint_z_strings(family, d)
-        reps = fams["half_sheet"] + fams["integer_sheet"] + fams["quarter_sheet"]
-        _verify_disjoint_equivalent(reps, basis.z_ops[0][d], blk0.hz, blk0.hx)
-        # every representative must clash with any conjugate X class member
-        xref = basis.x_ops[0][d]
-        for m in reps:
-            if not parity(m & xref):
-                raise AssertionError("representative fails to pair with logical X")
-        if disjoint_counts is None:
-            disjoint_counts = len(reps)
-            breakdown = {k: len(v) for k, v in fams.items()}
-        elif len(reps) != disjoint_counts:
-            raise AssertionError("direction asymmetry in representative counts")
-
-    # L disjoint hyperplane translates certify dz >= L per direction.
-    x_reps_count = None
-    for d in DIRS:
-        reps = []
-        for shift in range(L):
-            sheets = tuple((p + 4 * shift) % (4 * L) for p in TORUS_SHEETS)
-            cells = x_hyperplane(0, d, range(4 * L), sheets)
-            reps.append(mask_from_support(qidx[c] for c in cells))
-        _verify_disjoint_equivalent(reps, basis.x_ops[0][d], blk0.hx, blk0.hz)
-        zref = basis.z_ops[0][d]
-        for m in reps:
-            if not parity(m & zref):
-                raise AssertionError("hyperplane fails to pair with logical Z")
-        x_reps_count = len(reps)
+        _verify_disjoint_equivalent([m for reps in fams.values() for m in reps], d,
+                                    basis.x_ops[0], blk0.hx)
+        # L disjoint hyperplane translates certify dz >= L per direction.
+        _verify_disjoint_equivalent(disjoint_x_hyperplanes(family, d), d, basis.z_ops[0], blk0.hz)
+        breakdowns.append({k: len(v) for k, v in fams.items()})
+    if any(b != breakdowns[0] for b in breakdowns):
+        raise AssertionError("direction asymmetry in representative counts")
 
     # A verified Z logical of weight L bounds dz from above.
-    dz = L
+    dz, dx = L, sum(breakdowns[0].values())  # dx == weight of the constructed hyperplane
     for d in DIRS:
         zw = basis.z_ops[0][d].bit_count()
         if zw != dz:
-            raise AssertionError(
-                f"Z logical {d} weight {zw} does not meet the disjoint bound {dz}"
-            )
-    dx = disjoint_counts  # == weight of the constructed hyperplane
+            raise AssertionError(f"Z logical {d} weight {zw} does not meet the disjoint bound {dz}")
     xw = basis.x_ops[0][0].bit_count()
     if xw != dx:
-        raise AssertionError(
-            f"hyperplane weight {xw} does not meet the disjoint bound {dx}"
-        )
+        raise AssertionError(f"hyperplane weight {xw} does not meet the disjoint bound {dx}")
     cert = DistanceCertificate(
         L=L,
         dz=dz,
         dx_lower=dx,
         dx_upper=xw,
-        disjoint_z_reps=disjoint_counts,
-        disjoint_z_breakdown=breakdown,
-        disjoint_x_reps=x_reps_count,
+        disjoint_z_reps=dx,
+        disjoint_z_breakdown=breakdowns[0],
+        disjoint_x_reps=L,
         dx_stated_formula=8 * L**3,
         dx_formula_discrepancy=(xw != 8 * L**3),
     )
     if L == 2:
         dz_found, candidates = exhaustive_z_distance(family)
         if dz_found != dz:
-            raise AssertionError(
-                f"exhaustive search found dz={dz_found}, certificates say {dz}"
-            )
-        cert.exhaustive_dz = dz_found
-        cert.exhaustive_candidates = candidates
+            raise AssertionError(f"exhaustive search found dz={dz_found}, certificates say {dz}")
+        cert.exhaustive_dz, cert.exhaustive_candidates = dz_found, candidates
     return cert

@@ -13,7 +13,9 @@ exactly, and the rank bookkeeping
     rank(m0) = 6L^4-1,  rank(m1) = 42L^4-3,
     rank(hz) = 22L^4-3, rank(hx) = 2L^4-1
 
-accounts for all dependencies, leaving 4 logical qubits.
+accounts for all dependencies, leaving 4 logical qubits. That k,
+``MetacheckLadder.k``, is block 0's in the ``codes`` and ``distance``
+sections too: no other rank of hx0 or hz0 is taken.
 
 Each rank is certified by peeling (``BinMatrix.peel``), not elimination.
 A ledger matrix M has a dependency set D with D*M = 0 verified, so
@@ -91,6 +93,11 @@ class MetacheckLadder:
             ledger.ranks[name], ledger.ranks[dep] = lower
         return ledger
 
+    @property
+    def k(self) -> int:
+        """n - rank(hx) - rank(hz), both ranks from the ledger."""
+        return self.hz.cols - self.ledger.ranks["hx"] - self.ledger.ranks["hz"]
+
 
 def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> int:
     """Faces with both transverse coordinates at value 1 and the (ax1, ax2)
@@ -150,7 +157,7 @@ def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
         expected=expected,
         chain_m1_hz_zero=ledger.zero["m1_hz"],
         chain_m0_m1_zero=ledger.zero["m0_m1"],
-        k=ladder.hz.cols - ranks["hx"] - ranks["hz"],
+        k=ladder.k,
         sum_hx_rows_zero=ledger.zero["hx"],
         total_independent=ranks["hx"] + ranks["hz"],
     )

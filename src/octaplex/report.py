@@ -91,8 +91,9 @@ class RunResult:
 class _Run:
     """One report run: its inputs, its report and its shared objects.
 
-    ``cx``, ``family`` and ``basis`` are built on first use, each once, and
-    timed. A fault is applied right after the object it corrupts.
+    ``cx``, ``family``, ``basis`` and ``ladder`` are built on first use,
+    each once, and timed. A fault is applied right after the object it
+    corrupts.
     """
 
     name: str
@@ -103,11 +104,12 @@ class _Run:
     timed_s: float = 0.0
 
     def timed(self, phase: str, fn, *args):
-        """Call ``fn(*args)``, timing it net of the phases nested in it."""
+        """Call ``fn(*args)``, adding its time net of nested phases to ``phase``."""
         t0, inner = time.monotonic(), self.timed_s
         out = fn(*args)
-        self.timings[phase] = time.monotonic() - t0 - (self.timed_s - inner)
-        self.timed_s += self.timings[phase]
+        t = time.monotonic() - t0 - (self.timed_s - inner)
+        self.timings[phase] = self.timings.get(phase, 0.0) + t
+        self.timed_s += t
         return out
 
     @cached_property
@@ -132,6 +134,21 @@ class _Run:
             basis.x_ops[0][0] ^= 1 << i
             self.report["fault"] = {"kind": self.fault.kind, "qubit": i}
         return basis
+
+    @cached_property
+    def ladder(self):
+        """Block 0's ladder; its rank ledger, which ``codes``, ``distance``
+        and ``metachecks`` all read, is computed in the same phase."""
+        ladder = self.timed("ladder_build", build_ladder, self.family.complex,
+                            self.family.blocks[0])
+        if self.fault is not None and self.fault.kind == "drop-m1-entry":
+            rows = [list(s) for s in ladder.m1.supports()]
+            edge = self.fault.pick(len(rows))
+            face = rows[edge].pop(self.fault.pick(len(rows[edge])))
+            ladder = replace(ladder, m1=BinMatrix.from_supports(ladder.m1.cols, rows))
+            self.report["fault"] = {"kind": self.fault.kind, "edge": edge, "face": face}
+        self.timed("ladder_build", getattr, ladder, "ledger")
+        return ladder
 
 
 def run_report(
@@ -199,11 +216,11 @@ def _octaplex_lattice(run: _Run):
 
 def _octaplex_codes(run: _Run):
     family, L = run.family, run.L
-    # A block verified to be a translate of block 0 has block 0's k; any
-    # other block is ranked on its own.
+    # Block 0's k is the metacheck ledger's; a block verified to be a
+    # translate of block 0 has it too, and any other block is ranked on its own.
     rows0 = _row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz)
     translates = [True] + [_blocks_equivalent(family, b, rows0) for b in (1, 2, 3)]
-    k0 = family.blocks[0].k
+    k0 = run.ladder.k
     block_data = []
     passed = True
     for blk, translate in zip(family.blocks, translates):
@@ -272,7 +289,7 @@ def _octaplex_transversal(run: _Run):
 def _octaplex_distance(run: _Run):
     family, basis, L = run.family, run.basis, run.L
     try:
-        cert = certify_distances(family, basis)
+        cert = certify_distances(family, basis, run.ladder)
     except AssertionError as exc:
         return False, dict(error=str(exc)), []
     passed = cert.dz == L and cert.dx_lower == cert.dx_upper
@@ -298,13 +315,7 @@ def _octaplex_distance(run: _Run):
 
 
 def _octaplex_metachecks(run: _Run):
-    ladder = build_ladder(run.cx, run.family.blocks[0])
-    if run.fault is not None and run.fault.kind == "drop-m1-entry":
-        rows = [list(s) for s in ladder.m1.supports()]
-        edge = run.fault.pick(len(rows))
-        face = rows[edge].pop(run.fault.pick(len(rows[edge])))
-        ladder = replace(ladder, m1=BinMatrix.from_supports(ladder.m1.cols, rows))
-        run.report["fault"] = {"kind": run.fault.kind, "edge": edge, "face": face}
+    ladder = run.ladder
     glob = verify_global_constraints(ladder)
     counting = verify_counting(ladder, run.L)
     demo = single_shot_repair_demo(ladder, {0})

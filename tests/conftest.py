@@ -39,6 +39,11 @@ def family3():
 
 
 @pytest.fixture(scope="session")
+def ladder3(family3):
+    return build_ladder(family3.complex, family3.blocks[0])
+
+
+@pytest.fixture(scope="session")
 def bounded2():
     return build_bounded_family(2)
 

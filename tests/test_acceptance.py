@@ -167,7 +167,7 @@ def test_criterion3_coupling_is_exactly_four_quartets(periodic2):
 def test_criterion4_distances(periodic2):
     family, basis = periodic2
     t0 = time.monotonic()
-    cert = certify_distances(family, basis)
+    cert = certify_distances(family, basis, build_ladder(family.complex, family.blocks[0]))
     elapsed = time.monotonic() - t0
     ok = (
         cert.dz == 2
@@ -198,7 +198,7 @@ def test_criterion4_dx_is_64(periodic2):
     """
     family, basis = periodic2
     L = family.L
-    cert = certify_distances(family, basis)
+    cert = certify_distances(family, basis, build_ladder(family.complex, family.blocks[0]))
     ok = cert.dx_lower == cert.dx_upper == 10 * L**3 and cert.dx_formula_discrepancy
     _line(4, "dx-64-refuted", ok)
     assert cert.dx_lower == cert.dx_upper == 10 * L**3 == 80

@@ -72,8 +72,8 @@ def test_sum_of_x_rows_vanishes(family2):
 def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch):
     # Negative control for the rank-once shortcut: block 2 without one of
     # its Z checks is no translate of block 0, so the section fails and
-    # reports block 2's own rank, while the verified translates are not
-    # ranked at all.
+    # reports block 2's own rank. Block 0's k is the metacheck ledger's and
+    # the verified translates share it, so none of them is ranked.
     family = copy.deepcopy(family2)
     blk2 = family.blocks[2]
     blk2.hz = BinMatrix(blk2.hz.rows[1:], blk2.n)
@@ -94,7 +94,7 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch):
     ranked_ids = {id(m) for m in ranked}
     for b, blk in enumerate(family.blocks):
         own = {id(blk.hx), id(blk.hz)}
-        assert ranked_ids & own == (own if b in (0, 2) else set()), b
+        assert ranked_ids & own == (own if b == 2 else set()), b
 
 
 def test_block_table_matches_classification():

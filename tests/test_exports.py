@@ -34,9 +34,11 @@ BYTE_CONTRACT = {
     "octaplex-bounded_L2_hz2.alist": "568cb794c9c1c3c12c8acc3b6150a5dbaf79380f8bb6c65deda76624da4a2b5b",
     "octaplex-bounded_L2_hz3.alist": "ab5cde13b97e7023fc21ed6339b3f5d82aa38f128262a079f5da97c1b895f4bf",
 }
-# sha256 of the canonical L=3 outputs of both octaplex families (slow).
-BYTE_CONTRACT_L3 = {
+# sha256 of the slow pins: the canonical L=3 outputs of both octaplex
+# families and the L=4 octaplex report.
+BYTE_CONTRACT_SLOW = {
     "report-L3": "6822a7e4f08500d7e22ad358fcd2f0b497111f56adc5d00c8d28e48f2b68e043",
+    "report-L4": "bd0988dec37000f9c5a50be6af6eb2c6b9baef599746726e9a3662c241c78af7",
     "report-bounded-L3": "f341f191e1355962ed823aa22eba4203f43b66b33b172766ffcb31138d587fbe",
     "octaplex_L3_hx0.alist": "797f59dbda726fb6a43a66be6c16145821b3ac4092674d2d8486e5d043977012",
     "octaplex_L3_hx1.alist": "f046668960e98638adffcccd81552e211bcff70602291a1a9f56847da70078e5",
@@ -58,6 +60,7 @@ REPORT_ARGV = {
     "selftest": ["selftest"],
     "report-L3": ["report", "--family", "octaplex", "--L", "3"],
     "report-bounded-L3": ["report", "--family", "octaplex-bounded", "--L", "3"],
+    "report-L4": ["report", "--family", "octaplex", "--L", "4"],
 }
 # CLI argv that writes every pinned export file of one prefix, with --out DIR.
 EXPORT_ARGV = {
@@ -146,7 +149,7 @@ def test_logicals_json(family2, basis2):
 @pytest.mark.parametrize(
     "name",
     sorted(BYTE_CONTRACT)
-    + [pytest.param(name, marks=pytest.mark.slow) for name in sorted(BYTE_CONTRACT_L3)],
+    + [pytest.param(name, marks=pytest.mark.slow) for name in sorted(BYTE_CONTRACT_SLOW)],
 )
 def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs):
     prefix = next((p for p in EXPORT_ARGV if name.startswith(p)), None)
@@ -160,7 +163,7 @@ def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs):
         key, fmt = name.split(".")
         m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
         data = (matrix_to_alist if fmt == "alist" else matrix_to_mtx)(m).encode("utf-8")
-    assert hashlib.sha256(data).hexdigest() == {**BYTE_CONTRACT, **BYTE_CONTRACT_L3}[name]
+    assert hashlib.sha256(data).hexdigest() == {**BYTE_CONTRACT, **BYTE_CONTRACT_SLOW}[name]
 
 
 def alist_reference(m):

@@ -1,12 +1,19 @@
+import copy
 import random
+import re
+from functools import partial
 
 import pytest
 
+import octaplex.logicals
 from octaplex.binalg import parity, support_from_mask
 from octaplex.logicals import (
+    DIRS,
     PauliSupport,
+    _verify_disjoint_equivalent,
     build_logicals,
     certify_distances,
+    disjoint_x_hyperplanes,
     disjoint_z_strings,
     exhaustive_z_distance,
     logical_class,
@@ -41,8 +48,6 @@ def test_anticommute_at_single_cell(family2, basis2):
 
 
 def test_perturbed_basis_fails(family2, basis2):
-    import copy
-
     broken = copy.deepcopy(basis2)
     broken.x_ops[0][0] = broken.x_ops[0][0] ^ 1 << 17
     ok, witnesses = verify_logical_basis(family2, broken)
@@ -104,8 +109,8 @@ def test_disjoint_strings_counts(family2):
         acc |= m
 
 
-def test_certificate(family2, basis2):
-    cert = certify_distances(family2, basis2)
+def test_certificate(family2, basis2, ladder2):
+    cert = certify_distances(family2, basis2, ladder2)
     assert cert.dz == 2
     assert cert.exhaustive_dz == 2
     assert cert.dx_lower == cert.dx_upper == 80
@@ -118,16 +123,76 @@ def test_certificate(family2, basis2):
     assert cert.dx_formula_discrepancy
 
 
-def test_certificate_rejects_heavier_z_logical(family2, basis2):
+def test_certificate_rejects_heavier_z_logical(family2, basis2, ladder2):
     # d_Z <= L rests on the Z logicals having weight L; a stabilizer-shifted
     # representative keeps the class but not the weight
-    import copy
-
     heavier = copy.deepcopy(basis2)
     row = family2.blocks[0].hz.rows[0]
     heavier.z_ops[0][1] = heavier.z_ops[0][1] ^ row
     with pytest.raises(AssertionError, match="Z logical 1 weight"):
-        certify_distances(family2, heavier)
+        certify_distances(family2, heavier, ladder2)
+
+
+def test_certificate_rejects_a_ledger_k_other_than_the_basis_k(family2, basis2, ladder2):
+    # with three of the four logicals the pairing rule would be no proof:
+    # the quotient has dimension 4, so the certificate must stop first
+    short = copy.deepcopy(basis2)
+    for ops in short.x_ops + short.z_ops:
+        del ops[3]
+    assert short.k == 3 and ladder2.k == 4
+    with pytest.raises(AssertionError, match="ledger k=4 differs from the basis's k=3"):
+        certify_distances(family2, short, ladder2)
+
+
+def test_certificate_rejects_a_logical_x_violating_hz0_first(family2, basis2, ladder2, monkeypatch):
+    broken = copy.deepcopy(basis2)
+    broken.x_ops[0][0] ^= 1 << 17
+    first = support_from_mask(family2.blocks[0].hz.mul_vec(broken.x_ops[0][0]))[0]
+    tested = []
+    for name in ("disjoint_z_strings", "disjoint_x_hyperplanes"):
+        monkeypatch.setattr(octaplex.logicals, name, lambda *a: tested.append(a))
+    witness = {"kind": "x_vs_z_stab", "block": 0, "detail": [0, first]}
+    with pytest.raises(AssertionError, match=re.escape(str(witness))):
+        certify_distances(family2, broken, ladder2)
+    assert tested == []
+
+
+def test_certificate_rejects_a_direction_1_string_among_direction_0(
+    family2, basis2, ladder2, monkeypatch
+):
+    def strings(family, d):
+        fams = disjoint_z_strings(family, d)
+        if d == 0:
+            fams["half_sheet"].insert(0, basis2.z_ops[0][1])
+        return fams
+
+    monkeypatch.setattr(octaplex.logicals, "disjoint_z_strings", strings)
+    with pytest.raises(AssertionError, match="not stabilizer-equivalent to logical 0"):
+        certify_distances(family2, basis2, ladder2)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_pairing_rule_agrees_with_row_space_membership(request, L):
+    # the row-space rule is the oracle: every Z string and X hyperplane
+    # translate, against the logical of every direction
+    family = request.getfixturevalue(f"family{L}")
+    basis, blk0 = build_logicals(family), family.blocks[0]
+    sides = (
+        (lambda d: [m for reps in disjoint_z_strings(family, d).values() for m in reps],
+         basis.z_ops[0], basis.x_ops[0], blk0.hx, blk0.hz),
+        (partial(disjoint_x_hyperplanes, family), basis.x_ops[0], basis.z_ops[0], blk0.hz, blk0.hx),
+    )
+    for reps_of, refs, conjugates, checks, stabilizers in sides:
+        for rep_dir in DIRS:
+            for m in reps_of(rep_dir):
+                for d in DIRS:
+                    try:
+                        _verify_disjoint_equivalent([m], d, conjugates, checks)
+                        accepted = True
+                    except AssertionError:
+                        accepted = False
+                    assert accepted == stabilizers.in_row_space(m ^ refs[d])
+                    assert accepted == (d == rep_dir)
 
 
 def test_exhaustive_requires_small_l(family3):
@@ -141,9 +206,9 @@ def test_exhaustive_search_directly(family2):
     assert candidates == 384 + 384 * 383 // 2
 
 
-def test_l3_certificate_without_search(family3):
+def test_l3_certificate_without_search(family3, ladder3):
     basis3 = build_logicals(family3)
-    cert = certify_distances(family3, basis3)
+    cert = certify_distances(family3, basis3, ladder3)
     assert cert.dz == 3
     assert cert.dx_lower == cert.dx_upper == 10 * 27
     assert cert.exhaustive_dz is None
