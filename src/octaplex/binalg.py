@@ -113,6 +113,7 @@ class BinMatrix:
         m = cls.__new__(cls)
         m.cols, m._indptr, m._indices = cols, indptr, indices
         m._t = m._rank = m._basis = None  # column index, rank, row-space basis
+        m._zero = {}  # product_is_zero's answers, keyed by the other matrix
         return m
 
     @property
@@ -219,6 +220,16 @@ class BinMatrix:
         if self.cols != other.shape[0]:
             raise ValueError("inner dimension mismatch")
         return BinMatrix.from_supports(other.cols, map(other._xor_rows, self.supports()))
+
+    def product_is_zero(self, other: "BinMatrix") -> bool:
+        """Whether self·other = 0: the rows of other that a row of self picks
+        meet each column an even number of times. Kept per other object."""
+        if self.cols != other.shape[0]:
+            raise ValueError("inner dimension mismatch")
+        if other not in self._zero:
+            picked = map(chain.from_iterable, self.mapped_rows(list(map(tuple, other.supports()))))
+            self._zero[other] = all(s[::2] == s[1::2] for s in map(sorted, picked))
+        return self._zero[other]
 
     def transpose(self) -> "BinMatrix":
         """The column index: row j of the transpose lists the rows with a 1

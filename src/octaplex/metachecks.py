@@ -64,12 +64,12 @@ class MetacheckLadder:
 
     @cached_property
     def ledger(self) -> Ledger:
-        """The zero products and the certified ranks, each computed once."""
+        """Zero products (m1·hz, m0·m1 as ∂3·∂2, ∂2·∂1) and certified ranks, once each."""
         m0, m1, hz, hx = self.m0, self.m1, self.hz, self.hx
         planes, hyperplanes = self.globals2.values(), self.globals1.values()
         zero = {
-            "m1_hz": m1.matmul(hz).is_zero(),
-            "m0_m1": m0.matmul(m1).is_zero(),
+            "m1_hz": hz.transpose().product_is_zero(m1.transpose()),
+            "m0_m1": m1.transpose().product_is_zero(m0.transpose()),
             "faces": all(not hz.row_combination(g) for g in planes),
             "edges": all(not m1.row_combination(g) for g in hyperplanes),
             "vertices": not m0.row_combination(self.global0),

@@ -198,9 +198,10 @@ def _octaplex_lattice(run: _Run):
     }
     same_color_edge = next(([a, b] for a, b in cx.boundary[1].supports()
                             if cx.colors[a] is cx.colors[b]), None)
+    euler = euler_characteristic(cx)
     passed = (
         counts == expected
-        and euler_characteristic(cx) == 0
+        and euler == 0
         and boundary_composition_is_zero(cx)
         and cross_check_nearest(cx)
         and same_color_edge is None
@@ -208,7 +209,7 @@ def _octaplex_lattice(run: _Run):
     return passed, dict(
         cell_counts=counts,
         expected_counts=expected,
-        euler_characteristic=euler_characteristic(cx),
+        euler_characteristic=euler,
         color_balance=color_balance,
         same_color_edge_witness=same_color_edge,
     ), []
@@ -216,11 +217,12 @@ def _octaplex_lattice(run: _Run):
 
 def _octaplex_codes(run: _Run):
     family, L = run.family, run.L
-    # Block 0's k is the metacheck ledger's; a block verified to be a
-    # translate of block 0 has it too, and any other block is ranked on its own.
+    # Block 0's k is the metacheck ledger's and its CSS check the lattice's
+    # ∂4·∂3 = 0; a verified translate of block 0 has both (a qubit bijection
+    # keeps ranks and overlaps), and any other block is checked on its own.
     rows0 = _row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz)
     translates = [True] + [_blocks_equivalent(family, b, rows0) for b in (1, 2, 3)]
-    k0 = run.ladder.k
+    k0, css0 = run.ladder.k, family.blocks[0].css_commutes()
     block_data = []
     passed = True
     for blk, translate in zip(family.blocks, translates):
@@ -232,7 +234,7 @@ def _octaplex_codes(run: _Run):
             "z_weights": blk.z_weights(),
             "x_rows": blk.hx.shape[0],
             "z_rows": blk.hz.shape[0],
-            "css": blk.css_commutes(),
+            "css": css0 if translate else blk.css_commutes(),
         }
         passed &= (
             entry["css"]

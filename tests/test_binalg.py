@@ -421,10 +421,40 @@ def test_csr_matches_mask_reference(seed):
         left = BinMatrix(random_masks(rng, inner, len(masks)), len(masks)) if masks else None
         if left is not None:
             assert left.matmul(m).rows == [mask_combination(masks, s) for s in left.rows]
+            assert left.product_is_zero(m) == left.matmul(m).is_zero()
         rank = len(reference_rref(masks, cols)[1])
         assert m.rank() == rank
         assert m.kernel_basis() == reference_kernel(masks, cols)
+        assert m.product_is_zero(BinMatrix(m.kernel_basis(), cols).transpose())
         assert BinMatrix(masks, cols).rank() == rank
+
+
+def test_product_is_zero_rejects_an_inner_dimension_mismatch():
+    m = BinMatrix.from_supports(3, [[0, 1], [2]])
+    for other in (BinMatrix.from_supports(2, [[0], [1]]), m):
+        with pytest.raises(ValueError, match="inner dimension"):
+            m.product_is_zero(other)
+
+
+def test_product_is_zero_keeps_no_answer_for_a_rebuilt_matrix(monkeypatch):
+    # a triangle's boundary maps: the face's three edges meet each vertex twice
+    d2 = BinMatrix.from_supports(3, [[0, 1, 2]])
+    d1 = BinMatrix.from_supports(3, [[0, 1], [1, 2], [0, 2]])
+    computed, mapped = [], BinMatrix.mapped_rows
+    monkeypatch.setattr(BinMatrix, "mapped_rows",
+                        lambda self, table: computed.append(self) or mapped(self, table))
+    assert d2.product_is_zero(d1) and d2.product_is_zero(d1)
+    assert computed == [d2]
+    # the same rows rebuilt are a new matrix: computed afresh, still zero
+    assert d2.product_is_zero(BinMatrix.from_supports(3, d1.supports()))
+    assert computed == [d2, d2]
+    # edge 2 rebuilt with vertex 2 moved to vertex 1: computed afresh, not zero
+    moved = BinMatrix.from_supports(3, [[0, 1], [1, 2], [0, 1]])
+    assert not d2.product_is_zero(moved)
+    assert not d2.matmul(moved).is_zero()
+    assert computed == [d2, d2, d2]
+    assert d2.product_is_zero(d1) and not d2.product_is_zero(moved)
+    assert computed == [d2, d2, d2]
 
 
 def test_rank_keeps_no_basis():

@@ -8,6 +8,7 @@ import octaplex.codes as codes
 from octaplex.binalg import BinMatrix, mask_from_support, parity, support_from_mask
 from octaplex.codes import (
     BLOCK_COLORS,
+    Codeblock,
     _block_of,
     _star,
     build_codeblock0,
@@ -69,28 +70,44 @@ def test_sum_of_x_rows_vanishes(family2):
         assert acc == 0
 
 
-def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch):
-    # Negative control for the rank-once shortcut: block 2 without one of
-    # its Z checks is no translate of block 0, so the section fails and
-    # reports block 2's own rank. Block 0's k is the metacheck ledger's and
-    # the verified translates share it, so none of them is ranked.
+@pytest.mark.parametrize("corruption", ["drop-z-row", "move-z-entry"])
+def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch, corruption):
+    # Negative control for the rank-once and CSS-once shortcuts: block 2
+    # without its first Z check, or with that check's first qubit moved to
+    # the lowest qubit outside it (so that block 2 is no longer CSS), is no
+    # translate of block 0, so the section fails and reports block 2's own
+    # rank and CSS result. Block 0's k is the metacheck ledger's, and the
+    # verified translates share it and block 0's CSS result, so none of
+    # them is ranked or checked.
     family = copy.deepcopy(family2)
     blk2 = family.blocks[2]
-    blk2.hz = BinMatrix(blk2.hz.rows[1:], blk2.n)
-    rank = BinMatrix.rank
-    ranked = []
+    rows = [list(s) for s in blk2.hz.supports()]
+    if corruption == "drop-z-row":
+        del rows[0]
+    else:
+        rows[0][0] = next(q for q in range(blk2.n) if q not in rows[0])
+    blk2.hz = BinMatrix.from_supports(blk2.n, rows)
+    css2 = blk2.hx.matmul(blk2.hz.transpose()).is_zero()
+    assert css2 is (corruption == "drop-z-row")
+    rank, css_commutes = BinMatrix.rank, Codeblock.css_commutes
+    ranked, checked = [], []
 
     def spy(m):
         ranked.append(m)
         return rank(m)
 
     monkeypatch.setattr(BinMatrix, "rank", spy)
+    monkeypatch.setattr(Codeblock, "css_commutes",
+                        lambda blk: checked.append(blk.label) or css_commutes(blk))
     run = _Run("octaplex", family.L, None, {})
     run.family = family
     passed, data, _ = SECTIONS["octaplex"]["codes"](run)
     assert not passed
     assert data["block_equivalence"] is False
     assert data["blocks"][2]["k"] == blk2.n - rank(blk2.hx) - rank(blk2.hz)
+    assert data["blocks"][2]["css"] is css2
+    assert [b["css"] for b in data["blocks"]] == [True, True, css2, True]
+    assert checked == [0, 2]
     ranked_ids = {id(m) for m in ranked}
     for b, blk in enumerate(family.blocks):
         own = {id(blk.hx), id(blk.hz)}

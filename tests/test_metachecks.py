@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import octaplex.report as report
 from octaplex.binalg import BinMatrix
 from octaplex.codes import build_periodic_family
 from octaplex.metachecks import (
@@ -204,15 +205,76 @@ def test_dropped_m1_entry_falls_back_on_both_pairs(ladder2):
     assert ledger.ranks["hz"] == ladder2.hz.rank()
 
 
-def test_dropped_m1_entry_fails_only_metachecks():
+def spy_products(monkeypatch):
+    """The complexes a report builds, and the (self, other) pairs whose
+    product ``product_is_zero`` computes rather than reads: computing it
+    maps self's rows."""
+    built, computed, open_calls = [], [], []
+    build, product, mapped = report.build_octaplex, BinMatrix.product_is_zero, BinMatrix.mapped_rows
+
+    def product_spy(self, other):
+        open_calls.append((self, other))
+        try:
+            return product(self, other)
+        finally:
+            open_calls.pop()
+
+    def mapped_spy(self, table):
+        if open_calls and open_calls[-1][0] is self:
+            computed.append(open_calls[-1])
+        return mapped(self, table)
+
+    monkeypatch.setattr(report, "build_octaplex", lambda L: built.append(build(L)) or built[-1])
+    monkeypatch.setattr(BinMatrix, "product_is_zero", product_spy)
+    monkeypatch.setattr(BinMatrix, "mapped_rows", mapped_spy)
+    return built, computed
+
+
+def chain_pairs(cx, ds):
+    """The pairs (∂d, ∂(d-1)) as object ids, sorted."""
+    return sorted((id(cx.boundary[d]), id(cx.boundary[d - 1])) for d in ds)
+
+
+@pytest.mark.parametrize("sections, ds", [
+    (None, (2, 3, 4)),
+    ({"lattice"}, (2, 3, 4)),
+    ({"codes"}, (2, 3, 4)),        # block 0's CSS is ∂4·∂3; the ledger reads the other two
+    ({"metachecks"}, (2, 3)),
+])
+def test_each_chain_product_is_computed_once(monkeypatch, sections, ds):
+    # ∂∘∂ in lattice, block 0's CSS check in codes and the ledger's chain
+    # conditions are the same three products; whichever section runs first
+    # computes one, and the others read it
+    built, computed = spy_products(monkeypatch)
+    assert run_report("octaplex", 2, sections=sections).ok
+    [cx] = built
+    assert sorted((id(a), id(b)) for a, b in computed) == chain_pairs(cx, ds)
+
+
+def test_dropped_m1_entry_fails_only_metachecks(monkeypatch):
     # codes and distance read block 0's k from the faulted ladder's ledger;
     # its fallback ranks are exact, so only the metachecks section fails
+    built, computed = spy_products(monkeypatch)
     result = run_report("octaplex", 2, fault=Fault("drop-m1-entry", seed=3))
     sections = result.report["sections"]
     assert {n: s["status"] for n, s in sections.items() if s["status"] != "pass"} == {
         "metachecks": "fail"}
     assert [b["k"] for b in sections["codes"]["blocks"]] == [4, 4, 4, 4]
     assert sections["metachecks"]["counting"]["k"] == 4
+    # lattice computes the complex's three products; the faulted m1 is a new
+    # matrix, so the ledger computes its two chain products afresh
+    [cx] = built
+    B, fault = cx.boundary, result.report["fault"]
+    assert sorted((id(a), id(b)) for a, b in computed[:3]) == chain_pairs(cx, (2, 3, 4))
+    (b3, faulted), (faulted_too, b1) = computed[3:]
+    assert b3 is B[3] and b1 is B[1] and faulted_too is faulted and faulted is not B[2]
+
+    def entries(m):
+        return {(i, j) for i, s in enumerate(m.supports()) for j in s}
+
+    # ∂2 without the dropped (face, edge) entry
+    assert entries(B[2]) - entries(faulted) == {(fault["face"], fault["edge"])}
+    assert entries(faulted) <= entries(B[2])
 
 
 @pytest.mark.slow
