@@ -1,17 +1,24 @@
-"""Exact linear algebra over GF(2) on sparse rows and bit-packed vectors.
+"""Exact linear algebra over GF(2) on sparse rows.
 
 A matrix stores its rows in CSR form: the sorted column indices of all rows
 in one flat ``array('i')`` plus row offsets. Its column index, built once on
 first use, is the CSR form of the transpose, whose own transpose is the
-matrix itself. Vectors are Python-int masks (bit i is column i); a bit at or
-beyond the width of the matrix a vector meets is a ``ValueError``. A row
-becomes a mask only to enter the one elimination, a basis keyed by lowest
-set bit (``LowbitBasis``), which takes the rows by descending lowest index
-to keep fill-in low. Its keys are the lowest-column pivots and the reduced
-row echelon form built from it is unique, so kernels and ranks do not
-depend on row order; the keys are also one mask, so a reduction jumps from
-key bit to key bit. ``rank`` keeps only the count, and only row-space
-queries keep the basis; ``peel`` bounds the rank from below with none.
+matrix itself. A vector is an index list: a logical operator, a syndrome or
+a row selector names the columns (or rows) where it is 1. ``syndrome`` maps
+columns to the rows that meet them oddly and ``xor_rows`` maps rows to the
+columns they meet oddly, both by the one row-XOR kernel on the CSR arrays;
+an index outside the matrix is a ``ValueError``.
+
+Python-int masks (bit i is column i) live only inside elimination. A row
+becomes a mask only to enter the one basis keyed by lowest set bit
+(``LowbitBasis``), which takes the rows by descending lowest index to keep
+fill-in low, and ``reduce``, ``in_row_space``, ``kernel_basis`` and
+``residues`` speak masks. The basis's keys are the lowest-column pivots and
+the reduced row echelon form built from it is unique, so kernels and ranks
+do not depend on row order; the keys are also one mask, so a reduction
+jumps from key bit to key bit. ``rank`` keeps only the count, and only
+row-space queries keep the basis; ``peel`` bounds the rank from below with
+none.
 """
 
 from __future__ import annotations
@@ -37,10 +44,6 @@ def support_from_mask(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def parity(mask: int) -> int:
-    return mask.bit_count() & 1
 
 
 class LowbitBasis:
@@ -191,8 +194,11 @@ class BinMatrix:
                 kernel[f] |= 1 << c
         return list(kernel.values())
 
-    def _xor_rows(self, rows: Iterable[int]) -> set[int]:
-        """Columns where an odd number of the given rows have a 1."""
+    def xor_rows(self, rows: Sequence[int]) -> set[int]:
+        """Columns where an odd number of the given rows have a 1; a row
+        outside 0..rows-1 is a ``ValueError``."""
+        if rows and not 0 <= min(rows) <= max(rows) < len(self._indptr) - 1:
+            raise ValueError(f"row index outside the {self.shape[0]} rows")
         ptr, indices, acc = self._indptr, self._indices, set()
         for i in rows:
             acc.symmetric_difference_update(indices[ptr[i]:ptr[i + 1]])
@@ -203,23 +209,13 @@ class BinMatrix:
         outside the width is a ``ValueError``."""
         if support and not 0 <= min(support) <= max(support) < self.cols:
             raise ValueError(f"column index outside width {self.cols}")
-        return self.transpose()._xor_rows(support)
-
-    def mul_vec(self, v: int) -> int:
-        """Syndrome M v: bit i is the overlap parity of row i with v."""
-        return mask_from_support(self.syndrome(support_from_mask(_within(v, self.cols))))
-
-    def row_combination(self, selector: int) -> int:
-        """XOR of the rows picked out by selector bits."""
-        return mask_from_support(
-            self._xor_rows(support_from_mask(_within(selector, self.shape[0])))
-        )
+        return self.transpose().xor_rows(support)
 
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
         """Self's rows select combinations of other's rows (composition of maps)."""
         if self.cols != other.shape[0]:
             raise ValueError("inner dimension mismatch")
-        return BinMatrix.from_supports(other.cols, map(other._xor_rows, self.supports()))
+        return BinMatrix.from_supports(other.cols, map(other.xor_rows, self.supports()))
 
     def product_is_zero(self, other: "BinMatrix") -> bool:
         """Whether self·other = 0: the rows of other that a row of self picks

@@ -317,8 +317,6 @@ def build_bounded_family(L: int) -> CodeFamily:
         d = BOUNDED_ROUGH_AXIS[b]
         hx = BinMatrix.from_supports(n, (_star(c, qidx, period) for c in centers[b]))
         xbar_cells = support(x_hyperplane(b, d, box, positions=(4, 2, 3)))
-        xbar = mask_from_support(xbar_cells)
-        zbar = mask_from_support(support(z_string(b, d, box, base=4)))
         constraint = BinMatrix.from_supports(n, [*hx.supports(), xbar_cells])
         rows_of = [mask_from_support(r) for r in constraint.transpose().supports()]
         kept = [s for s in triangles  # the triangles whose qubits' constraint rows cancel
@@ -340,8 +338,8 @@ def build_bounded_family(L: int) -> CodeFamily:
                     "triangle_generators": len(kept),
                     "completion_generators": len(completion),
                     "triangle_weights": sorted({len(s) for s in kept}),
-                    "logical_x": xbar,
-                    "logical_z": zbar,
+                    "logical_x": xbar_cells,
+                    "logical_z": support(z_string(b, d, box, base=4)),
                     "rough_axis": AXES[d],
                 },
             )

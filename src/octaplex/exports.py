@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .binalg import BinMatrix, support_from_mask
+from typing import Sequence
+
+from .binalg import BinMatrix
 
 
 def matrix_to_alist(m: BinMatrix) -> str:
@@ -66,8 +68,7 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def logicals_to_json(labels: list, qubit_labels: list, ops: dict[str, int]) -> dict:
-    out = {}
-    for name, mask in ops.items():
-        out[name] = [list(qubit_labels[i]) for i in support_from_mask(mask)]
+def logicals_to_json(labels: list, qubit_labels: list, ops: dict[str, Sequence[int]]) -> dict:
+    """Each operator, given as its qubit indices, as its qubits' labels in index order."""
+    out = {name: [list(qubit_labels[i]) for i in sorted(support)] for name, support in ops.items()}
     return {"directions": labels, "operators": out}

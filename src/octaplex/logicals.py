@@ -12,6 +12,10 @@ operators give upper bounds, and (at L=2) an exhaustive search over low
 weights confirms the Z distance independently, the one row-space test.
 Equivalence is decided by syndrome and pairing against the conjugate
 logicals, which the metacheck ledger's k makes a proof.
+
+Every operator is an index list over the family's qubits, and a block's
+representatives are the rows of one ``BinMatrix``: a syndrome is
+``BinMatrix.syndrome`` and a pairing is the parity of an intersection.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations, product
+from typing import Callable, Iterable, Sequence
 
-from .binalg import BinMatrix, mask_from_support, parity, support_from_mask
+from .binalg import BinMatrix, mask_from_support
 from .codes import CodeFamily, x_hyperplane, z_string
 from .lattice import AXES, Coord, line, sheet, sublattice
 from .metachecks import MetacheckLadder
@@ -32,7 +37,7 @@ DIRS = (0, 1, 2, 3)  # axis indices x, y, z, w
 class PauliSupport:
     kind: str          # "X" or "Z"
     block: int
-    support: int       # qubit mask
+    support: list[int]  # qubit indices
 
     def __post_init__(self) -> None:
         if self.kind not in ("X", "Z"):
@@ -41,26 +46,33 @@ class PauliSupport:
 
 @dataclass
 class LogicalBasis:
-    """Per block: matched lists of X and Z representatives.
+    """Per block: matched X and Z representatives, k rows over the qubits.
 
     ``pairing(b)`` is the anticommutation matrix between the block's X and Z
     representatives; a valid basis has the identity pattern.
     """
 
     family_kind: str
-    x_ops: list[list[int]]   # qubit masks
-    z_ops: list[list[int]]
+    x_ops: list[BinMatrix]
+    z_ops: list[BinMatrix]
     labels: list[str] = field(default_factory=list)
 
     @property
     def k(self) -> int:
-        return len(self.x_ops[0])
+        return self.x_ops[0].shape[0]
 
     def pairing(self, block: int) -> list[list[int]]:
-        return [
-            [parity(x & z) for z in self.z_ops[block]]
-            for x in self.x_ops[block]
-        ]
+        z = self.z_ops[block]
+        return [[int(j in odd) for j in range(z.shape[0])]
+                for odd in map(z.syndrome, self.x_ops[block].supports())]
+
+
+def _ops(family: CodeFamily) -> Callable[[Iterable[Iterable[Coord]]], BinMatrix]:
+    """The map from lists of cells to a matrix with one row per list, over
+    the family's qubits."""
+    qidx = family.qubit_index()
+    return lambda cell_lists: BinMatrix.from_supports(
+        family.n, ([qidx[c] for c in cells] for cells in cell_lists))
 
 
 # ---------------------------------------------------------------------------
@@ -74,23 +86,17 @@ TORUS_SHEETS = (0, 2, 1)
 def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "octaplex":
         raise ValueError("periodic octaplex family required")
-    values = range(4 * family.L)
-    qidx = family.qubit_index()
-
-    def op(cells: list[Coord]) -> int:
-        return mask_from_support(qidx[c] for c in cells)
-
-    x_ops = [[op(x_hyperplane(b, d, values, TORUS_SHEETS)) for d in DIRS]
-             for b in range(4)]
-    z_ops = [[op(z_string(b, d, values, base=0)) for d in DIRS] for b in range(4)]
+    values, ops = range(4 * family.L), _ops(family)
+    x_ops = [ops(x_hyperplane(b, d, values, TORUS_SHEETS) for d in DIRS) for b in range(4)]
+    z_ops = [ops(z_string(b, d, values, base=0) for d in DIRS) for b in range(4)]
     return LogicalBasis("octaplex", x_ops, z_ops, labels=list(AXES))
 
 
 def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "octaplex-bounded":
         raise ValueError("bounded family required")
-    x_ops = [[blk.meta["logical_x"]] for blk in family.blocks]
-    z_ops = [[blk.meta["logical_z"]] for blk in family.blocks]
+    x_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_x"]]) for blk in family.blocks]
+    z_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_z"]]) for blk in family.blocks]
     labels = [family.blocks[b].meta["rough_axis"] for b in range(4)]
     return LogicalBasis("octaplex-bounded", x_ops, z_ops, labels=labels)
 
@@ -102,40 +108,35 @@ def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
 def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "2d":
         raise ValueError("2d family required")
-    L = family.L
-    qidx = family.qubit_index()
-
-    def m(coords) -> int:
-        return mask_from_support(qidx[c] for c in coords)
-
-    loop_x = m([("h", i, 0) for i in range(L)])       # horizontal cycle
-    loop_y = m([("v", 0, j) for j in range(L)])       # vertical cycle
-    coloop_x = m([("h", 0, j) for j in range(L)])     # crosses vertical lines
-    coloop_y = m([("v", i, 0) for i in range(L)])
+    L, ops = family.L, _ops(family)
+    loops = ops([[("h", i, 0) for i in range(L)],     # horizontal cycle
+                 [("v", 0, j) for j in range(L)]])    # vertical cycle
+    coloops = ops([[("h", 0, j) for j in range(L)],   # crosses vertical lines
+                   [("v", i, 0) for i in range(L)]])
     # Block A: X on plaquettes -> X logicals are graph cycles.
-    x_ops = [[loop_x, loop_y], [coloop_x, coloop_y]]
-    z_ops = [[coloop_x, coloop_y], [loop_x, loop_y]]
+    x_ops = [loops, coloops]
+    z_ops = [coloops, loops]
     return LogicalBasis("2d", x_ops, z_ops, labels=["1", "2"])
 
 
 def build_3d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "3d":
         raise ValueError("3d family required")
-    L, qidx = family.L, family.qubit_index()
+    L, ops = family.L, _ops(family)
 
-    def edges(axes: str, running: set[int]) -> int:
+    def edges(axes: str, running: set[int]) -> list[tuple]:
         """The edges along ``axes`` whose coordinates in ``running`` run
         over the torus and whose other coordinates are 0."""
         ranges = [range(L) if i in running else (0,) for i in range(3)]
-        return mask_from_support(qidx[(e, *c)] for e in axes for c in product(*ranges))
+        return [(e, *c) for e in axes for c in product(*ranges)]
 
     dirs = range(3)
-    parallel_plane = [edges("xyz"[a], {0, 1, 2} - {a}) for a in dirs]
-    line = [edges("xyz"[a], {a}) for a in dirs]
-    in_plane = [edges("xyz".replace("xyz"[a], ""), {0, 1, 2} - {a}) for a in dirs]
-    comb = [edges("xyz"[(a + 1) % 3], {a}) for a in dirs]
-    x_ops = [parallel_plane, in_plane, list(in_plane)]
-    z_ops = [line, comb, list(comb)]
+    parallel_plane = ops(edges("xyz"[a], {0, 1, 2} - {a}) for a in dirs)
+    line = ops(edges("xyz"[a], {a}) for a in dirs)
+    in_plane = ops(edges("xyz".replace("xyz"[a], ""), {0, 1, 2} - {a}) for a in dirs)
+    comb = ops(edges("xyz"[(a + 1) % 3], {a}) for a in dirs)
+    x_ops = [parallel_plane, in_plane, in_plane]
+    z_ops = [line, comb, comb]
     return LogicalBasis("3d", x_ops, z_ops, labels=list("xyz"))
 
 
@@ -173,8 +174,8 @@ def verify_logical_basis(
             ("x_vs_z_stab", basis.x_ops[b], blk.hz),
             ("z_vs_x_stab", basis.z_ops[b], blk.hx),
         ):
-            for d, op in enumerate(ops):
-                for i in support_from_mask(checks.mul_vec(op)):
+            for d, op in enumerate(ops.supports()):
+                for i in sorted(checks.syndrome(op)):
                     witnesses.append(LemmaWitness(kind, b, (d, i)))
         pair = basis.pairing(b)
         for i, row in enumerate(pair):
@@ -195,13 +196,14 @@ def logical_class(
     """
     blk = family.blocks[p.block]
     checks = blk.hx if p.kind == "Z" else blk.hz
-    if checks.mul_vec(p.support):
+    if checks.syndrome(p.support):
         return None
     partners = basis.x_ops[p.block] if p.kind == "Z" else basis.z_ops[p.block]
-    bits = tuple(parity(p.support & q) for q in partners)
-    if all(v == 0 for v in bits):
+    odd = partners.syndrome(p.support)
+    bits = tuple(int(j in odd) for j in range(partners.shape[0]))
+    if not odd:
         space = blk.hz if p.kind == "Z" else blk.hx
-        if not space.in_row_space(p.support):
+        if not space.in_row_space(mask_from_support(p.support)):
             raise AssertionError(
                 "operator commutes and pairs trivially but is not a stabilizer"
             )
@@ -233,7 +235,7 @@ class DistanceCertificate:
         return {names.get(k, k): v for k, v in self.__dict__.items() if k != "L"}
 
 
-def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[int]]:
+def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]:
     """Pairwise-disjoint translates of the direction-d string on block 0.
 
     Three families: strings through the half-integer sheet (offsets on the
@@ -242,62 +244,61 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[int]]:
     """
     qidx = family.qubit_index()
     on = partial(sublattice, range(4 * family.L))
-    out: dict[str, list[int]] = {}
+    out: dict[str, list[list[int]]] = {}
     for name, free, axis in (
         ("half_sheet", on(0), on(2)),
         ("integer_sheet", on(2), on(0)),
         ("quarter_sheet", on(1, 3), on(1, 3)),
     ):
-        out[name] = [
-            mask_from_support(qidx[c] for c in line(d, p, axis))
-            for p in sheet(d, 0, [free] * 3)
-        ]
+        out[name] = [[qidx[c] for c in line(d, p, axis)] for p in sheet(d, 0, [free] * 3)]
     return out
 
 
-def disjoint_x_hyperplanes(family: CodeFamily, d: int) -> list[int]:
+def disjoint_x_hyperplanes(family: CodeFamily, d: int) -> list[list[int]]:
     """The L disjoint translates, by 4 along d, of the direction-d hyperplane on block 0."""
     qidx, values = family.qubit_index(), range(4 * family.L)
-    return [mask_from_support(qidx[c] for c in x_hyperplane(
-        0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS)))
+    return [[qidx[c] for c in x_hyperplane(
+        0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS))]
         for shift in range(family.L)]
 
 
 def _verify_disjoint_equivalent(
-    reps: list[int], d: int, conjugates: list[int], check_matrix: BinMatrix
+    reps: list[Sequence[int]], d: int, conjugates: BinMatrix, check_matrix: BinMatrix
 ) -> None:
-    """Pairwise disjoint, each with an empty syndrome and pairing e_d with ``conjugates``."""
-    unit = [int(j == d) for j in range(len(conjugates))]
-    acc = 0
-    for m in reps:
-        if acc & m:
+    """Pairwise disjoint, each with an empty syndrome and pairing e_d with
+    the rows of ``conjugates``."""
+    seen = bytearray(check_matrix.cols)
+    for s in reps:
+        if any(map(seen.__getitem__, s)):
             raise AssertionError("representatives are not pairwise disjoint")
-        acc |= m
-        if check_matrix.mul_vec(m):
+        for q in s:
+            seen[q] = 1
+        if check_matrix.syndrome(s):
             raise AssertionError("representative violates a stabilizer")
-        if [parity(m & c) for c in conjugates] != unit:
+        if conjugates.syndrome(s) != {d}:
             raise AssertionError(f"representative is not stabilizer-equivalent to logical {d}")
 
 
 def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]:
     """Smallest weight of a Z-type logical on one block, by direct search.
 
-    Exhausts weights 1 and 2; weight-2 candidates are grouped by X-syndrome
-    column so only syndrome-free pairs reach the row-space test. Only L=2 is
-    allowed (the search space grows too quickly beyond that).
+    Exhausts weights 1 and 2; weight-2 candidates are grouped by their hx
+    column (the qubit's X syndrome) so only syndrome-free pairs reach the
+    row-space test. Only L=2 is allowed (the search space grows too quickly
+    beyond that).
     """
     if family.L > 2:
         raise ValueError("exhaustive search is only supported at L=2")
     blk = family.blocks[block]
-    n = blk.n
+    n, columns = blk.n, blk.hx.transpose()
     candidates = n
     for q in range(n):
-        if not blk.hx.mul_vec(1 << q):
+        if not columns.support(q):
             if not blk.hz.in_row_space(1 << q):
                 return 1, candidates
-    syndromes: dict[int, list[int]] = {}
-    for q in range(n):
-        syndromes.setdefault(blk.hx.mul_vec(1 << q), []).append(q)
+    syndromes: dict[tuple[int, ...], list[int]] = {}
+    for q, column in enumerate(columns.supports()):
+        syndromes.setdefault(tuple(column), []).append(q)
     candidates += n * (n - 1) // 2
     pairs = (1 << a | 1 << b for group in syndromes.values() for a, b in combinations(group, 2))
     if all(blk.hz.in_row_space(v) for v in pairs):
@@ -329,7 +330,7 @@ def certify_distances(
     breakdowns = []
     for d in DIRS:
         fams = disjoint_z_strings(family, d)
-        _verify_disjoint_equivalent([m for reps in fams.values() for m in reps], d,
+        _verify_disjoint_equivalent([s for reps in fams.values() for s in reps], d,
                                     basis.x_ops[0], blk0.hx)
         # L disjoint hyperplane translates certify dz >= L per direction.
         _verify_disjoint_equivalent(disjoint_x_hyperplanes(family, d), d, basis.z_ops[0], blk0.hz)
@@ -339,11 +340,10 @@ def certify_distances(
 
     # A verified Z logical of weight L bounds dz from above.
     dz, dx = L, sum(breakdowns[0].values())  # dx == weight of the constructed hyperplane
-    for d in DIRS:
-        zw = basis.z_ops[0][d].bit_count()
+    for d, zw in enumerate(basis.z_ops[0].weights()):
         if zw != dz:
             raise AssertionError(f"Z logical {d} weight {zw} does not meet the disjoint bound {dz}")
-    xw = basis.x_ops[0][0].bit_count()
+    xw = basis.x_ops[0].weights()[0]
     if xw != dx:
         raise AssertionError(f"hyperplane weight {xw} does not meet the disjoint bound {dx}")
     cert = DistanceCertificate(

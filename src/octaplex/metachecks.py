@@ -7,8 +7,9 @@ Levels, bottom to top:
 
 plus the global combinations: six face planes (one per axis pair), four edge
 hyperplanes (one per axis), the all-vertices combination, and the
-all-X-stabilizers combination. Chain conditions m1*hz = 0 and m0*m1 = 0 hold
-exactly, and the rank bookkeeping
+all-X-stabilizers combination, each an index list of the rows it sums, read
+through ``BinMatrix.xor_rows``. Chain conditions m1*hz = 0 and m0*m1 = 0
+hold exactly, and the rank bookkeeping
 
     rank(m0) = 6L^4-1,  rank(m1) = 42L^4-3,
     rank(hz) = 22L^4-3, rank(hx) = 2L^4-1
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .binalg import BinMatrix, mask_from_support, support_from_mask
+from .binalg import BinMatrix
 from .codes import Codeblock
 from .lattice import AXES, CellComplex
 
@@ -57,10 +58,10 @@ class MetacheckLadder:
     hx: BinMatrix                        # 4-cells x qubits
     m1: BinMatrix                        # 1-cells x 2-cells, cx.boundary[2] transposed
     m0: BinMatrix                        # 0-cells x 1-cells, cx.boundary[1] transposed
-    globals2: dict[tuple[str, str], int]   # face planes (hz rows), per axis pair
-    globals1: dict[str, int]               # edge hyperplanes (m1 rows), per axis
-    global0: int                           # all vertices (m0 rows)
-    globalX: int                           # all X stabilizer rows
+    globals2: dict[tuple[str, str], list[int]]   # face planes (hz rows), per axis pair
+    globals1: dict[str, list[int]]               # edge hyperplanes (m1 rows), per axis
+    global0: list[int]                           # all vertices (m0 rows)
+    globalX: list[int]                           # all X stabilizer rows
 
     @cached_property
     def ledger(self) -> Ledger:
@@ -70,18 +71,18 @@ class MetacheckLadder:
         zero = {
             "m1_hz": hz.transpose().product_is_zero(m1.transpose()),
             "m0_m1": m1.transpose().product_is_zero(m0.transpose()),
-            "faces": all(not hz.row_combination(g) for g in planes),
-            "edges": all(not m1.row_combination(g) for g in hyperplanes),
-            "vertices": not m0.row_combination(self.global0),
-            "hx": not hx.row_combination(self.globalX),
+            "faces": all(not hz.xor_rows(g) for g in planes),
+            "edges": all(not m1.xor_rows(g) for g in hyperplanes),
+            "vertices": not m0.xor_rows(self.global0),
+            "hx": not hx.xor_rows(self.globalX),
         }
         pairs = (  # M, M as peeled, D's name, D as peeled, D*M = 0 verified
-            ("m1", m1.transpose(), "m0+edges", m0.stacked(map(support_from_mask, hyperplanes)),
+            ("m1", m1.transpose(), "m0+edges", m0.stacked(hyperplanes),
              zero["m0_m1"] and zero["edges"]),
-            ("hz", hz, "m1+faces", m1.stacked(map(support_from_mask, planes)).transpose(),
-             zero["m1_hz"] and zero["faces"]),
-            ("m0", m0, "vertices", BinMatrix([self.global0], m0.shape[0]), zero["vertices"]),
-            ("hx", hx, "x", BinMatrix([self.globalX], hx.shape[0]), zero["hx"]),
+            ("hz", hz, "m1+faces", m1.stacked(planes).transpose(), zero["m1_hz"] and zero["faces"]),
+            ("m0", m0, "vertices", BinMatrix.from_supports(m0.shape[0], [self.global0]),
+             zero["vertices"]),
+            ("hx", hx, "x", BinMatrix.from_supports(hx.shape[0], [self.globalX]), zero["hx"]),
         )
         ledger = Ledger({}, zero, [])
         for name, peeled, dep, d, closed in pairs:
@@ -99,21 +100,19 @@ class MetacheckLadder:
         return self.hz.cols - self.ledger.ranks["hx"] - self.ledger.ranks["hz"]
 
 
-def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> int:
+def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> list[int]:
     """Faces with both transverse coordinates at value 1 and the (ax1, ax2)
     coordinates on the integer/quarter sublattices in either order."""
     o1, o2 = (i for i in range(4) if i not in (ax1, ax2))
-    return mask_from_support(
-        i for i, f in enumerate(cx.cells[2]) if f[o1] == f[o2] == 1
-        and (f[ax1] % 4 == 0 and f[ax2] % 2 or f[ax1] % 2 and f[ax2] % 4 == 0))
+    return [i for i, f in enumerate(cx.cells[2]) if f[o1] == f[o2] == 1
+            and (f[ax1] % 4 == 0 and f[ax2] % 2 or f[ax1] % 2 and f[ax2] % 4 == 0)]
 
 
 def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
     globals2 = {(AXES[i], AXES[j]): _face_plane(cx, i, j) for i, j in combinations(range(4), 2)}
-    globals1 = {AXES[a]: mask_from_support(i for i, e in enumerate(cx.cells[1]) if e[a] == 1)
-                for a in range(4)}
-    global0 = (1 << len(cx.cells[0])) - 1
-    globalX = (1 << block0.hx.shape[0]) - 1
+    globals1 = {AXES[a]: [i for i, e in enumerate(cx.cells[1]) if e[a] == 1] for a in range(4)}
+    global0 = list(range(len(cx.cells[0])))
+    globalX = list(range(block0.hx.shape[0]))
     return MetacheckLadder(
         cx, block0.hz, block0.hx, cx.boundary[2].transpose(), cx.boundary[1].transpose(),
         globals2, globals1, global0, globalX,
@@ -232,8 +231,7 @@ def single_shot_repair_demo(
     is recovered uniquely from its violated-edge set: it is the face on the
     first violated edge whose boundary is exactly that set.
     """
-    flip_mask = mask_from_support(flipped_checks)
-    violated = support_from_mask(ladder.m1.mul_vec(flip_mask))
+    violated = sorted(ladder.m1.syndrome(sorted(flipped_checks)))
     identified = None
     per_flip = None
     if len(flipped_checks) == 1:
@@ -264,12 +262,8 @@ def tanner_graph_json(ladder: MetacheckLadder) -> dict:
         "edge_metacheck_supports": [list(s) for s in ladder.m1.supports()],
         "vertex_metacheck_supports": [list(s) for s in ladder.m0.supports()],
         "globals": {
-            "face_planes": {
-                "-".join(k): support_from_mask(v) for k, v in ladder.globals2.items()
-            },
-            "edge_hyperplanes": {
-                k: support_from_mask(v) for k, v in ladder.globals1.items()
-            },
+            "face_planes": {"-".join(k): v for k, v in ladder.globals2.items()},
+            "edge_hyperplanes": dict(ladder.globals1),
             "all_vertices": "all",
             "all_x_stabilizers": "all",
         },

@@ -131,7 +131,9 @@ class _Run:
         basis = self.timed("logicals_build", build_logicals, self.family)
         if self.fault is not None and self.fault.kind == "perturb-logical":
             i = self.fault.pick(self.family.n)
-            basis.x_ops[0][0] ^= 1 << i
+            rows = [set(s) for s in basis.x_ops[0].supports()]
+            rows[0] ^= {i}
+            basis.x_ops[0] = BinMatrix.from_supports(self.family.n, rows)
             self.report["fault"] = {"kind": self.fault.kind, "qubit": i}
         return basis
 
@@ -255,8 +257,8 @@ def _octaplex_logicals(run: _Run):
     return valid, dict(
         k=basis.k,
         witnesses=[w.as_dict() for w in witnesses[:8]],
-        x_weight=basis.x_ops[0][0].bit_count(),
-        z_weight=basis.z_ops[0][0].bit_count(),
+        x_weight=basis.x_ops[0].weights()[0],
+        z_weight=basis.z_ops[0].weights()[0],
     ), []
 
 

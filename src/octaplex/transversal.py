@@ -16,9 +16,10 @@ indexes; the CCZ check counts the stabilizer triples once for both its
 all-stabilizer condition and the histogram. The ``threads`` argument of the
 ``check_*_conditions`` functions is accepted and has no effect.
 
-All parities here are multilinear in each slot (bitwise AND distributes
-over XOR), so checking generators plus fixed representatives covers the
-full stabilizer group; `multilinearity_holds` spot-checks that identity.
+All parities here are multilinear in each slot (intersection distributes
+over symmetric difference), so checking generators plus fixed
+representatives covers the full stabilizer group; `multilinearity_holds`
+spot-checks that identity.
 
 The phase-polynomial engine represents diagonal gates at the pi-phase level
 as sets of monomials over named binary variables and implements conjugation
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import BinMatrix, parity
+from .binalg import BinMatrix
 from .codes import CodeFamily
 from .logicals import LogicalBasis, PauliSupport, logical_class
 
@@ -195,7 +196,7 @@ def _indexes(family: CodeFamily, basis: LogicalBasis) -> tuple[list[_RowIndex], 
     """Each block's X stabilizers and each block's X logicals, indexed once."""
     return (
         [_RowIndex(b.hx) for b in family.blocks],
-        [_RowIndex(BinMatrix(x, family.n)) for x in basis.x_ops],
+        [_RowIndex(x) for x in basis.x_ops],
     )
 
 
@@ -239,11 +240,10 @@ def check_ccz_conditions(
     return TransversalReport(3, conditions, tensor, list(basis.labels), extras=extras)
 
 
-def triple_weight_histogram(stab_masks: list[list[int]]) -> dict[int, int]:
+def triple_weight_histogram(stabs: list[BinMatrix]) -> dict[int, int]:
     """Number of stabilizer triples, one row per block, per intersection weight."""
     hist: Counter = Counter()
-    cols = max((m.bit_length() for masks in stab_masks for m in masks), default=0)
-    _first_odd([_RowIndex(BinMatrix(masks, cols)) for masks in stab_masks], hist)
+    _first_odd(list(map(_RowIndex, stabs)), hist)
     return dict(hist)
 
 
@@ -279,16 +279,15 @@ def check_cccz_conditions(
 
 
 def multilinearity_holds(
-    slot_a: Sequence[int], others: Sequence[int], trials: Sequence[tuple[int, int]]
+    slot_a: Sequence[Sequence[int]], others: Sequence[Sequence[int]],
+    trials: Sequence[tuple[int, int]],
 ) -> bool:
-    """parity((a xor a') & M) == parity(a & M) xor parity(a' & M)."""
-    rest = -1
-    for m in others:
-        rest = m if rest == -1 else rest & m
+    """|(a xor a') & M| == |a & M| + |a' & M| mod 2, for supports a, a' of
+    ``slot_a`` and M the common intersection of ``others``."""
+    rest = set.intersection(*map(set, others))
     for i, j in trials:
-        lhs = parity((slot_a[i] ^ slot_a[j]) & rest)
-        rhs = parity(slot_a[i] & rest) ^ parity(slot_a[j] & rest)
-        if lhs != rhs:
+        a, b = set(slot_a[i]), set(slot_a[j])
+        if len((a ^ b) & rest) % 2 != (len(a & rest) + len(b & rest)) % 2:
             return False
     return True
 
@@ -304,10 +303,8 @@ def induced_logical_z(
     if len(set(blocks)) != 3 or len(family.blocks) != 4:
         raise ValueError("need X logicals from three distinct blocks of four")
     target = next(b for b in range(4) if b not in blocks)
-    common = -1
-    for b, d in reps:
-        common &= basis.x_ops[b][d]
-    return logical_class(family, basis, PauliSupport("Z", target, common))
+    common = set.intersection(*(set(basis.x_ops[b].support(d)) for b, d in reps))
+    return logical_class(family, basis, PauliSupport("Z", target, sorted(common)))
 
 
 # ---------------------------------------------------------------------------

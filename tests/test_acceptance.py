@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from octaplex.binalg import mask_from_support
 from octaplex.codes import (
     SIGMA,
     bounded_boundary_coordinate_count,
@@ -49,10 +48,11 @@ def _line(num: int, name: str, ok: bool, elapsed: float | None = None) -> None:
     print(f"ACCEPTANCE {num} {name}: {'PASS' if ok else 'FAIL'}{t}")
 
 
-def _split_support(family, mask: int) -> tuple[list[tuple], list[tuple]]:
-    """Scaled coordinates of the octahedra in ``mask``, split into
+def _split_support(family, support) -> tuple[list[tuple], list[tuple]]:
+    """Scaled coordinates of the octahedra in ``support``, split into
     quarter-type (all four coordinates odd) and half-type (all even)."""
-    coords = sorted(c for c, i in family.qubit_index().items() if mask >> i & 1)
+    support = set(support)
+    coords = sorted(c for c, i in family.qubit_index().items() if i in support)
     quarter = [c for c in coords if all(v % 2 for v in c)]
     half = [c for c in coords if not any(v % 2 for v in c)]
     assert len(quarter) + len(half) == len(coords)
@@ -138,9 +138,9 @@ def test_criterion3_coupling_is_exactly_four_quartets(periodic2):
     assert set(columns) == set(STATED_QUARTETS)
 
     for q in ALL_DISTINCT_QUADRUPLES:
-        common = basis.x_ops[0][q[0]]
+        common = set(basis.x_ops[0].support(q[0]))
         for b in (1, 2, 3):
-            common &= basis.x_ops[b][q[b]]
+            common &= set(basis.x_ops[b].support(q[b]))
         quarter, half = _split_support(family, common)
         assert quarter == [(1, 1, 1, 1)], (q, quarter)
         if q in columns:
@@ -211,14 +211,14 @@ def test_criterion4_dx_is_64(periodic2):
     index = family.qubit_index()
     hz = family.blocks[0].hz
     for d in range(4):
-        x = basis.x_ops[0][d]
+        x = basis.x_ops[0].support(d)
         quarter, half = _split_support(family, x)
         assert len(quarter) == 8 * L**3 == 64
         assert len(half) == 2 * L**3 == 16
         assert all(c[d] == 1 for c in quarter)
-        assert hz.mul_vec(x) == 0
-        quarter_part = mask_from_support(index[c] for c in quarter)
-        assert hz.mul_vec(quarter_part) != 0, d
+        assert hz.syndrome(x) == set()
+        quarter_part = [index[c] for c in quarter]
+        assert hz.syndrome(quarter_part) != set(), d
 
     result = run_octaplex_report(2, sections={"distance"})
     assert result.ok

@@ -107,7 +107,7 @@ def test_kernel_of_parity_check():
     basis = m.kernel_basis()
     assert len(basis) == 3
     for v in basis:
-        assert m.mul_vec(v) == 0
+        assert m.syndrome(support_from_mask(v)) == set()
 
 
 def test_in_row_space_basics():
@@ -120,16 +120,18 @@ def test_in_row_space_basics():
 
 
 @pytest.mark.parametrize(
-    "method, bad",
-    # a vector is a mask over the 3 columns, a selector one over the 2 rows
-    [("in_row_space", 0b1011), ("mul_vec", 0b1011), ("row_combination", 0b100)],
-    ids=["in_row_space", "mul_vec", "row_combination"],
+    "method, bad, form",
+    # a vector is a mask over the 3 columns, a selector one over the 2 rows;
+    # syndrome and xor_rows read them as index lists
+    [("in_row_space", 0b1011, int), ("syndrome", 0b1011, support_from_mask),
+     ("xor_rows", 0b100, support_from_mask)],
+    ids=["in_row_space", "syndrome", "xor_rows"],
 )
-def test_in_row_space_length_mismatch(method, bad):
+def test_in_row_space_length_mismatch(method, bad, form):
     m = BinMatrix([0b011, 0b110], 3)
-    getattr(m, method)(bad >> 1)
+    getattr(m, method)(form(bad >> 1))
     with pytest.raises(ValueError):
-        getattr(m, method)(bad)
+        getattr(m, method)(form(bad))
 
 
 def test_rank_plus_kernel_dim_random():
@@ -165,7 +167,7 @@ def test_kernel_vectors_annihilated():
         cols = rng.randrange(3, 14)
         m = BinMatrix([rng.getrandbits(cols) for _ in range(5)], cols)
         for v in m.kernel_basis():
-            assert m.mul_vec(v) == 0
+            assert m.syndrome(support_from_mask(v)) == set()
 
 
 def test_transpose_rank_agrees():
@@ -362,7 +364,7 @@ def test_from_supports_rejects_bad_indices():
     empty = BinMatrix.from_supports(5, [])
     assert empty.shape == (0, 5)
     assert empty.rows == [] and empty.is_zero() and empty.rank() == 0
-    assert empty.mul_vec(0b10101) == 0
+    assert empty.syndrome([0, 2, 4]) == set()
     assert empty.transpose().shape == (5, 0)
     assert empty.kernel_basis() == [1 << i for i in range(5)]
 
@@ -413,11 +415,11 @@ def test_csr_matches_mask_reference(seed):
         assert fresh.transpose() is not m and fresh.transpose().rows == masks
         assert [m.support(i) for i in range(len(masks))] == list(m.supports())
         for v in [rng.getrandbits(cols) for _ in range(5)] + [0, (1 << cols) - 1]:
-            assert m.mul_vec(v) == mask_mul_vec(masks, v)
-            assert m.syndrome(support_from_mask(v)) == set(support_from_mask(m.mul_vec(v)))
+            assert mask_from_support(m.syndrome(support_from_mask(v))) == mask_mul_vec(masks, v)
         for _ in range(3):
             selector = rng.getrandbits(len(masks))
-            assert m.row_combination(selector) == mask_combination(masks, selector)
+            assert (mask_from_support(m.xor_rows(support_from_mask(selector)))
+                    == mask_combination(masks, selector))
         left = BinMatrix(random_masks(rng, inner, len(masks)), len(masks)) if masks else None
         if left is not None:
             assert left.matmul(m).rows == [mask_combination(masks, s) for s in left.rows]
@@ -467,7 +469,8 @@ def test_rank_keeps_no_basis():
     rng = random.Random(12)
     for m in matrices:
         probes = [rng.getrandbits(m.cols) for _ in range(3)]
-        probes += [m.row_combination(rng.getrandbits(m.shape[0])) for _ in range(3)]
+        probes += [mask_from_support(m.xor_rows(support_from_mask(rng.getrandbits(m.shape[0]))))
+                   for _ in range(3)]
         fresh = LowbitBasis()
         for r in m.rows:
             fresh.insert(r)
@@ -492,6 +495,10 @@ def test_syndrome_rejects_a_column_outside():
     for bad in ([-1], [3], [0, -1], [2, 3]):
         with pytest.raises(ValueError, match="outside"):
             m.syndrome(bad)
+    assert m.xor_rows([0, 1]) == {0, 1, 2} and m.xor_rows([]) == set()
+    for bad in ([-1], [2], [0, -1], [1, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            m.xor_rows(bad)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,6 +1,6 @@
 import pytest
 
-from octaplex.binalg import BinMatrix, LowbitBasis, parity
+from octaplex.binalg import BinMatrix, LowbitBasis, mask_from_support
 from octaplex.codes import bounded_boundary_coordinate_count, build_bounded_family
 from octaplex.logicals import verify_logical_basis
 from octaplex.transversal import check_cccz_conditions
@@ -58,8 +58,8 @@ def test_cccz_single_action(bounded2, bounded_basis2):
 def test_logical_string_weights(bounded2, bounded_basis2):
     L = 2
     for b in range(4):
-        assert bounded_basis2.z_ops[b][0].bit_count() == L
-        assert bounded_basis2.x_ops[b][0].bit_count() == 2 * L**3 + (2 * L - 1) ** 3
+        assert bounded_basis2.z_ops[b].weights()[0] == L
+        assert bounded_basis2.x_ops[b].weights()[0] == 2 * L**3 + (2 * L - 1) ** 3
 
 
 def test_small_l_rejected():
@@ -76,8 +76,8 @@ def test_blocks_share_qubits(bounded2):
 
 def test_logical_x_commutes_with_all_z(bounded2, bounded_basis2):
     for b, blk in enumerate(bounded2.blocks):
-        x = bounded_basis2.x_ops[b][0]
-        assert all(parity(x & z) == 0 for z in blk.hz.rows)
+        x = set(bounded_basis2.x_ops[b].support(0))
+        assert all(len(x & set(z)) % 2 == 0 for z in blk.hz.supports())
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def reference_completion(block):
     """The kept triangles inserted one by one in ascending mask order, then
     each kernel vector of hx + logical X; the residues that grow the span."""
     kept = sorted(block.hz.rows[: block.meta["triangle_generators"]])
-    constraint = BinMatrix([*block.hx.rows, block.meta["logical_x"]], block.n)
+    constraint = BinMatrix([*block.hx.rows, mask_from_support(block.meta["logical_x"])], block.n)
     span = LowbitBasis()
     for row in kept:
         span.insert(row)

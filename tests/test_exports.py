@@ -140,7 +140,7 @@ def test_logicals_json(family2, basis2):
     d = logicals_to_json(
         basis2.labels,
         family2.qubit_labels,
-        {"z_w_block0": basis2.z_ops[0][3], "x_w_block0": basis2.x_ops[0][3]},
+        {"z_w_block0": basis2.z_ops[0].support(3), "x_w_block0": basis2.x_ops[0].support(3)},
     )
     assert d["operators"]["z_w_block0"] == [[0, 0, 0, 2], [0, 0, 0, 6]]
     assert len(d["operators"]["x_w_block0"]) == 80

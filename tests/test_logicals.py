@@ -1,12 +1,15 @@
-import copy
+import hashlib
 import random
 import re
+import sys
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 import octaplex.logicals
-from octaplex.binalg import parity, support_from_mask
+from octaplex import binalg
+from octaplex.binalg import BinMatrix, mask_from_support
 from octaplex.logicals import (
     DIRS,
     PauliSupport,
@@ -19,14 +22,22 @@ from octaplex.logicals import (
     logical_class,
     verify_logical_basis,
 )
+from octaplex.report import Fault, report_json, run_report
+
+
+def toggled(m, i, qubits):
+    """``m`` with row i's support XORed with the given qubits."""
+    rows = [set(s) for s in m.supports()]
+    rows[i] ^= set(qubits)
+    return BinMatrix.from_supports(m.cols, rows)
 
 
 def test_basis_weights(family2, basis2):
     L = family2.L
     for b in range(4):
         for d in range(4):
-            assert basis2.z_ops[b][d].bit_count() == L
-            assert basis2.x_ops[b][d].bit_count() == 10 * L**3
+            assert basis2.z_ops[b].weights()[d] == L
+            assert basis2.x_ops[b].weights()[d] == 10 * L**3
 
 
 def test_lemma_holds(family2, basis2):
@@ -41,15 +52,14 @@ def test_pairing_identity(family2, basis2):
 
 def test_anticommute_at_single_cell(family2, basis2):
     # conjugate pair along the last axis meets at the one cell (0,0,0,1/2)
-    inter = basis2.x_ops[0][3] & basis2.z_ops[0][3]
-    assert inter.bit_count() == 1
-    (q,) = support_from_mask(inter)
+    inter = set(basis2.x_ops[0].support(3)) & set(basis2.z_ops[0].support(3))
+    assert len(inter) == 1
+    (q,) = inter
     assert family2.qubit_labels[q] == (0, 0, 0, 2)
 
 
 def test_perturbed_basis_fails(family2, basis2):
-    broken = copy.deepcopy(basis2)
-    broken.x_ops[0][0] = broken.x_ops[0][0] ^ 1 << 17
+    broken = replace(basis2, x_ops=[toggled(basis2.x_ops[0], 0, [17]), *basis2.x_ops[1:]])
     ok, witnesses = verify_logical_basis(family2, broken)
     assert not ok
     assert witnesses
@@ -57,13 +67,13 @@ def test_perturbed_basis_fails(family2, basis2):
 
 def test_z_vs_all_x_stabilizers_even(family2, basis2):
     blk = family2.blocks[0]
-    z = basis2.z_ops[0][3]
-    assert all(parity(z & r) == 0 for r in blk.hx.rows)
+    z = set(basis2.z_ops[0].support(3))
+    assert all(len(z & set(r)) % 2 == 0 for r in blk.hx.supports())
 
 
 def test_logical_class_of_basis(family2, basis2):
     for d in range(4):
-        p = PauliSupport("Z", 0, basis2.z_ops[0][d])
+        p = PauliSupport("Z", 0, list(basis2.z_ops[0].support(d)))
         bits = logical_class(family2, basis2, p)
         assert bits == tuple(1 if i == d else 0 for i in range(4))
 
@@ -72,19 +82,16 @@ def test_class_constant_under_stabilizer_shift(family2, basis2):
     # multiply the string by the weight-4 product of two triangles sharing
     # their quarter cells; the class must not move
     qidx = family2.qubit_index()
-    shift = [(0, 0, 0, 2), (1, 1, 1, 3), (1, 1, 1, 7), (2, 2, 2, 0)]
-    mask = 0
-    for c in shift:
-        mask |= 1 << qidx[c]
+    shift = [qidx[c] for c in [(0, 0, 0, 2), (1, 1, 1, 3), (1, 1, 1, 7), (2, 2, 2, 0)]]
     blk = family2.blocks[0]
-    assert blk.hz.in_row_space(mask)
-    moved = basis2.z_ops[0][3] ^ mask
+    assert blk.hz.in_row_space(mask_from_support(shift))
+    moved = sorted(set(basis2.z_ops[0].support(3)) ^ set(shift))
     p = PauliSupport("Z", 0, moved)
     assert logical_class(family2, basis2, p) == (0, 0, 0, 1)
 
 
 def test_stabilizer_row_is_trivial_class(family2, basis2):
-    row = family2.blocks[0].hz.rows[10]
+    row = list(family2.blocks[0].hz.support(10))
     p = PauliSupport("Z", 0, row)
     assert logical_class(family2, basis2, p) == (0, 0, 0, 0)
 
@@ -93,7 +100,7 @@ def test_single_qubit_z_is_not_logical(family2, basis2):
     rng = random.Random(2)
     for _ in range(5):
         q = rng.randrange(family2.n)
-        p = PauliSupport("Z", 0, 1 << q)
+        p = PauliSupport("Z", 0, [q])
         assert logical_class(family2, basis2, p) is None
 
 
@@ -103,10 +110,10 @@ def test_disjoint_strings_counts(family2):
     assert len(fams["half_sheet"]) == L**3
     assert len(fams["integer_sheet"]) == L**3
     assert len(fams["quarter_sheet"]) == (2 * L) ** 3
-    acc = 0
-    for m in fams["half_sheet"] + fams["integer_sheet"] + fams["quarter_sheet"]:
-        assert acc & m == 0
-        acc |= m
+    acc = set()
+    for s in fams["half_sheet"] + fams["integer_sheet"] + fams["quarter_sheet"]:
+        assert not acc & set(s)
+        acc |= set(s)
 
 
 def test_certificate(family2, basis2, ladder2):
@@ -126,9 +133,8 @@ def test_certificate(family2, basis2, ladder2):
 def test_certificate_rejects_heavier_z_logical(family2, basis2, ladder2):
     # d_Z <= L rests on the Z logicals having weight L; a stabilizer-shifted
     # representative keeps the class but not the weight
-    heavier = copy.deepcopy(basis2)
-    row = family2.blocks[0].hz.rows[0]
-    heavier.z_ops[0][1] = heavier.z_ops[0][1] ^ row
+    row = family2.blocks[0].hz.support(0)
+    heavier = replace(basis2, z_ops=[toggled(basis2.z_ops[0], 1, row), *basis2.z_ops[1:]])
     with pytest.raises(AssertionError, match="Z logical 1 weight"):
         certify_distances(family2, heavier, ladder2)
 
@@ -136,18 +142,18 @@ def test_certificate_rejects_heavier_z_logical(family2, basis2, ladder2):
 def test_certificate_rejects_a_ledger_k_other_than_the_basis_k(family2, basis2, ladder2):
     # with three of the four logicals the pairing rule would be no proof:
     # the quotient has dimension 4, so the certificate must stop first
-    short = copy.deepcopy(basis2)
-    for ops in short.x_ops + short.z_ops:
-        del ops[3]
+    def first3(ops):
+        return [BinMatrix.from_supports(m.cols, list(m.supports())[:3]) for m in ops]
+
+    short = replace(basis2, x_ops=first3(basis2.x_ops), z_ops=first3(basis2.z_ops))
     assert short.k == 3 and ladder2.k == 4
     with pytest.raises(AssertionError, match="ledger k=4 differs from the basis's k=3"):
         certify_distances(family2, short, ladder2)
 
 
 def test_certificate_rejects_a_logical_x_violating_hz0_first(family2, basis2, ladder2, monkeypatch):
-    broken = copy.deepcopy(basis2)
-    broken.x_ops[0][0] ^= 1 << 17
-    first = support_from_mask(family2.blocks[0].hz.mul_vec(broken.x_ops[0][0]))[0]
+    broken = replace(basis2, x_ops=[toggled(basis2.x_ops[0], 0, [17]), *basis2.x_ops[1:]])
+    first = min(family2.blocks[0].hz.syndrome(broken.x_ops[0].support(0)))
     tested = []
     for name in ("disjoint_z_strings", "disjoint_x_hyperplanes"):
         monkeypatch.setattr(octaplex.logicals, name, lambda *a: tested.append(a))
@@ -163,7 +169,7 @@ def test_certificate_rejects_a_direction_1_string_among_direction_0(
     def strings(family, d):
         fams = disjoint_z_strings(family, d)
         if d == 0:
-            fams["half_sheet"].insert(0, basis2.z_ops[0][1])
+            fams["half_sheet"].insert(0, list(basis2.z_ops[0].support(1)))
         return fams
 
     monkeypatch.setattr(octaplex.logicals, "disjoint_z_strings", strings)
@@ -178,20 +184,21 @@ def test_pairing_rule_agrees_with_row_space_membership(request, L):
     family = request.getfixturevalue(f"family{L}")
     basis, blk0 = build_logicals(family), family.blocks[0]
     sides = (
-        (lambda d: [m for reps in disjoint_z_strings(family, d).values() for m in reps],
+        (lambda d: [s for reps in disjoint_z_strings(family, d).values() for s in reps],
          basis.z_ops[0], basis.x_ops[0], blk0.hx, blk0.hz),
         (partial(disjoint_x_hyperplanes, family), basis.x_ops[0], basis.z_ops[0], blk0.hz, blk0.hx),
     )
     for reps_of, refs, conjugates, checks, stabilizers in sides:
         for rep_dir in DIRS:
-            for m in reps_of(rep_dir):
+            for s in reps_of(rep_dir):
                 for d in DIRS:
                     try:
-                        _verify_disjoint_equivalent([m], d, conjugates, checks)
+                        _verify_disjoint_equivalent([s], d, conjugates, checks)
                         accepted = True
                     except AssertionError:
                         accepted = False
-                    assert accepted == stabilizers.in_row_space(m ^ refs[d])
+                    sum_with_ref = mask_from_support(s) ^ mask_from_support(refs.support(d))
+                    assert accepted == stabilizers.in_row_space(sum_with_ref)
                     assert accepted == (d == rep_dir)
 
 
@@ -220,19 +227,58 @@ def test_block1_representatives_translate_to_block0(family2, basis2):
     from octaplex.codes import shifted_qubit_permutation
 
     perm = shifted_qubit_permutation(family2.complex, 1)
-
-    def permute(mask):
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << perm[i]
-            mask >>= 1
-            i += 1
-        return out
-
     blk0 = family2.blocks[0]
     for d in range(4):
-        moved = permute(basis2.z_ops[1][d])
-        assert blk0.hx.mul_vec(moved) == 0
-        assert blk0.hz.in_row_space(moved ^ basis2.z_ops[0][d])
+        moved = [perm[i] for i in basis2.z_ops[1].support(d)]
+        assert blk0.hx.syndrome(moved) == set()
+        assert blk0.hz.in_row_space(mask_from_support(moved) ^ mask_from_support(basis2.z_ops[0].support(d)))
+
+
+# OCTAPLEX_SEED 0 picks qubit 79, inside block 0's first X logical, so the
+# fault removes it; seed 3 picks qubit 342, outside it, so the fault adds it.
+# Each report's first witness and sha256 are pinned.
+@pytest.mark.parametrize("seed, qubit, inside, first, digest", [
+    (0, 79, True, 47, "f413fd44f287bf7a74d6ba1bf7849a8e38b99592c1e68d5b384db02501942df6"),
+    (3, 342, False, 22, "f10a7bff3238fcf7566b734125ce8f308ec7572d83298bcd5ad8f85f6b318bee"),
+], ids=["removes", "adds"])
+def test_perturb_logical_toggles_one_qubit_of_row_0(basis2, seed, qubit, inside, first, digest):
+    result = run_report("octaplex", 2, fault=Fault("perturb-logical", seed=seed))
+    report = result.report
+    assert report["fault"] == {"kind": "perturb-logical", "qubit": qubit}
+    assert (qubit in basis2.x_ops[0].support(0)) == inside
+    logicals, distance = report["sections"]["logicals"], report["sections"]["distance"]
+    assert logicals["status"] == distance["status"] == "fail"
+    assert logicals["x_weight"] == (79 if inside else 81)
+    witness = {"kind": "x_vs_z_stab", "block": 0, "detail": [0, first]}
+    assert logicals["witnesses"][0] == witness
+    assert distance["error"] == f"block 0 logicals fail: {witness}"
+    assert hashlib.sha256(report_json(result).encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def mask_calls(monkeypatch):
+    """Every call of the mask helpers and of the mask constructor, wherever
+    an octaplex module holds them."""
+    calls = []
+
+    def spy(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in ("mask_from_support", "support_from_mask"):
+        original = getattr(binalg, name)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "octaplex"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name, original))
+    monkeypatch.setattr(BinMatrix, "__init__", spy("BinMatrix.__init__", BinMatrix.__init__))
+    return calls
+
+
+@pytest.mark.parametrize("sections", [None, {"distance"}], ids=["all", "distance"])
+def test_periodic_report_builds_no_mask(mask_calls, sections):
+    # logicals, representatives, syndromes and metacheck globals are index
+    # lists: a periodic report above L=2, which eliminates nothing, makes no mask
+    assert run_report("octaplex", 3, sections=sections).ok
+    assert mask_calls == []
+    # the spy sees the masks that the L=2 search's row-space test builds
+    assert run_report("octaplex", 2, sections={"distance"}).ok
+    assert "mask_from_support" in mask_calls

@@ -3,11 +3,12 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from octaplex import transversal
-from octaplex.binalg import BinMatrix
+from octaplex.binalg import BinMatrix, mask_from_support
 from octaplex.codes import build_3d_triple
 from octaplex.logicals import build_logicals
 from octaplex.transversal import (
@@ -46,12 +47,11 @@ def test_tensor_content(family2, basis2):
 
 
 def test_tensor_representative_independent(family2, basis2):
-    import copy
-
     rep = check_cccz_conditions(family2, basis2)
-    shifted = copy.deepcopy(basis2)
-    row = family2.blocks[1].hx.rows[5]
-    shifted.x_ops[1][2] = shifted.x_ops[1][2] ^ row
+    rows = [set(s) for s in basis2.x_ops[1].supports()]
+    rows[2] ^= set(family2.blocks[1].hx.support(5))
+    moved = BinMatrix.from_supports(family2.n, rows)
+    shifted = replace(basis2, x_ops=[basis2.x_ops[0], moved, *basis2.x_ops[2:]])
     rep2 = check_cccz_conditions(family2, shifted)
     assert rep2.all_even_pass
     assert rep2.tensor_support() == rep.tensor_support()
@@ -65,11 +65,11 @@ def test_threads_do_not_change_result(family2, basis2):
 
 def test_multilinearity(family2, basis2):
     rng = random.Random(9)
-    rows = family2.blocks[0].hx.rows
+    rows = list(family2.blocks[0].hx.supports())
     others = [
-        family2.blocks[1].hx.rows[3],
-        family2.blocks[2].hx.rows[7],
-        basis2.x_ops[3][1],
+        family2.blocks[1].hx.support(3),
+        family2.blocks[2].hx.support(7),
+        basis2.x_ops[3].support(1),
     ]
     trials = [(rng.randrange(len(rows)), rng.randrange(len(rows))) for _ in range(30)]
     assert multilinearity_holds(rows, others, trials)
@@ -90,14 +90,14 @@ def test_induced_logical_off_quartet_nontrivial(family2, basis2):
 
 
 def test_induced_string_reduces_to_basis_string(family2, basis2):
-    acc = (
-        basis2.x_ops[1][2]
-        & basis2.x_ops[2][1]
-        & basis2.x_ops[3][0]
+    acc = sorted(
+        set(basis2.x_ops[1].support(2))
+        & set(basis2.x_ops[2].support(1))
+        & set(basis2.x_ops[3].support(0))
     )
     blk0 = family2.blocks[0]
-    assert blk0.hx.mul_vec(acc) == 0
-    assert blk0.hz.in_row_space(acc ^ basis2.z_ops[0][3])
+    assert blk0.hx.syndrome(acc) == set()
+    assert blk0.hz.in_row_space(mask_from_support(acc) ^ mask_from_support(basis2.z_ops[0].support(3)))
 
 
 def test_parallel_directions_do_not_couple(family2, basis2):
@@ -107,7 +107,7 @@ def test_parallel_directions_do_not_couple(family2, basis2):
 
 
 def test_triple_histogram_smoke(triple3d):
-    hist = triple_weight_histogram([b.hx.rows for b in triple3d.blocks])
+    hist = triple_weight_histogram([b.hx for b in triple3d.blocks])
     assert set(hist) <= {0, 2}
 
 
@@ -170,7 +170,7 @@ def test_enumeration_matches_brute_force(blocks, plant):
             t: w & 1 for t, w in _oracle_weights(logical)
         }
         if blocks == 3:
-            assert triple_weight_histogram(stab) == Counter(
+            assert triple_weight_histogram([BinMatrix(rows, 12) for rows in stab]) == Counter(
                 w for _, w in _oracle_weights(stab)
             )
 
@@ -320,7 +320,7 @@ def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
         (n, c) for n, c in enumerate(rep.conditions) if not c.passed
     )
     stab = [blk.hx.rows for blk in faulty.blocks]
-    logical = basis2.x_ops
+    logical = [x.rows for x in basis2.x_ops]
     assert (first.passed, first.scanned, first.witness) == _oracle_condition(
         stab, logical, n_logical
     )
@@ -342,8 +342,9 @@ def _ccz_with_histogram(monkeypatch, family, basis):
     return rep, seen[0]
 
 
-def _assert_histogram_complete(rep, hist, stab):
-    assert hist == triple_weight_histogram(stab)
+def _assert_histogram_complete(rep, hist, matrices):
+    stab = [m.rows for m in matrices]
+    assert hist == triple_weight_histogram(matrices)
     assert hist == Counter(w for _, w in _oracle_weights(stab))
     assert sum(hist.values()) == math.prod(map(len, stab))
     assert rep.extras["triple_intersection_weights"] == sorted(hist)
@@ -354,7 +355,7 @@ def test_ccz_histogram_matches_brute_force(monkeypatch, L):
     family = build_3d_triple(L)
     rep, hist = _ccz_with_histogram(monkeypatch, family, build_logicals(family))
     assert rep.all_even_pass
-    _assert_histogram_complete(rep, hist, [blk.hx.rows for blk in family.blocks])
+    _assert_histogram_complete(rep, hist, [blk.hx for blk in family.blocks])
 
 
 def test_ccz_flipped_stabilizer_qubit_keeps_witness_and_histogram(monkeypatch):
@@ -369,11 +370,11 @@ def test_ccz_flipped_stabilizer_qubit_keeps_witness_and_histogram(monkeypatch):
     stab = [blk.hx.rows for blk in family.blocks]
     assert sss.name == "sss_even" and not sss.passed
     assert (sss.passed, sss.scanned, sss.witness) == _oracle_condition(
-        stab, basis.x_ops, 0
+        stab, [x.rows for x in basis.x_ops], 0
     )
     # the stream was read past the witness: every triple is counted
     assert any(w & 1 for w in hist)
-    _assert_histogram_complete(rep, hist, stab)
+    _assert_histogram_complete(rep, hist, [blk.hx for blk in family.blocks])
 
 
 # ---------------------------------------------------------------------------

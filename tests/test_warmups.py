@@ -191,8 +191,8 @@ def test_2d_disjoint_padding_passes_even_fails_pairing():
     basis = build_logicals(fam)
     padded_basis = LogicalBasis(
         "2d",
-        [basis.x_ops[0], [v << shift for v in basis.x_ops[1]]],
-        [basis.z_ops[0], [v << shift for v in basis.z_ops[1]]],
+        [pad_a(basis.x_ops[0].rows), pad_b(basis.x_ops[1].rows)],
+        [pad_a(basis.z_ops[0].rows), pad_b(basis.z_ops[1].rows)],
         labels=basis.labels,
     )
     rep = check_cz_conditions(padded, padded_basis)
@@ -279,7 +279,7 @@ def predicate_3d_logicals(family, comb_step=1):
     ax_i = {"x": 0, "y": 1, "z": 2}
 
     def m(pred):
-        return sum(1 << i for q, i in qidx.items() if pred(q))
+        return [i for q, i in qidx.items() if pred(q)]
 
     def parallel_plane(d):
         return m(lambda e: e[0] == d and e[1 + ax_i[d]] == 0)
@@ -309,9 +309,11 @@ def predicate_3d_logicals(family, comb_step=1):
 def test_3d_logicals_match_predicate_reference(L):
     fam = build_3d_triple(L)
     basis = build_logicals(fam)
-    assert (basis.x_ops, basis.z_ops) == predicate_3d_logicals(fam)
+    x_ops, z_ops = ([[list(s) for s in m.supports()] for m in ops]
+                    for ops in (basis.x_ops, basis.z_ops))
+    assert (x_ops, z_ops) == predicate_3d_logicals(fam)
     assert basis.labels == ["x", "y", "z"]
     # negative control: combs of edges along the wrong axis differ
     _, wrong_z = predicate_3d_logicals(fam, comb_step=2)
     for block in (1, 2):
-        assert all(a != b for a, b in zip(basis.z_ops[block], wrong_z[block]))
+        assert all(a != b for a, b in zip(z_ops[block], wrong_z[block]))
