@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate, chain, compress, count, pairwise
-from operator import eq
+from operator import eq, xor
 from typing import Iterable, Iterator, Sequence
 
 
@@ -211,6 +211,22 @@ class BinMatrix:
             raise ValueError(f"column index outside width {self.cols}")
         return self.transpose().xor_rows(support)
 
+    def syndromes(self, supports: Sequence[Sequence[int]]) -> list[set[int]]:
+        """``syndrome`` of each support, with no column index: bit i tags the
+        columns of support i, and a row's syndrome bits are the XOR prefix over
+        the entries, differenced across the row."""
+        tags = [0] * self.cols
+        for i, s in enumerate(supports):
+            if s and not 0 <= min(s) <= max(s) < self.cols:
+                raise ValueError(f"column index outside width {self.cols}")
+            for j in s:
+                tags[j] ^= 1 << i
+        prefix = list(accumulate(map(tags.__getitem__, self._indices), xor, initial=0))
+        odd = list(map(xor, map(prefix.__getitem__, self._indptr[1:]),
+                       map(prefix.__getitem__, self._indptr)))
+        rows, odd = list(compress(count(), odd)), list(compress(odd, odd))  # the rows met at all
+        return [set(compress(rows, map((1 << i).__and__, odd))) for i in range(len(supports))]
+
     def matmul(self, other: "BinMatrix") -> "BinMatrix":
         """Self's rows select combinations of other's rows (composition of maps)."""
         if self.cols != other.shape[0]:
@@ -285,6 +301,14 @@ class BinMatrix:
         basis = LowbitBasis(self._basis.rows) if self._basis else self._eliminate()
         self._rank = len(basis.rows)
         return (basis.insert(_within(v, self.cols)) for v in extra_rows)
+
+    def completed(self, candidates: Iterable[int]) -> "BinMatrix":
+        """This matrix and each candidate's nonzero residue below it: each brings
+        a new lowest key, so the rank is kept, but not the basis."""
+        extra = [support_from_mask(r) for r in self.residues(candidates) if r]
+        m = self.stacked(extra)
+        m._rank = self._rank + len(extra)
+        return m
 
     def rank_increase(self, extra_rows: Iterable[int]) -> int:
         """By how much the row space grows when extra_rows are appended."""

@@ -13,27 +13,28 @@ Families built here:
 
 Blocks of one family share a single qubit index. Generator sets are kept
 redundant on purpose: the metacheck module is about those redundancies, and
-logical counts are always computed from ranks.
+logical counts are always computed from ranks (a bounded hz's by its completion).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from itertools import product
-from operator import add, xor
+from functools import cache
+from itertools import compress, product
+from operator import add, itemgetter, not_, xor
 from typing import Iterable, Iterator, Sequence
 
-from .binalg import BinMatrix, mask_from_support, support_from_mask
+from .binalg import BinMatrix
 from .lattice import (
     AXES,
     _STAR_OFFSETS,
+    _cell_classes,
     CellComplex,
     CellType,
     Color,
     Coord,
     FOURCELL_TYPES,
-    QUBIT_TYPES,
     build_octaplex,
     line,
     sheet,
@@ -95,13 +96,18 @@ class CodeFamily:
     blocks: list[Codeblock]
     qubit_labels: list
     complex: CellComplex | None = None
+    _qidx: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.qubit_labels)
 
     def qubit_index(self) -> dict:
-        return {q: i for i, q in enumerate(self.qubit_labels)}
+        """Qubit label -> index, built once; the periodic complex keeps its own."""
+        if self._qidx is None:
+            self._qidx = (self.complex.index[3] if self.complex is not None
+                          else {q: i for i, q in enumerate(self.qubit_labels)})
+        return self._qidx
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +294,15 @@ def build_bounded_family(L: int) -> CodeFamily:
         raise ValueError("L must be >= 2")
     hi = 4 * L
     box = range(2, hi + 1)
-    # One scan of the box. A block keeps its X centers whose rough-axis
-    # coordinate lies in [1, L - 1/2], so that its logical string can end
-    # there; smooth-axis coordinates span the full box.
-    qubits: list[Coord] = []
-    centers: list[list[Coord]] = [[], [], [], []]
-    for c in product(box, repeat=4):
-        if try_classify(c) in QUBIT_TYPES:
-            qubits.append(c)
-            continue
-        b = _block_of(c)
-        if b is not None and 4 <= c[BOUNDED_ROUGH_AXIS[b]] <= hi - 2:
-            centers[b].append(c)
+    # The box's qubits (kind 4) and block b's X centers (kind b), by residue class. A block
+    # keeps the centers whose rough-axis coordinate lies in [1, L - 1/2], where its logical
+    # string can end; smooth-axis coordinates span the full box.
+    table = _cell_classes()
+    kind = {r: _BLOCK_BY_RESIDUES.get(r, 4 if d == 3 else 5) for r, (d, _) in table.items()}
+    kinds = bytes(map(kind.__getitem__, product([v & 3 for v in box], repeat=4)))
+    qubits: list[Coord] = list(compress(product(box, repeat=4), map((4).__eq__, kinds)))
+    centers = [[c for c in compress(product(box, repeat=4), map(b.__eq__, kinds))
+                if 4 <= c[BOUNDED_ROUGH_AXIS[b]] <= hi - 2] for b in range(4)]
     qidx = {q: i for i, q in enumerate(qubits)}
     n = len(qubits)
     period = hi + 8  # past the box: no wrapped coordinate lands in [2, 4L]
@@ -307,10 +310,12 @@ def build_bounded_family(L: int) -> CodeFamily:
     def support(cells: Iterable[Coord]) -> list[int]:
         return [qidx[q] for q in cells]
 
-    # All geometric triangles with support in the box, of every block.
-    triangles = sorted(
-        {s for _, s in star_triangles(qidx, period, drops=range(4))}, key=_mask_order
-    )
+    # All triangles of weight 2-3 in the box, of every block, in mask order, and
+    # their first, second and third qubits; a weight-2 triangle's third is n, tagged 0.
+    triangles = sorted({s for _, s in star_triangles(qidx, period, drops=range(4)) if len(s) > 1},
+                       key=_mask_order)
+    slots = [array("i", map(itemgetter(0), triangles)), array("i", map(itemgetter(1), triangles)),
+             array("i", [s[2] if len(s) == 3 else n for s in triangles])]
 
     blocks = []
     for b in range(4):
@@ -318,15 +323,16 @@ def build_bounded_family(L: int) -> CodeFamily:
         hx = BinMatrix.from_supports(n, (_star(c, qidx, period) for c in centers[b]))
         xbar_cells = support(x_hyperplane(b, d, box, positions=(4, 2, 3)))
         constraint = BinMatrix.from_supports(n, [*hx.supports(), xbar_cells])
-        rows_of = [mask_from_support(r) for r in constraint.transpose().supports()]
-        kept = [s for s in triangles  # the triangles whose qubits' constraint rows cancel
-                if 2 <= len(s) <= 3 and not reduce(xor, map(rows_of.__getitem__, s))]
-        # Deterministic completion to the full complement of hx + logical X:
-        # the kernel vectors, reduced against the span so far, that add to it.
-        # A residue depends on the span alone, so the fill order is free.
-        residues = BinMatrix.from_supports(n, kept).residues(constraint.kernel_basis())
-        completion = [support_from_mask(r) for r in residues if r]
-        hz = BinMatrix.from_supports(n, kept + completion)
+        tags = [0] * (n + 1)  # per qubit, a mask of its constraint rows; last row first: sized once
+        for r in reversed(range(constraint.shape[0])):
+            for q in constraint.support(r):
+                tags[q] |= 1 << r
+        # Keep the triangles whose qubits' constraint rows cancel.
+        first, second, third = (map(tags.__getitem__, slot) for slot in slots)
+        kept = list(compress(triangles, map(not_, map(xor, map(xor, first, second), third))))
+        # Complete to the full complement of hx + logical X by the kernel vectors that add to the
+        # span; a residue depends on the span alone, so the fill order is free. hz keeps the rank.
+        hz = BinMatrix.from_supports(n, kept).completed(constraint.kernel_basis())
         blocks.append(
             Codeblock(
                 b,
@@ -336,7 +342,7 @@ def build_bounded_family(L: int) -> CodeFamily:
                 x_centers=centers[b],
                 meta={
                     "triangle_generators": len(kept),
-                    "completion_generators": len(completion),
+                    "completion_generators": hz.shape[0] - len(kept),
                     "triangle_weights": sorted({len(s) for s in kept}),
                     "logical_x": xbar_cells,
                     "logical_z": support(z_string(b, d, box, base=4)),

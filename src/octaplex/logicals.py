@@ -15,7 +15,7 @@ logicals, which the metacheck ledger's k makes a proof.
 
 Every operator is an index list over the family's qubits, and a block's
 representatives are the rows of one ``BinMatrix``: a syndrome is
-``BinMatrix.syndrome`` and a pairing is the parity of an intersection.
+``BinMatrix.syndrome`` (``syndromes`` for k at once), a pairing the parity of an intersection.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class LogicalBasis:
     def pairing(self, block: int) -> list[list[int]]:
         z = self.z_ops[block]
         return [[int(j in odd) for j in range(z.shape[0])]
-                for odd in map(z.syndrome, self.x_ops[block].supports())]
+                for odd in z.syndromes(list(self.x_ops[block].supports()))]
 
 
 def _ops(family: CodeFamily) -> Callable[[Iterable[Iterable[Coord]]], BinMatrix]:
@@ -174,8 +174,8 @@ def verify_logical_basis(
             ("x_vs_z_stab", basis.x_ops[b], blk.hz),
             ("z_vs_x_stab", basis.z_ops[b], blk.hx),
         ):
-            for d, op in enumerate(ops.supports()):
-                for i in sorted(checks.syndrome(op)):
+            for d, odd in enumerate(checks.syndromes(list(ops.supports()))):
+                for i in sorted(odd):
                     witnesses.append(LemmaWitness(kind, b, (d, i)))
         pair = basis.pairing(b)
         for i, row in enumerate(pair):

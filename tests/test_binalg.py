@@ -124,8 +124,9 @@ def test_in_row_space_basics():
     # a vector is a mask over the 3 columns, a selector one over the 2 rows;
     # syndrome and xor_rows read them as index lists
     [("in_row_space", 0b1011, int), ("syndrome", 0b1011, support_from_mask),
+     ("syndromes", 0b1011, lambda v: [[], support_from_mask(v)]),
      ("xor_rows", 0b100, support_from_mask)],
-    ids=["in_row_space", "syndrome", "xor_rows"],
+    ids=["in_row_space", "syndrome", "syndromes", "xor_rows"],
 )
 def test_in_row_space_length_mismatch(method, bad, form):
     m = BinMatrix([0b011, 0b110], 3)
@@ -168,6 +169,30 @@ def test_kernel_vectors_annihilated():
         m = BinMatrix([rng.getrandbits(cols) for _ in range(5)], cols)
         for v in m.kernel_basis():
             assert m.syndrome(support_from_mask(v)) == set()
+
+
+def test_syndromes_match_syndrome_without_column_index():
+    rng = random.Random(13)
+    for _ in range(30):
+        cols = rng.randrange(1, 12)
+        m = BinMatrix([rng.getrandbits(cols) for _ in range(rng.randrange(1, 8))], cols)
+        supports = [support_from_mask(rng.getrandbits(cols)) for _ in range(rng.randrange(6))]
+        found = m.syndromes(supports)
+        assert m._t is None
+        assert found == [m.syndrome(s) for s in supports]
+
+
+def test_completed_appends_growing_residues_and_keeps_rank():
+    rng = random.Random(17)
+    for _ in range(30):
+        cols = rng.randrange(2, 12)
+        rows = [rng.getrandbits(cols) for _ in range(rng.randrange(1, 6))]
+        extra = [rng.getrandbits(cols) for _ in range(rng.randrange(6))]
+        m = BinMatrix(rows, cols).completed(extra)
+        assert m._basis is None
+        assert m.rows[: len(rows)] == BinMatrix(rows, cols).rows
+        assert m.rank() == BinMatrix(m.rows, cols).rank() == BinMatrix(rows + extra, cols).rank()
+        assert m.shape[0] == len(rows) + BinMatrix(rows, cols).rank_increase(extra)
 
 
 def test_transpose_rank_agrees():

@@ -1,9 +1,23 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 
 from octaplex.binalg import BinMatrix, LowbitBasis, mask_from_support
-from octaplex.codes import bounded_boundary_coordinate_count, build_bounded_family
+from octaplex.codes import (
+    _mask_order,
+    bounded_boundary_coordinate_count,
+    build_bounded_family,
+    star_triangles,
+)
 from octaplex.logicals import verify_logical_basis
+from octaplex.report import BUILDERS, run_report
 from octaplex.transversal import check_cccz_conditions
+
+
+@pytest.fixture(scope="module")
+def bounded3():
+    return build_bounded_family(3)
 
 
 def test_qubit_count(bounded2):
@@ -111,3 +125,78 @@ def test_completion_matches_sequential_reference(bounded2):
 @pytest.mark.slow
 def test_completion_matches_sequential_reference_l3():
     assert_completion_matches_reference(build_bounded_family(3))
+
+
+# ---------------------------------------------------------------------------
+# hz's rank from the completion pass, and the one-pass kept filter
+
+
+def constraint_of(block):
+    """hx with the logical X appended: the rows every Z check must commute with."""
+    return BinMatrix.from_supports(block.n, [*block.hx.supports(), block.meta["logical_x"]])
+
+
+def reference_kept(family, block):
+    """The triangles of weight 2-3 in mask order, each kept when the XOR of
+    its qubits' constraint-row masks, read from the column index, is 0."""
+    qidx = family.qubit_index()
+    triangles = sorted({s for _, s in star_triangles(qidx, 4 * family.L + 8, drops=range(4))},
+                       key=_mask_order)
+    rows_of = [mask_from_support(c) for c in constraint_of(block).transpose().supports()]
+    return [s for s in triangles
+            if 2 <= len(s) <= 3 and not reduce(xor, map(rows_of.__getitem__, s))]
+
+
+def assert_hz_rank_matches_fresh_elimination(family):
+    for blk in family.blocks:
+        assert blk.hz._basis is None
+        assert blk.hz.rank() == BinMatrix.from_supports(blk.n, list(blk.hz.supports())).rank()
+
+
+def test_hz_rank_matches_fresh_elimination(bounded2):
+    assert_hz_rank_matches_fresh_elimination(bounded2)
+
+
+@pytest.mark.slow
+def test_hz_rank_matches_fresh_elimination_l3(bounded3):
+    assert_hz_rank_matches_fresh_elimination(bounded3)
+
+
+def test_completion_ignores_a_repeated_kernel_vector(bounded2):
+    # Negative control: a second copy of each kernel vector reduces to 0
+    # against a span that already holds the first, so it appends nothing.
+    for blk in bounded2.blocks:
+        kept = list(blk.hz.supports())[: blk.meta["triangle_generators"]]
+        kernel = constraint_of(blk).kernel_basis()
+        once = BinMatrix.from_supports(blk.n, kept).completed(kernel)
+        twice = BinMatrix.from_supports(blk.n, kept).completed(kernel + kernel)
+        assert twice.rows == once.rows == blk.hz.rows
+        assert twice.rank() == once.rank() == blk.hz.rank()
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_kept_triangles_match_per_triangle_reference(L, bounded2, bounded3):
+    family = {2: bounded2, 3: bounded3}[L]
+    for blk in family.blocks:
+        kept = [tuple(s) for s in blk.hz.supports()][: blk.meta["triangle_generators"]]
+        assert kept == reference_kept(family, blk)
+
+
+def test_bounded_report_eliminates_no_z_side(monkeypatch):
+    # Per block: the constraint's kernel basis, the kept triangles'
+    # completion pass and hx's rank; hz's rank is the completion's.
+    eliminate, eliminated, built = BinMatrix._eliminate, [], []
+
+    def spy(m):
+        eliminated.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(BinMatrix, "_eliminate", spy)
+    monkeypatch.setitem(BUILDERS, "octaplex-bounded",
+                        lambda run: built.append(build_bounded_family(run.L)) or built[0])
+    assert run_report("octaplex-bounded", 3).ok
+    assert len(eliminated) == 12
+    ids = {id(m) for m in eliminated}
+    for blk in built[0].blocks:
+        assert id(blk.hx) in ids and id(blk.hz) not in ids
+        assert blk.hz._basis is None

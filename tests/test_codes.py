@@ -188,6 +188,13 @@ def test_colored_z_rows_are_block0_triangles_shifted(family2):
     assert shifted == set(family2.blocks[1].hz.rows)
 
 
+def test_qubit_index_built_once(family2, bounded2):
+    assert family2.qubit_index() is family2.qubit_index() is family2.complex.index[3]
+    index = bounded2.qubit_index()
+    assert index is bounded2.qubit_index()
+    assert index == {q: i for i, q in enumerate(bounded2.qubit_labels)}
+
+
 def test_explicit_triangle_is_z_row(family2):
     # the triple intersection of the three colored vertices around
     # (1/2,1/2,1/2,w) is the weight-3 check on {(2,2,2,4w),(1,1,1,4w+-1)}

@@ -10,6 +10,7 @@ import pytest
 import octaplex.logicals
 from octaplex import binalg
 from octaplex.binalg import BinMatrix, mask_from_support
+from octaplex.codes import build_family
 from octaplex.logicals import (
     DIRS,
     PauliSupport,
@@ -22,7 +23,7 @@ from octaplex.logicals import (
     logical_class,
     verify_logical_basis,
 )
-from octaplex.report import Fault, report_json, run_report
+from octaplex.report import BUILDERS, Fault, report_json, run_report
 
 
 def toggled(m, i, qubits):
@@ -30,6 +31,16 @@ def toggled(m, i, qubits):
     rows = [set(s) for s in m.supports()]
     rows[i] ^= set(qubits)
     return BinMatrix.from_supports(m.cols, rows)
+
+
+def test_full_report_builds_no_colored_column_index(monkeypatch):
+    # A colored block's logical syndromes come from one pass over its rows.
+    built = []
+    monkeypatch.setitem(BUILDERS, "octaplex",
+                        lambda run: built.append(build_family(run.cx)) or built[0])
+    assert run_report("octaplex", 3).ok
+    for blk in built[0].blocks[1:]:
+        assert blk.hz._t is None and blk.hx._t is None, blk.label
 
 
 def test_basis_weights(family2, basis2):
