@@ -263,9 +263,6 @@ class BinMatrix:
         return BinMatrix._csr(self.cols, ptr + array("i", (p + ptr[-1] for p in extra._indptr[1:])),
                               self._indices + extra._indices)
 
-    def is_zero(self) -> bool:
-        return not self._indices
-
     def peel(self) -> int:
         """A lower bound on the rank, with no basis: while a column has one
         live row, that row is a pivot and leaves, else the live row of lowest

@@ -23,7 +23,15 @@ from pathlib import Path
 from .codes import build_bounded_family, build_periodic_family
 from .exports import matrix_to_alist, matrix_to_mtx, write_text
 from .metachecks import build_ladder
-from .report import FAULT_KINDS, RUNNERS, SECTIONS, Fault, render_text, report_json
+from .report import (
+    FAULT_KINDS,
+    RUNNERS,
+    SECTIONS,
+    Fault,
+    render_text,
+    report_json,
+    requested_sections,
+)
 
 PERIODIC_ONLY_KEYS = ("m0", "m1")
 EXPORT_KEYS = tuple(
@@ -99,27 +107,15 @@ def cmd_report(args) -> int:
     sections = None
     if args.sections is not None:
         sections = {s.strip() for s in args.sections.split(",") if s.strip()}
-        if not sections:
-            print("error: --sections names no section", file=sys.stderr)
-            return USAGE_ERROR
-        unknown = sections - set(SECTIONS[args.family])
-        if unknown:
-            print(f"error: sections {sorted(unknown)} are not defined for the "
-                  f"{args.family} family", file=sys.stderr)
-            return USAGE_ERROR
-    if args.inject_fault and args.family != "octaplex":
-        print(f"error: --inject-fault is not supported for the {args.family} "
-              "family", file=sys.stderr)
-        return USAGE_ERROR
-    catcher = FAULT_KINDS.get(args.inject_fault)
-    if catcher and sections is not None and catcher not in sections:
-        print(f"error: fault {args.inject_fault} is caught by the {catcher} "
-              "section, which is not requested", file=sys.stderr)
-        return USAGE_ERROR
     try:
         fault = _fault(args.inject_fault)
     except ValueError:
         print("error: OCTAPLEX_SEED must be an integer", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        requested_sections(args.family, sections, fault)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     result = RUNNERS[args.family](args.L, sections=sections, fault=fault)
     text = render_text(result)

@@ -1,4 +1,4 @@
-"""Check-matrix and lattice exporters.
+"""Check-matrix exporters and the canonical JSON rendering.
 
 alist is the MacKay sparse layout: `n m`, max column/row degrees, per-column
 then per-row 1-based index lists, each list zero-padded to the maximum
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-
-from typing import Sequence
 
 from .binalg import BinMatrix
 
@@ -26,27 +24,6 @@ def matrix_to_alist(m: BinMatrix) -> str:
         zeros = ["0"] * width
         lines += [" ".join(r + zeros[len(r):]) for r in t]
     return "\n".join(lines) + "\n"
-
-
-def alist_to_supports(text: str) -> tuple[int, int, list[list[int]]]:
-    """Parse back to (cols, rows, per-row 0-based supports); used in tests."""
-    tokens = [int(t) for t in text.split()]
-    it = iter(tokens)
-    cols = next(it)
-    rows = next(it)
-    max_col = next(it)
-    max_row = next(it)
-    col_deg = [next(it) for _ in range(cols)]
-    row_deg = [next(it) for _ in range(rows)]
-    for _ in range(cols):
-        for _ in range(max_col):
-            next(it)
-    supports = []
-    for i in range(rows):
-        vals = [next(it) for _ in range(max_row)]
-        supports.append(sorted(v - 1 for v in vals[: row_deg[i]]))
-    del col_deg
-    return cols, rows, supports
 
 
 def matrix_to_mtx(m: BinMatrix) -> str:
@@ -66,9 +43,3 @@ def write_text(path: Path, text: str) -> None:
 
 def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def logicals_to_json(labels: list, qubit_labels: list, ops: dict[str, Sequence[int]]) -> dict:
-    """Each operator, given as its qubit indices, as its qubits' labels in index order."""
-    out = {name: [list(qubit_labels[i]) for i in sorted(support)] for name, support in ops.items()}
-    return {"directions": labels, "operators": out}

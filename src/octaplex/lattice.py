@@ -238,15 +238,6 @@ class CellComplex:
     boundary: list[BinMatrix]
     colors: list[Color] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "scale": 4,
-            "cells": {str(d): [list(c) for c in self.cells[d]] for d in range(5)},
-            "boundary": {str(d): list(map(list, self.boundary[d].supports())) for d in range(1, 5)},
-            "vertex_colors": [c.value for c in self.colors],
-        }
-
 
 @cache
 def _cell_classes() -> dict[Coord, tuple[int, tuple[Coord, ...]]]:
@@ -290,28 +281,6 @@ def build_octaplex(L: int) -> CellComplex:
 
     colors = [vertex_color(v) for v in cells[0]]
     return CellComplex(L, period, cells, index, boundary, colors)
-
-
-def incident_cells(cx: CellComplex, dim: int, i: int, target_dim: int) -> list[int]:
-    """All target_dim-cells related to cell i by iterated (co)boundary."""
-    if not (0 <= dim <= 4 and 0 <= target_dim <= 4):
-        raise ValueError("dimensions must lie in 0..4")
-    current = {i}
-    d = dim
-    while d != target_dim:
-        step = cx.boundary[d] if target_dim < d else cx.boundary[d + 1].transpose()
-        current = {j for c in current for j in step.support(c)}
-        d += -1 if target_dim < d else 1
-    return sorted(current)
-
-
-def toroidal_dist2(a: Coord, b: Coord, period: int) -> int:
-    s = 0
-    for x, y in zip(a, b):
-        d = abs(x - y)
-        d = min(d, period - d)
-        s += d * d
-    return s
 
 
 # The nearest-cell oracle's window, the 89 scaled offsets |δ|² ≤ 4, and the

@@ -246,25 +246,3 @@ def single_shot_repair_demo(
         edge_metacheck_row_weight=ladder.m1.weights()[0],
         face_boundary_edge_count=len(ladder.cx.boundary[2].support(0)),
     )
-
-
-def tanner_graph_json(ladder: MetacheckLadder) -> dict:
-    cx = ladder.cx
-    return {
-        "levels": ["qubits", "z_checks", "edge_metachecks", "vertex_metachecks"],
-        "counts": {
-            "qubits": len(cx.cells[3]),
-            "z_checks": len(cx.cells[2]),
-            "edge_metachecks": len(cx.cells[1]),
-            "vertex_metachecks": len(cx.cells[0]),
-        },
-        "z_check_supports": [list(s) for s in ladder.hz.supports()],
-        "edge_metacheck_supports": [list(s) for s in ladder.m1.supports()],
-        "vertex_metacheck_supports": [list(s) for s in ladder.m0.supports()],
-        "globals": {
-            "face_planes": {"-".join(k): v for k, v in ladder.globals2.items()},
-            "edge_hyperplanes": dict(ladder.globals1),
-            "all_vertices": "all",
-            "all_x_stabilizers": "all",
-        },
-    }

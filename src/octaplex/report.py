@@ -153,6 +153,29 @@ class _Run:
         return ladder
 
 
+def requested_sections(family: str, sections: set[str] | None, fault: Fault | None) -> set[str]:
+    """The sections a run of ``family`` executes, all of them for None.
+
+    A ``ValueError`` unless they are a nonempty subset of the family's and,
+    given a fault, the family is ``octaplex`` and the section that catches
+    the fault is among them: a fault no section reads would pass silently.
+    """
+    table = SECTIONS[family]
+    wanted = set(table) if sections is None else set(sections)
+    if not wanted:
+        raise ValueError("no section is requested")
+    if unknown := sorted(wanted - table.keys()):
+        raise ValueError(f"sections {unknown} are not defined for the {family} family")
+    if fault is not None:
+        if family != "octaplex":
+            raise ValueError(f"faults are not supported for the {family} family")
+        catcher = FAULT_KINDS.get(fault.kind)
+        if catcher not in wanted:
+            raise ValueError(f"fault {fault.kind} is caught by the {catcher} section, "
+                             "which is not requested")
+    return wanted
+
+
 def run_report(
     family: str,
     L: int,
@@ -162,15 +185,11 @@ def run_report(
 ) -> RunResult:
     """Run the requested sections of ``SECTIONS[family]`` (all for None).
 
-    ``sections`` must name at least one section, each defined for the
-    family; otherwise ``ValueError``. ``threads`` is accepted and has no
-    effect.
+    The sections and the fault must pass ``requested_sections``; otherwise
+    ``ValueError``. ``threads`` is accepted and has no effect.
     """
+    wanted = requested_sections(family, sections, fault)
     table = SECTIONS[family]
-    wanted = set(table) if sections is None else set(sections)
-    if not wanted or not wanted <= table.keys():
-        raise ValueError(f"sections {sorted(wanted)} are not a nonempty subset "
-                         f"of {sorted(table)}")
     report: dict = {
         "tool_version": __version__,
         "family": family,

@@ -10,11 +10,13 @@ share a qubit. `_weight_counts` therefore counts every intersection weight
 from per-qubit incidence lists, one Counter per block of slot-0 rows, and
 the even conditions, the coupling tensor and the triple-weight histogram
 all read those Counters unsorted; every tuple not counted has weight 0.
-Each check indexes each row list (a block's X stabilizers, a block's X
-logicals) once, as a `_RowIndex`, and every block placement reads those
-indexes; the CCZ check counts the stabilizer triples once for both its
-all-stabilizer condition and the histogram. The ``threads`` argument of the
-``check_*_conditions`` functions is accepted and has no effect.
+The CZ, CCZ and CCCZ checks share one scan, `_scan`: it checks the block
+count, indexes each row list (a block's X stabilizers, a block's X
+logicals) once, as a `_RowIndex`, runs one condition level per block over
+every block placement and reads the coupling tensor; each check then adds
+its own extras. The CCZ check counts the stabilizer triples once for both
+its all-stabilizer condition and the histogram. The ``threads`` argument of
+the ``check_*_conditions`` functions is accepted and has no effect.
 
 All parities here are multilinear in each slot (intersection distributes
 over symmetric difference), so checking generators plus fixed
@@ -192,27 +194,25 @@ def _coupling_tensor(logical: list[_RowIndex]) -> dict[tuple, int]:
     return tensor
 
 
-def _indexes(family: CodeFamily, basis: LogicalBasis) -> tuple[list[_RowIndex], ...]:
-    """Each block's X stabilizers and each block's X logicals, indexed once."""
-    return (
-        [_RowIndex(b.hx) for b in family.blocks],
-        [_RowIndex(x) for x in basis.x_ops],
-    )
+def _scan(family: CodeFamily, basis: LogicalBasis, names: Sequence[str],
+          hist: Counter | None = None) -> tuple[list[ConditionResult], dict[tuple, int], int]:
+    """One condition per block, named by ``names`` (level i has i logical
+    slots), the coupling tensor and k. Each block's X stabilizers and X
+    logicals are indexed once; ``hist``, if given, counts level 0's tuples."""
+    if len(family.blocks) != len(names):
+        raise ValueError(f"need exactly {len(names)} blocks")
+    stab = [_RowIndex(b.hx) for b in family.blocks]
+    logical = [_RowIndex(x) for x in basis.x_ops]
+    conditions = [_mixed_conditions(stab, logical, i, name, hist if i == 0 else None)
+                  for i, name in enumerate(names)]
+    return conditions, _coupling_tensor(logical), len(logical[0])
 
 
 def check_cz_conditions(
     family: CodeFamily, basis: LogicalBasis, threads: int = 1
 ) -> TransversalReport:
     """Two-block conditions: stabilizer overlaps even, logical pairing measured."""
-    if len(family.blocks) != 2:
-        raise ValueError("need exactly two blocks")
-    stab, logical = _indexes(family, basis)
-    conditions = [
-        _mixed_conditions(stab, logical, 0, "stab_stab_even"),
-        _mixed_conditions(stab, logical, 1, "stab_logical_even"),
-    ]
-    tensor = _coupling_tensor(logical)
-    k = len(logical[0])
+    conditions, tensor, k = _scan(family, basis, ("stab_stab_even", "stab_logical_even"))
     identity = all(
         tensor[(i, j)] == (1 if i == j else 0)
         for i in range(k)
@@ -226,16 +226,8 @@ def check_cz_conditions(
 def check_ccz_conditions(
     family: CodeFamily, basis: LogicalBasis, threads: int = 1
 ) -> TransversalReport:
-    if len(family.blocks) != 3:
-        raise ValueError("need exactly three blocks")
-    stab, logical = _indexes(family, basis)
     hist: Counter = Counter()
-    conditions = [
-        _mixed_conditions(stab, logical, 0, "sss_even", hist),
-        _mixed_conditions(stab, logical, 1, "ssl_even"),
-        _mixed_conditions(stab, logical, 2, "sll_even"),
-    ]
-    tensor = _coupling_tensor(logical)
+    conditions, tensor, _ = _scan(family, basis, ("sss_even", "ssl_even", "sll_even"), hist)
     extras = {"triple_intersection_weights": sorted(hist)}
     return TransversalReport(3, conditions, tensor, list(basis.labels), extras=extras)
 
@@ -250,18 +242,9 @@ def triple_weight_histogram(stabs: list[BinMatrix]) -> dict[int, int]:
 def check_cccz_conditions(
     family: CodeFamily, basis: LogicalBasis, threads: int = 1
 ) -> TransversalReport:
-    if len(family.blocks) != 4:
-        raise ValueError("need exactly four blocks")
-    stab, logical = _indexes(family, basis)
-    conditions = [
-        _mixed_conditions(stab, logical, 0, "ssss_even"),
-        _mixed_conditions(stab, logical, 1, "sssl_even"),
-        _mixed_conditions(stab, logical, 2, "ssll_even"),
-        _mixed_conditions(stab, logical, 3, "slll_even"),
-    ]
-    tensor = _coupling_tensor(logical)
-    support = sorted(k for k, v in tensor.items() if v)
-    k = len(logical[0])
+    conditions, tensor, k = _scan(family, basis, ("ssss_even", "sssl_even", "ssll_even",
+                                                  "slll_even"))
+    support = sorted(t for t, v in tensor.items() if v)
     extras: dict = {}
     if k == 4:
         extras["tensor_is_all_distinct_pattern"] = (

@@ -11,6 +11,27 @@ from octaplex.logicals import build_logicals
 from octaplex.metachecks import build_ladder
 
 
+def alist_to_supports(text):
+    """Parse an alist file back to (cols, rows, per-row 0-based supports)."""
+    tokens = [int(t) for t in text.split()]
+    it = iter(tokens)
+    cols = next(it)
+    rows = next(it)
+    max_col = next(it)
+    max_row = next(it)
+    col_deg = [next(it) for _ in range(cols)]
+    row_deg = [next(it) for _ in range(rows)]
+    for _ in range(cols):
+        for _ in range(max_col):
+            next(it)
+    supports = []
+    for i in range(rows):
+        vals = [next(it) for _ in range(max_row)]
+        supports.append(sorted(v - 1 for v in vals[: row_deg[i]]))
+    del col_deg
+    return cols, rows, supports
+
+
 @pytest.fixture(scope="session")
 def cx2():
     return build_octaplex(2)

@@ -388,7 +388,7 @@ def test_from_supports_rejects_bad_indices():
     assert BinMatrix.from_supports(4, [[1, 2], [2, 3], [], [3]]).weights() == [2, 2, 0, 1]
     empty = BinMatrix.from_supports(5, [])
     assert empty.shape == (0, 5)
-    assert empty.rows == [] and empty.is_zero() and empty.rank() == 0
+    assert empty.rows == [] and not any(empty.weights()) and empty.rank() == 0
     assert empty.syndrome([0, 2, 4]) == set()
     assert empty.transpose().shape == (5, 0)
     assert empty.kernel_basis() == [1 << i for i in range(5)]
@@ -432,7 +432,7 @@ def test_csr_matches_mask_reference(seed):
         assert m.mapped_rows([-j for j in range(cols)]) == [
             [-j for j in support_from_mask(r)] for r in masks]
         assert BinMatrix.from_supports(cols, m.supports()).rows == masks
-        assert m.is_zero() == (not any(masks))
+        assert (not any(m.weights())) == (not any(masks))
         assert m.transpose().rows == mask_transpose(masks, cols)
         assert m.transpose().transpose() is m
         # a transpose built afresh from the column index, not linked to m
@@ -448,7 +448,7 @@ def test_csr_matches_mask_reference(seed):
         left = BinMatrix(random_masks(rng, inner, len(masks)), len(masks)) if masks else None
         if left is not None:
             assert left.matmul(m).rows == [mask_combination(masks, s) for s in left.rows]
-            assert left.product_is_zero(m) == left.matmul(m).is_zero()
+            assert left.product_is_zero(m) == (not any(left.matmul(m).weights()))
         rank = len(reference_rref(masks, cols)[1])
         assert m.rank() == rank
         assert m.kernel_basis() == reference_kernel(masks, cols)
@@ -478,7 +478,7 @@ def test_product_is_zero_keeps_no_answer_for_a_rebuilt_matrix(monkeypatch):
     # edge 2 rebuilt with vertex 2 moved to vertex 1: computed afresh, not zero
     moved = BinMatrix.from_supports(3, [[0, 1], [1, 2], [0, 1]])
     assert not d2.product_is_zero(moved)
-    assert not d2.matmul(moved).is_zero()
+    assert any(d2.matmul(moved).weights())
     assert computed == [d2, d2, d2]
     assert d2.product_is_zero(d1) and not d2.product_is_zero(moved)
     assert computed == [d2, d2, d2]

@@ -9,6 +9,7 @@ import pytest
 from octaplex import report
 from octaplex.cli import main
 from octaplex.report import run_report
+from conftest import alist_to_supports
 
 
 def test_report_2d(tmp_path, capsys):
@@ -91,6 +92,34 @@ def test_run_report_rejects_bad_sections(sections):
         run_report("octaplex-bounded", 2, sections=sections)
 
 
+# A fault on a family without faults, or whose catching section is not run,
+# could never fail the run: each is a usage error, not a silent pass.
+UNCAUGHT_FAULTS = [
+    ("octaplex-bounded", None, "recolor-vertex"),
+    ("octaplex-bounded", None, "drop-m1-entry"),
+    ("2d", None, "recolor-vertex"),
+    ("octaplex", {"lattice"}, "drop-m1-entry"),
+    ("octaplex", {"lattice"}, "perturb-logical"),
+]
+
+
+@pytest.mark.parametrize("family, sections, kind", UNCAUGHT_FAULTS)
+def test_run_report_rejects_an_uncaught_fault(family, sections, kind):
+    with pytest.raises(ValueError):
+        run_report(family, 2, sections=sections, fault=report.Fault(kind))
+
+
+@pytest.mark.parametrize("family, sections, kind", UNCAUGHT_FAULTS)
+def test_cli_rejects_an_uncaught_fault(capsys, family, sections, kind):
+    argv = ["report", "--family", family, "--L", "2", "--inject-fault", kind]
+    if sections is not None:
+        argv += ["--sections", ",".join(sections)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_argparse_rejects_unknown_family():
     with pytest.raises(SystemExit) as err:
         main(["report", "--family", "5d", "--L", "2"])
@@ -111,8 +140,6 @@ def test_export(tmp_path):
                  "--which", "hx0,hz0,m1", "--format", "alist",
                  "--out", str(tmp_path)])
     assert code == 0
-    from octaplex.exports import alist_to_supports
-
     text = (tmp_path / "octaplex_L2_hx0.alist").read_text()
     cols, rows, supports = alist_to_supports(text)
     assert (cols, rows) == (384, 32)

@@ -9,7 +9,6 @@ from octaplex.codes import build_periodic_family
 from octaplex.metachecks import (
     build_ladder,
     single_shot_repair_demo,
-    tanner_graph_json,
     verify_counting,
     verify_global_constraints,
 )
@@ -41,8 +40,8 @@ def test_m0_kernel_dimension(ladder2):
 
 
 def test_chain_conditions(ladder2):
-    assert ladder2.m1.matmul(ladder2.hz).is_zero()
-    assert ladder2.m0.matmul(ladder2.m1).is_zero()
+    assert not any(ladder2.m1.matmul(ladder2.hz).weights())
+    assert not any(ladder2.m0.matmul(ladder2.m1).weights())
 
 
 def test_counting_l2(ladder2):
@@ -129,13 +128,12 @@ def test_flip_missing_from_one_edge_metacheck_is_not_identified(ladder2, pos):
 
 
 def test_tanner_export(ladder2):
-    g = tanner_graph_json(ladder2)
-    assert g["counts"] == {
-        "qubits": 384, "z_checks": 1024,
-        "edge_metachecks": 768, "vertex_metachecks": 96,
-    }
-    assert len(g["globals"]["face_planes"]) == 6
-    assert len(g["globals"]["edge_hyperplanes"]) == 4
+    # qubits, Z checks, edge metachecks and vertex metachecks, from the shapes
+    assert ladder2.hz.shape == (1024, 384)
+    assert ladder2.m1.shape == (768, 1024)
+    assert ladder2.m0.shape == (96, 768)
+    assert len(ladder2.globals2) == 6
+    assert len(ladder2.globals1) == 4
 
 
 def assert_ledger_matches_elimination(ladder, L):
