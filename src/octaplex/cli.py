@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .codes import build_bounded_family, build_periodic_family
 from .exports import matrix_to_alist, matrix_to_mtx, write_text
-from .metachecks import build_ladder
 from .report import (
     FAULT_KINDS,
     RUNNERS,
@@ -157,9 +156,9 @@ def cmd_export(args) -> int:
     matrices = {}
     if args.family == "octaplex":
         family = build_periodic_family(args.L)
-        if periodic_only:  # the metacheck ladder only when m0 or m1 is written
-            ladder = build_ladder(family.complex, family.blocks[0])
-            matrices = {"m0": ladder.m0, "m1": ladder.m1}
+        if periodic_only:  # the complex's maps: m0 = ∂1ᵀ, m1 = ∂2ᵀ
+            boundary = family.complex.boundary
+            matrices = {"m0": boundary[1].transpose(), "m1": boundary[2].transpose()}
     else:
         family = build_bounded_family(args.L)
     for b, blk in enumerate(family.blocks):

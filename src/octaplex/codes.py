@@ -11,7 +11,8 @@ Families built here:
   * ``3d``                three blocks on the {4,3,4} torus (two cube
                           colors plus vertex stars), qubits on edges
 
-Blocks of one family share a single qubit index. Generator sets are kept
+Blocks of one family share a single qubit index; a warm-up's qubits are its
+edge indices themselves. Generator sets are kept
 redundant on purpose: the metacheck module is about those redundancies, and
 logical counts are always computed from ranks (a bounded hz's by its completion).
 """
@@ -71,7 +72,6 @@ class Codeblock:
     n: int
     hx: BinMatrix
     hz: BinMatrix
-    x_centers: list = field(default_factory=list)   # geometric tag per hx row
     meta: dict = field(default_factory=dict)
 
     @property
@@ -94,7 +94,7 @@ class CodeFamily:
     kind: str
     L: int
     blocks: list[Codeblock]
-    qubit_labels: list
+    qubit_labels: Sequence
     complex: CellComplex | None = None
     _qidx: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -121,8 +121,7 @@ def _star(center: Coord, qidx: dict[Coord, int], period: int) -> list[int]:
 
 def build_codeblock0(cx: CellComplex) -> Codeblock:
     """hx0 = ∂4: X checks on 4-cells (weight 24); hz0 = ∂3ᵀ: Z checks on triangles (weight 3)."""
-    return Codeblock(0, len(cx.cells[3]), cx.boundary[4], cx.boundary[3].transpose(),
-                     x_centers=list(cx.cells[4]))
+    return Codeblock(0, len(cx.cells[3]), cx.boundary[4], cx.boundary[3].transpose())
 
 
 _BLOCK_BY_RESIDUES = {  # residues mod 4 of a cell carrying X checks -> block
@@ -198,15 +197,10 @@ def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
 def _colored_codeblock(
     cx: CellComplex, color: Color, hz_rows: list[tuple[int, ...]]
 ) -> Codeblock:
-    verts = [v for v, c in zip(cx.cells[0], cx.colors) if c == color]
     n = len(cx.cells[3])
-    return Codeblock(
-        BLOCK_COLORS.index(color),
-        n,
-        BinMatrix.from_supports(n, (_star(v, cx.index[3], cx.period) for v in verts)),
-        BinMatrix.from_supports(n, hz_rows),
-        x_centers=verts,
-    )
+    stars = (_star(v, cx.index[3], cx.period) for v, c in zip(cx.cells[0], cx.colors) if c == color)
+    return Codeblock(BLOCK_COLORS.index(color), n, BinMatrix.from_supports(n, stars),
+                     BinMatrix.from_supports(n, hz_rows))
 
 
 def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
@@ -339,8 +333,8 @@ def build_bounded_family(L: int) -> CodeFamily:
                 n,
                 hx,
                 hz,
-                x_centers=centers[b],
                 meta={
+                    "x_centers": centers[b],
                     "triangle_generators": len(kept),
                     "completion_generators": hz.shape[0] - len(kept),
                     "triangle_weights": sorted({len(s) for s in kept}),
@@ -366,8 +360,8 @@ def bounded_boundary_coordinate_count(center: Coord, block: int, L: int) -> int:
 # 2D and 3D warm-ups on the cubic torus (Z/L)^dim
 #
 # Vertex v is read as a base-L number with axis 0 the top digit. Edge (a, v)
-# runs from v along axis a and has index a·L^dim + v, the order of its label
-# (axis name, *v). Checks are edge sets read off by index arithmetic.
+# runs from v along axis a and is qubit a·L^dim + v. Checks are edge sets
+# read off by index arithmetic.
 
 
 class _CubicTorus:
@@ -404,13 +398,11 @@ def build_2d_pair(L: int) -> CodeFamily:
     """Two toric-code blocks with swapped roles: plaquettes and vertex stars."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    torus, sites = _CubicTorus(L, 2), list(product(range(L), repeat=2))
+    torus = _CubicTorus(L, 2)
     n, verts = 2 * torus.size, range(torus.size)
     plaq = BinMatrix.from_supports(n, (torus.cell(v, (0, 1)) for v in verts))
     star = BinMatrix.from_supports(n, map(torus.star, verts))
-    return CodeFamily("2d", L, [Codeblock(0, n, plaq, star, x_centers=sites),
-                                Codeblock(1, n, star, plaq, x_centers=sites)],
-                      [(a, *s) for a in "hv" for s in sites])
+    return CodeFamily("2d", L, [Codeblock(0, n, plaq, star), Codeblock(1, n, star, plaq)], range(n))
 
 
 def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
@@ -423,23 +415,22 @@ def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
         raise ValueError("L must be even and >= 2 (cube 2-coloring)")
     if cube_color is None:
         cube_color = lambda i, j, k: (i + j + k) % 2  # noqa: E731
-    torus, cubes = _CubicTorus(L, 3), list(product(range(L), repeat=3))
+    torus = _CubicTorus(L, 3)
     size, verts = torus.size, range(torus.size)
-    n = 3 * size
+    n, colors = 3 * size, [cube_color(*c) for c in product(range(L), repeat=3)]
 
     def cube_block(label: int, color: int) -> Codeblock:
         """X checks on the cubes of one color; a Z check on the three edges
         at each corner of each cube of the other (the edge along a ends at
         corner t with bit a cleared), sorted in mask order."""
-        own = [v for v in verts if cube_color(*cubes[v]) == color]
-        other = (torus.corners(v, range(3)) for v in verts if cube_color(*cubes[v]) == 1 - color)
+        own = (v for v in verts if colors[v] == color)
+        other = (torus.corners(v, range(3)) for v in verts if colors[v] == 1 - color)
         triples = sorted(((c[t & 6], size + c[t & 5], 2 * size + c[t & 3])
                           for c in other for t in range(8)), key=_mask_order)
         return Codeblock(label, n, BinMatrix.from_supports(n, (torus.cell(v, range(3)) for v in own)),
-                         BinMatrix.from_supports(n, triples), x_centers=[cubes[v] for v in own])
+                         BinMatrix.from_supports(n, triples))
 
     faces = (torus.cell(v, axes) for axes in ((1, 2), (0, 2), (0, 1)) for v in verts)  # normal x, y, z
     block0 = Codeblock(0, n, BinMatrix.from_supports(n, map(torus.star, verts)),
-                       BinMatrix.from_supports(n, faces), x_centers=cubes)
-    return CodeFamily("3d", L, [block0, cube_block(1, 0), cube_block(2, 1)],
-                      [(a, *c) for a in "xyz" for c in cubes])
+                       BinMatrix.from_supports(n, faces))
+    return CodeFamily("3d", L, [block0, cube_block(1, 0), cube_block(2, 1)], range(n))

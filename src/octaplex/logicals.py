@@ -4,7 +4,8 @@ Periodic octaplex blocks carry four logical qubits each, one per lattice
 direction. The Z representative for direction d is an L-cell string along
 axis d; the X representative is a three-sheet hyperplane orthogonal to d
 (an integer sheet, a half-integer sheet and a quarter-integer sheet, total
-weight 10 L^3). Warm-up families get loop/plane bases of the same flavor.
+weight 10 L^3). Warm-up families get loop/plane bases of the same flavor,
+computed as edge indices a·L^dim + v, as their checks are.
 
 Distances are certified two-sided: families of pairwise-disjoint
 stabilizer-equivalent representatives give lower bounds, the constructed
@@ -52,7 +53,6 @@ class LogicalBasis:
     representatives; a valid basis has the identity pattern.
     """
 
-    family_kind: str
     x_ops: list[BinMatrix]
     z_ops: list[BinMatrix]
     labels: list[str] = field(default_factory=list)
@@ -89,7 +89,7 @@ def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
     values, ops = range(4 * family.L), _ops(family)
     x_ops = [ops(x_hyperplane(b, d, values, TORUS_SHEETS) for d in DIRS) for b in range(4)]
     z_ops = [ops(z_string(b, d, values, base=0) for d in DIRS) for b in range(4)]
-    return LogicalBasis("octaplex", x_ops, z_ops, labels=list(AXES))
+    return LogicalBasis(x_ops, z_ops, labels=list(AXES))
 
 
 def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
@@ -98,7 +98,7 @@ def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
     x_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_x"]]) for blk in family.blocks]
     z_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_z"]]) for blk in family.blocks]
     labels = [family.blocks[b].meta["rough_axis"] for b in range(4)]
-    return LogicalBasis("octaplex-bounded", x_ops, z_ops, labels=labels)
+    return LogicalBasis(x_ops, z_ops, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +108,36 @@ def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
 def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "2d":
         raise ValueError("2d family required")
-    L, ops = family.L, _ops(family)
-    loops = ops([[("h", i, 0) for i in range(L)],     # horizontal cycle
-                 [("v", 0, j) for j in range(L)]])    # vertical cycle
-    coloops = ops([[("h", 0, j) for j in range(L)],   # crosses vertical lines
-                   [("v", i, 0) for i in range(L)]])
+    L, n = family.L, family.n
+    s = n // 2  # edge (a, (i, j)) is qubit a·L² + i·L + j
+    loops = BinMatrix.from_supports(n, [range(0, s, L), range(s, s + L)])  # cycles along i, j
+    coloops = BinMatrix.from_supports(n, [range(L), range(s, n, L)])  # each crosses one loop
     # Block A: X on plaquettes -> X logicals are graph cycles.
     x_ops = [loops, coloops]
     z_ops = [coloops, loops]
-    return LogicalBasis("2d", x_ops, z_ops, labels=["1", "2"])
+    return LogicalBasis(x_ops, z_ops, labels=["1", "2"])
 
 
 def build_3d_logicals(family: CodeFamily) -> LogicalBasis:
     if family.kind != "3d":
         raise ValueError("3d family required")
-    L, ops = family.L, _ops(family)
+    L, n = family.L, family.n
 
-    def edges(axes: str, running: set[int]) -> list[tuple]:
+    def edges(axes: Sequence[int], running: set[int]) -> list[int]:
         """The edges along ``axes`` whose coordinates in ``running`` run
         over the torus and whose other coordinates are 0."""
         ranges = [range(L) if i in running else (0,) for i in range(3)]
-        return [(e, *c) for e in axes for c in product(*ranges)]
+        return [a * L**3 + (i * L + j) * L + k for a in axes for i, j, k in product(*ranges)]
 
     dirs = range(3)
-    parallel_plane = ops(edges("xyz"[a], {0, 1, 2} - {a}) for a in dirs)
-    line = ops(edges("xyz"[a], {a}) for a in dirs)
-    in_plane = ops(edges("xyz".replace("xyz"[a], ""), {0, 1, 2} - {a}) for a in dirs)
-    comb = ops(edges("xyz"[(a + 1) % 3], {a}) for a in dirs)
+    ops = partial(BinMatrix.from_supports, n)
+    parallel_plane = ops(edges([a], {0, 1, 2} - {a}) for a in dirs)
+    line = ops(edges([a], {a}) for a in dirs)
+    in_plane = ops(edges([b for b in dirs if b != a], {0, 1, 2} - {a}) for a in dirs)
+    comb = ops(edges([(a + 1) % 3], {a}) for a in dirs)
     x_ops = [parallel_plane, in_plane, in_plane]
     z_ops = [line, comb, comb]
-    return LogicalBasis("3d", x_ops, z_ops, labels=list("xyz"))
+    return LogicalBasis(x_ops, z_ops, labels=list("xyz"))
 
 
 def build_logicals(family: CodeFamily) -> LogicalBasis:

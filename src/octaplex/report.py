@@ -371,7 +371,7 @@ def _bounded_codes(run: _Run):
     formula_ok = True
     for b, blk in enumerate(family.blocks):
         xw = blk.x_weights()
-        for center, weight in zip(blk.x_centers, blk.hx.weights()):
+        for center, weight in zip(blk.meta["x_centers"], blk.hx.weights()):
             bcount = bounded_boundary_coordinate_count(center, b, L)
             if weight != 8 - bcount + 16 // 2**bcount:
                 formula_ok = False

@@ -257,7 +257,7 @@ def test_criterion6_bounded_family():
     for b, blk in enumerate(family.blocks):
         assert blk.k == 1
         assert set(blk.x_weights()) == {24, 15, 10, 7}
-        for center, row in zip(blk.x_centers, blk.hx.rows):
+        for center, row in zip(blk.meta["x_centers"], blk.hx.rows):
             nb = bounded_boundary_coordinate_count(center, b, 2)
             assert row.bit_count() == 8 - nb + 16 // 2**nb
         assert set(blk.meta["triangle_weights"]) == {2, 3}

@@ -37,7 +37,7 @@ def test_css(bounded2):
 def test_x_weights_and_formula(bounded2):
     for b, blk in enumerate(bounded2.blocks):
         assert set(blk.x_weights()) == {24, 15, 10, 7}
-        for center, row in zip(blk.x_centers, blk.hx.rows):
+        for center, row in zip(blk.meta["x_centers"], blk.hx.rows):
             n_boundary = bounded_boundary_coordinate_count(center, b, 2)
             assert row.bit_count() == 8 - n_boundary + 16 // 2**n_boundary
 

@@ -10,6 +10,7 @@ from octaplex import report
 from octaplex.cli import main
 from octaplex.report import run_report
 from conftest import alist_to_supports
+from test_tracer_hooks import wrapped_table
 
 
 def test_report_2d(tmp_path, capsys):
@@ -186,18 +187,23 @@ def test_export_duplicate_selectors_written_once(tmp_path, capsys):
         "octaplex_L2_hx0.alist", "octaplex_L2_hz1.alist"]
 
 
-@pytest.mark.parametrize("which, ladders", [("hx0,hz3", 0), ("hx0,m0", 1)])
-def test_export_builds_ladder_only_for_metachecks(tmp_path, monkeypatch, which, ladders):
+@pytest.mark.parametrize("which", ["hx0,hz3", "hx0,m0", "all"])
+def test_export_builds_no_ladder_for_any_selector(tmp_path, monkeypatch, which):
+    # m0 and m1 are the complex's transposed boundary maps; no metacheck
+    # ladder is constructed, and the CLI binds nothing from metachecks
     import octaplex.cli
+    from octaplex.metachecks import MetacheckLadder
 
     built = []
-    real = octaplex.cli.build_ladder
-    monkeypatch.setattr(octaplex.cli, "build_ladder",
-                        lambda *a: built.append(a) or real(*a))
+    real = MetacheckLadder.__init__
+    monkeypatch.setattr(MetacheckLadder, "__init__",
+                        lambda self, *a, **k: built.append(a) or real(self, *a, **k))
     assert main(["export", "--family", "octaplex", "--L", "2",
                  "--which", which, "--out", str(tmp_path)]) == 0
-    assert len(built) == ladders
-    assert len(list(tmp_path.iterdir())) == 2
+    assert built == []
+    assert len(list(tmp_path.iterdir())) == (10 if which == "all" else 2)
+    assert not [name for name, v in vars(octaplex.cli).items()
+                if getattr(v, "__module__", None) == "octaplex.metachecks"]
 
 
 def test_no_command_loads_numpy(tmp_path):
@@ -218,6 +224,24 @@ def test_no_command_loads_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == [[0, False]] * 4
+
+
+def test_package_import_loads_no_submodule_and_the_cli_loads_all_traced_modules():
+    import octaplex
+
+    traced = sorted({mod for mod, _attr, _span in wrapped_table()})
+    script = ("import json, sys\nimport octaplex\n"
+              "bare = sorted(m for m in sys.modules if m.startswith('octaplex.'))\n"
+              "import octaplex.cli\n"
+              "print(json.dumps([bare, sorted(m for m in sys.modules if m.startswith('octaplex.'))]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(octaplex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bare, with_cli = json.loads(proc.stdout.splitlines()[-1])
+    assert bare == []
+    assert len(traced) == 8
+    assert set(traced) <= set(with_cli)
 
 
 def test_selftest_passes(capsys):

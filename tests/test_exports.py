@@ -12,12 +12,15 @@ from octaplex.exports import (
 from octaplex.cli import main
 from conftest import alist_to_supports
 
-# sha256 of the canonical L=2 outputs; a refactor must keep these bytes.
+# sha256 of the canonical L=2 outputs, and of the warm-up reports at an L
+# where +1 and -1 differ mod L; a refactor must keep these bytes.
 BYTE_CONTRACT = {
     "report": "8053eed83410562034af8c73a9fc8da4759034d978cb4698ca034aebe0aca5a5",
     "report-bounded": "24e28f88cd5ee6c364a81eff3d293407e59b69aa88274567d28095b76e3206b2",
     "report-2d": "5d44d0f241a8431a7d0809ea13a113cd7b217e104bc86f5901ff67ebc4642fed",
     "report-3d": "f4e8c205555579ec4f66218bea9090edc42207406fab6b589192ba22f32d5e02",
+    "report-2d-L5": "487a97a2f59fa72efd29611aca09089001e5f6287f28d9ed179b91666ac66c87",
+    "report-3d-L4": "8d976484c38222c345e71aaced3415cf20e93740da15187aa6860b753390818e",
     "selftest": "6bb40ce57267e9f260ac2d6796703f560a13709058eb06c37e37fef267e77886",
     "hx1.alist": "9e5874d3e213441955c67afc08c55eb39138218d4b0b6299f7722e172ec2250d",
     "hx1.mtx": "05a11aa4b9d0ffe5e5964c69554c13445bddc455302a1fff055526e81f27d61b",
@@ -57,6 +60,8 @@ REPORT_ARGV = {
     "report-bounded": ["report", "--family", "octaplex-bounded", "--L", "2"],
     "report-2d": ["report", "--family", "2d", "--L", "2"],
     "report-3d": ["report", "--family", "3d", "--L", "2"],
+    "report-2d-L5": ["report", "--family", "2d", "--L", "5"],
+    "report-3d-L4": ["report", "--family", "3d", "--L", "4"],
     "selftest": ["selftest"],
     "report-L3": ["report", "--family", "octaplex", "--L", "3"],
     "report-bounded-L3": ["report", "--family", "octaplex-bounded", "--L", "3"],

@@ -1,13 +1,14 @@
-"""Every function, class and method in src/octaplex is reached from what the
-CLI runs, or is named in ``PENDING``.
+"""Every function, class, method and module-level name in src/octaplex is
+reached from what the CLI runs, or is named in ``PENDING``.
 
 The check reads the syntax trees of ``src/octaplex/*.py`` and imports
 nothing. Its roots are ``cli.main`` and every module's top-level statements
-other than defs (the ``SECTIONS``, ``BUILDERS`` and ``FAULT_KINDS`` tables
-among them); an import statement reaches nothing. A reached body reaches
-every name it reads, as a variable or as an attribute, and a reached name
-reaches every def with that name, in any module or class. A reached class
-reaches its body and its dunder methods.
+other than defs and assignments to names (the ``if __name__`` guard, say);
+an import statement reaches nothing. A module-level assignment such as the
+``SECTIONS``, ``BUILDERS`` and ``FAULT_KINDS`` tables counts as a def of the
+names it binds. A reached body reaches every name it reads, as a variable or
+as an attribute, and a reached name reaches every def with that name, in any
+module or class. A reached class reaches its body and its dunder methods.
 """
 
 import ast
@@ -25,6 +26,10 @@ PENDING = {
     "triple_weight_histogram": "tracer",
     "BinMatrix.matmul": "tracer",
     "BinMatrix.rank_increase": "tracer",
+    "run_octaplex_report": "tracer",
+    "run_bounded_report": "tracer",
+    "run_2d_report": "tracer",
+    "run_3d_report": "tracer",
     "PauliSupport": "gate",
     "logical_class": "gate",
     "induced_logical_z": "gate",
@@ -42,13 +47,25 @@ def parse_sources() -> dict[str, ast.Module]:
             for p in sorted(SRC.glob("*.py"))}
 
 
+def _bound(node: ast.AST) -> list[str]:
+    """The names a module-level assignment binds; none for other statements."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target)
+                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+    return []
+
+
 def _defs(trees: dict[str, ast.Module]) -> dict[str, list[ast.AST]]:
-    """Each def's qualified name (``f``, ``C`` or ``C.m``) → its nodes, in any module."""
+    """Each def's qualified name (``f``, ``C``, ``C.m`` or an assigned ``X``)
+    → its nodes, in any module."""
     out: dict[str, list] = {}
     for tree in trees.values():
         for node in tree.body:
             if isinstance(node, _DEFS):
                 out.setdefault(node.name, []).append(node)
+            for name in _bound(node):
+                out.setdefault(name, []).append(node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, _DEFS):
@@ -74,7 +91,8 @@ def reached(trees: dict[str, ast.Module]) -> set[str]:
     for qual in defs:
         by_name.setdefault(qual.rsplit(".", 1)[-1], []).append(qual)
     names = {"main"} | _names_read(node for tree in trees.values() for node in tree.body
-                                   if not isinstance(node, (*_DEFS, ast.Import, ast.ImportFrom)))
+                                   if not isinstance(node, (*_DEFS, ast.Import, ast.ImportFrom))
+                                   and not _bound(node))
     seen: set[str] = set()
     todo = [qual for name in names for qual in by_name.get(name, ())]
     while todo:
@@ -114,7 +132,7 @@ def test_every_def_is_reached_or_pending():
 
 
 def test_pending_is_the_open_items():
-    assert len(PENDING) == 11
+    assert len(PENDING) == 15
     assert set(PENDING.values()) == {"tracer", "gate"}
 
 
@@ -124,9 +142,15 @@ def test_an_unreached_def_fails():
     assert problems(trees, PENDING, wrapped_table()) == ["unreached: orphan"]
 
 
+def test_an_unread_module_level_alias_fails():
+    trees = parse_sources()
+    trees["report"].body += ast.parse("run_spare_report = RUNNERS['3d']\n").body
+    assert problems(trees, PENDING, wrapped_table()) == ["unreached: run_spare_report"]
+
+
 def test_a_reached_pending_name_fails():
     trees = parse_sources()
-    trees["report"].body += ast.parse("PROBE = (multilinearity_holds,)\n").body
+    trees["report"].body += ast.parse("SECTIONS['probe'] = multilinearity_holds\n").body
     assert problems(trees, PENDING, wrapped_table()) == [
         "reached but pending: multilinearity_holds"]
 
@@ -143,3 +167,11 @@ def test_a_reached_class_reaches_its_dunders_only():
                             "    def spare(self): pass\n"
                             "def helper(): pass\n")}
     assert reached(trees) == {"main", "C", "C.__init__", "helper"}
+
+
+def test_a_read_alias_reaches_its_value_and_an_unread_one_nothing():
+    trees = {"cli": ast.parse("def main():\n    return ALIAS()\n"),
+             "m": ast.parse("ALIAS = helper\nSPARE = other\n"
+                            "def helper(): pass\ndef other(): pass\n"
+                            "if __name__ == '__main__':\n    main()\n")}
+    assert reached(trees) == {"main", "ALIAS", "helper"}

@@ -14,7 +14,12 @@ from octaplex.transversal import (
 # ---------------------------------------------------------------------------
 # Label reference for the warm-up builders: every edge is a label
 # (axis name, *vertex) and every check a list of labels, mapped to qubit
-# indices through the sorted labels.
+# indices through the sorted labels. The builders compute those indices
+# directly, so the references below are the only place labels exist.
+
+
+def label_index(labels):
+    return {e: i for i, e in enumerate(labels)}
 
 
 def edges_2d(L):
@@ -62,19 +67,19 @@ def face_edges(L, normal, i, j, k):
 
 
 def reference_2d(L):
-    """Qubit labels and (x_centers, hx rows, hz rows) per block."""
+    """The qubit count and (hx rows, hz rows) per block."""
     edges = edges_2d(L)
-    eidx = {e: i for i, e in enumerate(edges)}
+    eidx = label_index(edges)
     sites = [(i, j) for i in range(L) for j in range(L)]
     plaq = [tuple(sorted(eidx[e] for e in plaquette_2d(L, *s))) for s in sites]
     star = [tuple(sorted(eidx[e] for e in star_2d(L, *s))) for s in sites]
-    return edges, [(sites, plaq, star), (sites, star, plaq)]
+    return len(edges), [(plaq, star), (star, plaq)]
 
 
 def reference_3d(L, cube_color):
-    """Qubit labels and (x_centers, hx rows, hz rows) per block."""
+    """The qubit count and (hx rows, hz rows) per block."""
     edges = edges_3d(L)
-    eidx = {e: i for i, e in enumerate(edges)}
+    eidx = label_index(edges)
 
     def rows(labels):
         return [tuple(sorted(eidx[e] for e in row)) for row in labels]
@@ -91,16 +96,16 @@ def reference_3d(L, cube_color):
     cubes = [(i, j, k) for i in range(L) for j in range(L) for k in range(L)]
     red = [c for c in cubes if cube_color(*c) == 0]
     blue = [c for c in cubes if cube_color(*c) == 1]
-    return edges, [
-        (cubes, rows(vertex_star_edges(L, *v) for v in cubes), rows(face_edges(L, *f) for f in edges)),
-        (red, rows(cube_edges(L, *c) for c in red), corner_triples(blue)),
-        (blue, rows(cube_edges(L, *c) for c in blue), corner_triples(red)),
+    return len(edges), [
+        (rows(vertex_star_edges(L, *v) for v in cubes), rows(face_edges(L, *f) for f in edges)),
+        (rows(cube_edges(L, *c) for c in red), corner_triples(blue)),
+        (rows(cube_edges(L, *c) for c in blue), corner_triples(red)),
     ]
 
 
 def as_reference(family):
-    return family.qubit_labels, [
-        (b.x_centers, [tuple(s) for s in b.hx.supports()], [tuple(s) for s in b.hz.supports()])
+    return family.n, [
+        ([tuple(s) for s in b.hx.supports()], [tuple(s) for s in b.hz.supports()])
         for b in family.blocks
     ]
 
@@ -154,6 +159,20 @@ def test_2d_conditions(pair2d):
     ]
 
 
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_2d_logicals_match_label_reference(L):
+    eidx = label_index(edges_2d(L))
+
+    def rows(label_lists):
+        return [sorted(eidx[e] for e in labels) for labels in label_lists]
+
+    loops = rows([[("h", i, 0) for i in range(L)], [("v", 0, j) for j in range(L)]])
+    coloops = rows([[("h", 0, j) for j in range(L)], [("v", i, 0) for i in range(L)]])
+    basis = build_logicals(build_2d_pair(L))
+    assert [[list(s) for s in m.supports()] for m in basis.x_ops] == [loops, coloops]
+    assert [[list(s) for s in m.supports()] for m in basis.z_ops] == [coloops, loops]
+
+
 def test_2d_same_block_pair_fails():
     # pairing a block with itself (roles not swapped) violates the even
     # overlap requirement and yields a witness
@@ -190,7 +209,6 @@ def test_2d_disjoint_padding_passes_even_fails_pairing():
     padded = CodeFamily("2d", 2, [block_a, block_b], list(range(2 * n)))
     basis = build_logicals(fam)
     padded_basis = LogicalBasis(
-        "2d",
         [pad_a(basis.x_ops[0].rows), pad_b(basis.x_ops[1].rows)],
         [pad_a(basis.z_ops[0].rows), pad_b(basis.z_ops[1].rows)],
         labels=basis.labels,
@@ -220,7 +238,8 @@ def test_3d_parameters(triple3d):
 def corner_triples_by_intersection(family, cubes):
     """Each Z row of a cube-color block as the edges that a cube shares with
     the vertex star of one of its corners, sorted in mask order."""
-    L, eidx = family.L, family.qubit_index()
+    L = family.L
+    eidx = label_index(edges_3d(L))
     seen = set()
     for c in cubes:
         ce = set(cube_edges(L, *c))
@@ -275,7 +294,7 @@ def predicate_3d_logicals(family, comb_step=1):
     """The 3d logicals by scanning every edge label through a predicate; the
     reference for the coordinate-range builder. ``comb_step`` picks the axis
     of the comb edges relative to the logical's direction (1 is the basis)."""
-    qidx = family.qubit_index()
+    qidx = label_index(edges_3d(family.L))
     ax_i = {"x": 0, "y": 1, "z": 2}
 
     def m(pred):
