@@ -22,9 +22,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, product
+from itertools import compress, product, repeat
 from operator import add, itemgetter, not_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .binalg import BinMatrix
 from .lattice import (
@@ -32,14 +32,15 @@ from .lattice import (
     _STAR_OFFSETS,
     _cell_classes,
     CellComplex,
+    Cells,
     CellType,
     Color,
     Coord,
     FOURCELL_TYPES,
     build_octaplex,
+    kind_mask,
     line,
     sheet,
-    star24,
     sublattice,
     try_classify,
     vertex_color,
@@ -79,8 +80,8 @@ class Codeblock:
         return self.n - self.hx.rank() - self.hz.rank()
 
     def css_commutes(self) -> bool:
-        """hx·hzᵀ = 0; for periodic block 0 that is ∂4·∂3, the lattice's pair."""
-        return self.hx.product_is_zero(self.hz.transpose())
+        """hz·hxᵀ = 0, through hx's column index (hz has far more rows)."""
+        return self.hz.product_is_zero(self.hx.transpose())
 
     def x_weights(self) -> list[int]:
         return sorted(set(self.hx.weights()))
@@ -96,27 +97,27 @@ class CodeFamily:
     blocks: list[Codeblock]
     qubit_labels: Sequence
     complex: CellComplex | None = None
-    _qidx: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.qubit_labels)
 
-    def qubit_index(self) -> dict:
-        """Qubit label -> index, built once; the periodic complex keeps its own."""
-        if self._qidx is None:
-            self._qidx = (self.complex.index[3] if self.complex is not None
-                          else {q: i for i, q in enumerate(self.qubit_labels)})
-        return self._qidx
+    def qubit_index(self) -> Callable[[Coord], int]:
+        """Qubit label -> index, through the labels' own numbering: a
+        ``Cells`` view for the octaplex families, a ``range`` for the warm-ups."""
+        return self.qubit_labels.index
 
 
 # ---------------------------------------------------------------------------
 # periodic octaplex family
 
 
-def _star(center: Coord, qidx: dict[Coord, int], period: int) -> list[int]:
-    """The qubits of ``qidx`` among the 24 cells of ``star24(center)``."""
-    return [qidx[q] for q in star24(center, period) if q in qidx]
+def _star(center: Coord, qubits: Cells) -> list[int]:
+    """The qubits among the 24 cells of ``star24(center)``; a cell off the
+    qubits reads ``len(qubits)`` in their key table."""
+    (a, b, c, d), (w3, w2, w1, w), n = center, qubits.wrap, len(qubits)
+    keys = (w3[a + p] + w2[b + q] + w1[c + r] + w[d + s] for p, q, r, s in _STAR_OFFSETS)
+    return [j for j in map(qubits.pos.__getitem__, keys) if j != n]
 
 
 def build_codeblock0(cx: CellComplex) -> Codeblock:
@@ -164,22 +165,21 @@ def _triangle_table(residues: Coord, drops: tuple[int, ...]) -> tuple[tuple[Coor
     return partners, tuple((drop, *(partners.index(o) for o in t if any(o))) for drop, t in triangles)
 
 
-def star_triangles(
-    qidx: dict[Coord, int], period: int, drops: Sequence[int]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+def star_triangles(qubits: Cells, drops: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """``(drop, support)`` for the nonempty intersections of three stars,
     one center from each block but the dropped one, for each block in
     ``drops``; a support (a sorted tuple) may repeat. Each qubit looks its
-    ``_triangle_table`` partners up in ``qidx`` once; a triangle is clipped
-    to the qubits of ``qidx`` and yielded from its lowest one.
+    ``_triangle_table`` partners up in the qubits' key table once; a
+    triangle is clipped to the qubits and yielded from its lowest one.
     """
-    n, w = len(qidx), [*range(period)] * 2  # w[v + δ] = (v + δ) mod period for |δ| ≤ 3
-    for (a, b, c, d), i in qidx.items():
+    n, pos, (w3, w2, w1, w) = len(qubits), qubits.pos, qubits.wrap
+    ints = [*range(n + 1)]  # one int object per index, shared by all the triangles kept
+    for i, (a, b, c, d) in zip(ints, qubits):
         partners, triangles = _triangle_table((a & 3, b & 3, c & 3, d & 3), tuple(drops))
-        ix = [qidx.get((w[a + p], w[b + q], w[c + r], w[d + s]), n) for p, q, r, s in partners]
+        ix = [ints[pos[w3[a + p] + w2[b + q] + w1[c + r] + w[d + s]]] for p, q, r, s in partners]
         for drop, j, k in triangles:
             x, y = ix[j], ix[k]
-            if i < x and i < y:  # a partner outside qidx reads n and sorts last
+            if i < x and i < y:  # a partner off the qubits reads n and sorts last
                 s = (i, x, y) if x < y else (i, y, x)
                 yield drop, s[:3 - s.count(n)]
 
@@ -189,7 +189,7 @@ def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
     triple intersections of the other three blocks' X supports, each list
     sorted for a stable row order."""
     found: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
-    for drop, s in star_triangles(cx.index[3], cx.period, drops=tuple(found)):
+    for drop, s in star_triangles(cx.cells[3], drops=tuple(found)):
         found[drop].add(s)
     return [sorted(supports) for supports in found.values()]
 
@@ -198,7 +198,7 @@ def _colored_codeblock(
     cx: CellComplex, color: Color, hz_rows: list[tuple[int, ...]]
 ) -> Codeblock:
     n = len(cx.cells[3])
-    stars = (_star(v, cx.index[3], cx.period) for v, c in zip(cx.cells[0], cx.colors) if c == color)
+    stars = (_star(v, cx.cells[3]) for v, c in zip(cx.cells[0], cx.colors) if c == color)
     return Codeblock(BLOCK_COLORS.index(color), n, BinMatrix.from_supports(n, stars),
                      BinMatrix.from_supports(n, hz_rows))
 
@@ -224,10 +224,8 @@ def build_periodic_family(L: int) -> CodeFamily:
 
 def shifted_qubit_permutation(cx: CellComplex, block: int) -> list[int]:
     """Qubit permutation induced by the block-equivalence translation."""
-    qidx, t = cx.index[3], BLOCK_SHIFTS[block]
-    return [
-        qidx[tuple((v + s) % cx.period for v, s in zip(q, t))] for q in cx.cells[3]
-    ]
+    (t0, t1, t2, t3), pos, (w3, w2, w1, w) = BLOCK_SHIFTS[block], cx.cells[3].pos, cx.cells[3].wrap
+    return [pos[w3[a + t0] + w2[b + t1] + w1[c + t2] + w[d + t3]] for a, b, c, d in cx.cells[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +286,22 @@ def build_bounded_family(L: int) -> CodeFamily:
         raise ValueError("L must be >= 2")
     hi = 4 * L
     box = range(2, hi + 1)
-    # The box's qubits (kind 4) and block b's X centers (kind b), by residue class. A block
-    # keeps the centers whose rough-axis coordinate lies in [1, L - 1/2], where its logical
-    # string can end; smooth-axis coordinates span the full box.
-    table = _cell_classes()
-    kind = {r: _BLOCK_BY_RESIDUES.get(r, 4 if d == 3 else 5) for r, (d, _) in table.items()}
-    kinds = bytes(map(kind.__getitem__, product([v & 3 for v in box], repeat=4)))
-    qubits: list[Coord] = list(compress(product(box, repeat=4), map((4).__eq__, kinds)))
-    centers = [[c for c in compress(product(box, repeat=4), map(b.__eq__, kinds))
+    # The box's qubits (kind 4) and block b's X centers (kind b), by residue class, on the
+    # grid of period 4L + 2, where a value within 3 of [2, 4L] but off it wraps to 0, 1 or
+    # 4L + 1 (kind 5). A block keeps the centers whose rough-axis coordinate lies in
+    # [1, L - 1/2], where its logical string can end; smooth-axis coordinates span the box.
+    period = hi + 2
+    kind = {r: _BLOCK_BY_RESIDUES.get(r, 4 if d == 3 else 5) for r, (d, _) in _cell_classes().items()}
+    residues = [v & 3 if v in box else 4 for v in range(period)]
+    kinds = bytes(map(kind.get, product(residues, repeat=4), repeat(5)))
+    qubits = Cells(period, kinds, 4)
+    centers = [[c for c in compress(product(range(period), repeat=4), kind_mask(kinds, b))
                 if 4 <= c[BOUNDED_ROUGH_AXIS[b]] <= hi - 2] for b in range(4)]
-    qidx = {q: i for i, q in enumerate(qubits)}
     n = len(qubits)
-    period = hi + 8  # past the box: no wrapped coordinate lands in [2, 4L]
-
-    def support(cells: Iterable[Coord]) -> list[int]:
-        return [qidx[q] for q in cells]
 
     # All triangles of weight 2-3 in the box, of every block, in mask order, and
     # their first, second and third qubits; a weight-2 triangle's third is n, tagged 0.
-    triangles = sorted({s for _, s in star_triangles(qidx, period, drops=range(4)) if len(s) > 1},
+    triangles = sorted({s for _, s in star_triangles(qubits, drops=range(4)) if len(s) > 1},
                        key=_mask_order)
     slots = [array("i", map(itemgetter(0), triangles)), array("i", map(itemgetter(1), triangles)),
              array("i", [s[2] if len(s) == 3 else n for s in triangles])]
@@ -314,8 +309,8 @@ def build_bounded_family(L: int) -> CodeFamily:
     blocks = []
     for b in range(4):
         d = BOUNDED_ROUGH_AXIS[b]
-        hx = BinMatrix.from_supports(n, (_star(c, qidx, period) for c in centers[b]))
-        xbar_cells = support(x_hyperplane(b, d, box, positions=(4, 2, 3)))
+        hx = BinMatrix.from_supports(n, (_star(c, qubits) for c in centers[b]))
+        xbar_cells = list(map(qubits.index, x_hyperplane(b, d, box, positions=(4, 2, 3))))
         constraint = BinMatrix.from_supports(n, [*hx.supports(), xbar_cells])
         tags = [0] * (n + 1)  # per qubit, a mask of its constraint rows; last row first: sized once
         for r in reversed(range(constraint.shape[0])):
@@ -339,7 +334,7 @@ def build_bounded_family(L: int) -> CodeFamily:
                     "completion_generators": hz.shape[0] - len(kept),
                     "triangle_weights": sorted({len(s) for s in kept}),
                     "logical_x": xbar_cells,
-                    "logical_z": support(z_string(b, d, box, base=4)),
+                    "logical_z": list(map(qubits.index, z_string(b, d, box, base=4))),
                     "rough_axis": AXES[d],
                 },
             )

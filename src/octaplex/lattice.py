@@ -20,24 +20,25 @@ odd components):
     H4I   (4,0,0)  24-cell at integer coordinates
     H4II  (0,4,0)  24-cell at half-integer coordinates
 
+A point v has the flat key ((v0·P + v1)·P + v2)·P + v3, P = 4L, and one
+table maps each key to the cell's index within its dimension (``Cells``).
 The 3-cells (octahedra) carry the physical qubits. Boundary maps follow the
 explicit offset rules below and are kept as CSR matrices, the periodic check
 matrices themselves; `cross_check_nearest` re-derives them from the
-nearest-in-2-norm definition as an independent oracle. A cell's residues fix
-the types of the cells around it, so the oracle reads each cell c at c+δ for
-the offsets of least |δ|² ≤ 4 that its residue class allows, from a table
-built on first use; a missing cell there fails the check. ∂∘∂ = 0 is
-checked on the maps' rows.
+nearest-in-2-norm definition as an independent oracle, reading each cell c
+at c+δ for the offsets of least |δ|² ≤ 4 that its residue class allows.
+∂∘∂ = 0 is checked on the maps' rows.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import compress, product
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .binalg import BinMatrix
 
@@ -70,17 +71,7 @@ _PATTERN = {
     (0, 4, 0): CellType.H4II,
 }
 
-DIM_OF = {
-    CellType.V0: 0,
-    CellType.E1: 1,
-    CellType.F2I: 2,
-    CellType.F2II: 2,
-    CellType.C3I: 3,
-    CellType.C3II: 3,
-    CellType.C3III: 3,
-    CellType.H4I: 4,
-    CellType.H4II: 4,
-}
+DIM_OF = {t: int(t.value[1]) for t in CellType}  # each type's name carries its dimension
 
 QUBIT_TYPES = (CellType.C3I, CellType.C3II, CellType.C3III)
 FOURCELL_TYPES = (CellType.H4I, CellType.H4II)
@@ -108,16 +99,8 @@ class NotACellError(ValueError):
 
 
 def try_classify(c: Coord) -> CellType | None:
-    r0 = r2 = ro = 0
-    for v in c:
-        m = v % 4
-        if m == 0:
-            r0 += 1
-        elif m == 2:
-            r2 += 1
-        else:
-            ro += 1
-    return _PATTERN.get((r0, r2, ro))
+    r = [v % 4 for v in c]
+    return _PATTERN.get((r.count(0), r.count(2), len(r) - r.count(0) - r.count(2)))
 
 
 def classify(c: Coord) -> CellType:
@@ -175,12 +158,7 @@ def line(d: int, point: Sequence[int], values: Iterable[int]) -> list[Coord]:
 def sheet(d: int, position: int, free: Sequence[Iterable[int]]) -> list[Coord]:
     """The cells at coordinate ``position`` on axis d whose other three
     coordinates, in axis order, range over the value lists in ``free``."""
-    out: list[Coord] = []
-    for vals in product(*free):
-        co = list(vals)
-        co.insert(d, position)
-        out.append(tuple(co))
-    return out
+    return [(*vals[:d], position, *vals[d:]) for vals in product(*free)]
 
 
 def boundary_coords(c: Coord, period: int) -> list[Coord]:
@@ -220,33 +198,73 @@ def boundary_coords(c: Coord, period: int) -> list[Coord]:
     return star24(c, period)
 
 
+def kind_mask(kinds: bytes, kind: int) -> bytes:
+    """One byte per key of ``kinds``, 1 where the key is of ``kind``."""
+    return kinds.translate(bytes(v == kind for v in range(256)))
+
+
+class Cells:
+    """The cells of one kind on the grid (Z/P)^4, P = ``period``, in lex order:
+    a read-only sized view over their flat keys. ``kinds[k]`` is the kind of
+    key k; ``pos`` maps each key to its index within its kind, shared by the
+    kinds of one grid (one given no ``pos`` reads ``len(self)`` off its kind).
+    ``wrap`` holds w3, w2, w1, w: w3[v] + w2[x] + w1[y] + w[z] is the key of
+    (v, x, y, z) mod P for values in ±2P, as a negative index reads from the end.
+    """
+
+    def __init__(self, period: int, kinds: bytes, kind: int, pos: array | None = None):
+        self.period, self.kinds, self.kind, w = period, kinds, kind, [*range(period)] * 2
+        self.wrap = [v * period**3 for v in w], [v * period**2 for v in w], [v * period for v in w], w
+        self.keys = array("i", compress(range(len(kinds)), kind_mask(kinds, kind)))
+        self.pos = array("i", [len(self.keys)]) * len(kinds) if pos is None else pos
+        for i, k in enumerate(self.keys):
+            self.pos[k] = i
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Coord]:
+        return compress(product(range(self.period), repeat=4), kind_mask(self.kinds, self.kind))
+
+    def __getitem__(self, i: int) -> Coord:
+        k, p = self.keys[i], self.period
+        return k // p**3, k // p**2 % p, k // p % p, k % p
+
+    def index(self, c: Sequence[int]) -> int:
+        """Cell c's index; a ``ValueError`` for a point off the grid or of another kind."""
+        (a, b, e, f), p = c, self.period
+        if 0 <= a < p and 0 <= b < p and 0 <= e < p and 0 <= f < p:
+            if self.kinds[k := ((a * p + b) * p + e) * p + f] == self.kind:
+                return self.pos[k]
+        raise ValueError(f"{c} is not among these cells")
+
+
 @dataclass
 class CellComplex:
     """Cells of all dimensions and their boundary maps.
 
-    ``boundary[d]`` is ∂d, a ``BinMatrix`` with one row per d-cell over the
-    (d-1)-cells (no columns at d = 0): hx0 = ∂4, hz0 = ∂3ᵀ, m1 = ∂2ᵀ and
-    m0 = ∂1ᵀ. A coboundary is ``boundary[d + 1].transpose()``. Cells are
-    lexicographically ordered per dimension; all downstream check matrices
-    inherit that order, so reports are byte-stable.
+    ``cells[d]`` views the d-cells in lex order, which every check matrix
+    inherits, so reports are byte-stable. ``boundary[d]`` is ∂d, a
+    ``BinMatrix`` with one row per d-cell over the (d-1)-cells (no columns at
+    d = 0): hx0 = ∂4, hz0 = ∂3ᵀ, m1 = ∂2ᵀ and m0 = ∂1ᵀ. A coboundary is
+    ``boundary[d + 1].transpose()``.
     """
 
     L: int
     period: int
-    cells: list[list[Coord]]
-    index: list[dict[Coord, int]]
+    cells: list[Cells]
     boundary: list[BinMatrix]
     colors: list[Color] = field(default_factory=list)
 
 
 @cache
 def _cell_classes() -> dict[Coord, tuple[int, tuple[Coord, ...]]]:
-    """Each residue class mod 4 → its dimension (-1: no cell) and boundary
+    """Each residue class mod 4 → its dimension (5: no cell) and boundary
     offsets, read from ``boundary_coords`` at its representative in 0..3."""
     table = {}
     for r in product(range(4), repeat=4):
-        d = DIM_OF.get(try_classify(r), -1)
-        bs = boundary_coords(r, 8) if d > 0 else []
+        d = DIM_OF.get(try_classify(r), 5)
+        bs = boundary_coords(r, 8) if 0 < d < 5 else []
         table[r] = d, tuple(tuple((v - u + 4) % 8 - 4 for u, v in zip(r, b)) for b in bs)
     return table
 
@@ -265,22 +283,20 @@ def build_octaplex(L: int) -> CellComplex:
     period = 4 * L
     table = _cell_classes()
     residues = [v & 3 for v in range(period)]
-    dims = [table[r][0] for r in product(residues, repeat=4)]
-    # product() yields lexicographic order, and so does each compressed slice
-    cells = [list(compress(product(range(period), repeat=4), map(d.__eq__, dims))) for d in range(5)]
-    index = [{c: i for i, c in enumerate(cells[d])} for d in range(5)]
+    dims = bytes(map(itemgetter(0), map(table.__getitem__, product(residues, repeat=4))))
+    pos = array("i", bytes(4 * len(dims)))
+    cells = [Cells(period, dims, d, pos) for d in range(5)]
 
     boundary = [BinMatrix.from_supports(0, [()] * len(cells[0]))]
-    w = [*range(period)] * 2  # w[v + δ] = (v + δ) mod 4L for |δ| ≤ 2
     for d in range(1, 5):
-        idx = index[d - 1]
-        classes = compress(product(residues, repeat=4), map(d.__eq__, dims))
+        w3, w2, w1, w = cells[d - 1].wrap
+        classes = compress(product(residues, repeat=4), kind_mask(dims, d))
         boundary.append(BinMatrix.from_supports(len(cells[d - 1]), (
-            [idx[w[a + p], w[b + q], w[c + s], w[e + t]] for p, q, s, t in table[r][1]]
+            [pos[w3[a + p] + w2[b + q] + w1[c + s] + w[e + t]] for p, q, s, t in table[r][1]]
             for (a, b, c, e), r in zip(cells[d], classes))))
 
     colors = [vertex_color(v) for v in cells[0]]
-    return CellComplex(L, period, cells, index, boundary, colors)
+    return CellComplex(L, period, cells, boundary, colors)
 
 
 # The nearest-cell oracle's window, the 89 scaled offsets |δ|² ≤ 4, and the
@@ -316,28 +332,16 @@ def cross_check_nearest(cx: CellComplex) -> bool:
     the all-quarter octahedra see both types and need no restriction).
 
     Cell c's nearest candidates sit at c+δ mod 4L for its residue class's
-    ``_nearest_offsets``, each of which must hold a listed cell (a missing
-    one fails, as an empty ball does). This is exact once the listed 0-, 2-
-    and 3-cells are distinct, each its index entry, and the 0- and 3-cells
-    typed and on the torus: for L ≥ 2 no two window offsets alias.
+    ``_nearest_offsets``. This is exact: every cell is numbered, and for L ≥ 2
+    no two window offsets alias.
     """
-    period, table = cx.period, _nearest_offsets()
-    for d in (0, 2, 3):
-        idx, cells = cx.index[d], cx.cells[d]
-        if len(idx) != len(cells) or any(idx.get(c) != j for j, c in enumerate(cells)):
-            return False
-    if any(DIM_OF.get(try_classify(c)) != d or min(c) < 0 or max(c) >= period
-           for d in (0, 3) for c in cx.cells[d]):
-        return False
+    table = _nearest_offsets()
     for d in (1, 3, 4):
-        get = cx.index[d - 1].get
+        pos, (w3, w2, w1, w) = cx.cells[d - 1].pos, cx.cells[d - 1].wrap
         for (a, b, e, f), bs in zip(cx.cells[d], cx.boundary[d].supports(), strict=True):
-            offsets = table.get((a & 3, b & 3, e & 3, f & 3))
-            if offsets is None:
-                return False
-            found = {get(((a + p) % period, (b + q) % period, (e + r) % period, (f + s) % period))
-                     for p, q, r, s in offsets}
-            if None in found or found != set(bs):
+            found = {pos[w3[a + p] + w2[b + q] + w1[e + r] + w[f + s]]
+                     for p, q, r, s in table[a & 3, b & 3, e & 3, f & 3]}
+            if found != set(bs):
                 return False
     return True
 

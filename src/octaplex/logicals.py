@@ -72,7 +72,7 @@ def _ops(family: CodeFamily) -> Callable[[Iterable[Iterable[Coord]]], BinMatrix]
     the family's qubits."""
     qidx = family.qubit_index()
     return lambda cell_lists: BinMatrix.from_supports(
-        family.n, ([qidx[c] for c in cells] for cells in cell_lists))
+        family.n, (map(qidx, cells) for cells in cell_lists))
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +250,15 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]
         ("integer_sheet", on(2), on(0)),
         ("quarter_sheet", on(1, 3), on(1, 3)),
     ):
-        out[name] = [[qidx[c] for c in line(d, p, axis)] for p in sheet(d, 0, [free] * 3)]
+        out[name] = [list(map(qidx, line(d, p, axis))) for p in sheet(d, 0, [free] * 3)]
     return out
 
 
 def disjoint_x_hyperplanes(family: CodeFamily, d: int) -> list[list[int]]:
     """The L disjoint translates, by 4 along d, of the direction-d hyperplane on block 0."""
     qidx, values = family.qubit_index(), range(4 * family.L)
-    return [[qidx[c] for c in x_hyperplane(
-        0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS))]
+    return [list(map(qidx, x_hyperplane(
+        0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS))))
         for shift in range(family.L)]
 
 

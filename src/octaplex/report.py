@@ -238,12 +238,13 @@ def _octaplex_lattice(run: _Run):
 
 def _octaplex_codes(run: _Run):
     family, L = run.family, run.L
-    # Block 0's k is the metacheck ledger's and its CSS check the lattice's
+    # Block 0's k is the metacheck ledger's and its CSS check the lattice's kept
     # ∂4·∂3 = 0; a verified translate of block 0 has both (a qubit bijection
     # keeps ranks and overlaps), and any other block is checked on its own.
     rows0 = _row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz)
     translates = [True] + [_blocks_equivalent(family, b, rows0) for b in (1, 2, 3)]
-    k0, css0 = run.ladder.k, family.blocks[0].css_commutes()
+    cx = family.complex
+    k0, css0 = run.ladder.k, cx.boundary[4].product_is_zero(cx.boundary[3])
     block_data = []
     passed = True
     for blk, translate in zip(family.blocks, translates):

@@ -52,7 +52,7 @@ def _split_support(family, support) -> tuple[list[tuple], list[tuple]]:
     """Scaled coordinates of the octahedra in ``support``, split into
     quarter-type (all four coordinates odd) and half-type (all even)."""
     support = set(support)
-    coords = sorted(c for c, i in family.qubit_index().items() if i in support)
+    coords = sorted(map(family.qubit_labels.__getitem__, support))
     quarter = [c for c in coords if all(v % 2 for v in c)]
     half = [c for c in coords if not any(v % 2 for v in c)]
     assert len(quarter) + len(half) == len(coords)
@@ -217,7 +217,7 @@ def test_criterion4_dx_is_64(periodic2):
         assert len(half) == 2 * L**3 == 16
         assert all(c[d] == 1 for c in quarter)
         assert hz.syndrome(x) == set()
-        quarter_part = [index[c] for c in quarter]
+        quarter_part = list(map(index, quarter))
         assert hz.syndrome(quarter_part) != set(), d
 
     result = run_octaplex_report(2, sections={"distance"})

@@ -139,8 +139,7 @@ def constraint_of(block):
 def reference_kept(family, block):
     """The triangles of weight 2-3 in mask order, each kept when the XOR of
     its qubits' constraint-row masks, read from the column index, is 0."""
-    qidx = family.qubit_index()
-    triangles = sorted({s for _, s in star_triangles(qidx, 4 * family.L + 8, drops=range(4))},
+    triangles = sorted({s for _, s in star_triangles(family.qubit_labels, drops=range(4))},
                        key=_mask_order)
     rows_of = [mask_from_support(c) for c in constraint_of(block).transpose().supports()]
     return [s for s in triangles
@@ -200,3 +199,17 @@ def test_bounded_report_eliminates_no_z_side(monkeypatch):
     for blk in built[0].blocks:
         assert id(blk.hx) in ids and id(blk.hz) not in ids
         assert blk.hz._basis is None
+
+
+def test_bounded_report_builds_no_hz_column_index(monkeypatch):
+    # the CSS check reads hx's column index instead of building hz's, about
+    # four times larger (212 against about 880 entries per block at L=2)
+    built = []
+    monkeypatch.setitem(BUILDERS, "octaplex-bounded",
+                        lambda run: built.append(build_bounded_family(run.L)) or built[0])
+    result = run_report("octaplex-bounded", 2)
+    assert result.ok
+    assert [b["css"] for b in result.report["sections"]["codes"]["blocks"]] == [True] * 4
+    for blk in built[0].blocks:
+        assert blk.hz._t is None
+        assert blk.hx._t is not None

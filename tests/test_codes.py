@@ -10,7 +10,6 @@ from octaplex.codes import (
     BLOCK_COLORS,
     Codeblock,
     _block_of,
-    _star,
     build_codeblock0,
     build_colored_codeblock,
     shifted_qubit_permutation,
@@ -19,6 +18,7 @@ from octaplex.codes import (
 from octaplex.lattice import (
     FOURCELL_TYPES,
     QUBIT_TYPES,
+    Cells,
     CellType,
     Color,
     build_octaplex,
@@ -76,9 +76,9 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch, corrupt
     # without its first Z check, or with that check's first qubit moved to
     # the lowest qubit outside it (so that block 2 is no longer CSS), is no
     # translate of block 0, so the section fails and reports block 2's own
-    # rank and CSS result. Block 0's k is the metacheck ledger's, and the
-    # verified translates share it and block 0's CSS result, so none of
-    # them is ranked or checked.
+    # rank and CSS result. Block 0's k is the metacheck ledger's and its CSS
+    # result the lattice's ∂4·∂3 = 0, and the verified translates share
+    # both, so none of them is ranked or checked.
     family = copy.deepcopy(family2)
     blk2 = family.blocks[2]
     rows = [list(s) for s in blk2.hz.supports()]
@@ -107,7 +107,9 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch, corrupt
     assert data["blocks"][2]["k"] == blk2.n - rank(blk2.hx) - rank(blk2.hz)
     assert data["blocks"][2]["css"] is css2
     assert [b["css"] for b in data["blocks"]] == [True, True, css2, True]
-    assert checked == [0, 2]
+    assert checked == [2]
+    cx = family.complex
+    assert cx.boundary[4]._zero == {cx.boundary[3]: True}
     ranked_ids = {id(m) for m in ranked}
     for b, blk in enumerate(family.blocks):
         own = {id(blk.hx), id(blk.hz)}
@@ -189,10 +191,13 @@ def test_colored_z_rows_are_block0_triangles_shifted(family2):
 
 
 def test_qubit_index_built_once(family2, bounded2):
-    assert family2.qubit_index() is family2.qubit_index() is family2.complex.index[3]
-    index = bounded2.qubit_index()
-    assert index is bounded2.qubit_index()
-    assert index == {q: i for i, q in enumerate(bounded2.qubit_labels)}
+    # both octaplex families look qubits up in their one cell numbering
+    assert family2.qubit_labels is family2.complex.cells[3]
+    for family in (family2, bounded2):
+        index, labels = family.qubit_index(), family.qubit_labels
+        assert index == labels.index
+        assert [index(q) for q in labels] == list(range(family.n))
+        assert [labels[i] for i in range(family.n)] == list(labels)
 
 
 def test_explicit_triangle_is_z_row(family2):
@@ -202,7 +207,7 @@ def test_explicit_triangle_is_z_row(family2):
     period = family2.complex.period
     for w4 in (0, 4):
         sup = sorted(
-            qidx[c]
+            qidx(c)
             for c in [(2, 2, 2, w4), (1, 1, 1, (w4 - 1) % period), (1, 1, 1, w4 + 1)]
         )
         mask = 0
@@ -232,11 +237,13 @@ def test_colored_z_rows_are_all_triple_intersections(family2, block):
     assert set(hz) == oracle
 
 
-def star_triangles_reference(qidx, period, drops):
+def star_triangles_reference(qubits, drops):
     """The mask form of ``star_triangles``: each qubit's eight candidate
-    triples per dropped block, their stars clipped to ``qidx`` and ANDed as
-    n-bit masks, each nonempty intersection yielded from its lowest qubit."""
-    star = cache(lambda c: mask_from_support(_star(c, qidx, period)))
+    triples per dropped block, their stars clipped to the qubits (through a
+    dict of their own) and ANDed as n-bit masks, each nonempty intersection
+    yielded from its lowest qubit."""
+    period, qidx = qubits.period, {q: i for i, q in enumerate(qubits)}
+    star = cache(lambda c: mask_from_support(qidx[q] for q in star24(c, period) if q in qidx))
     for q, i in qidx.items():
         low, groups = 1 << i, [[], [], [], []]
         for c in star24(q, period):
@@ -251,13 +258,15 @@ def star_triangles_reference(qidx, period, drops):
 
 
 def torus_qubits(L):
-    return {q: i for i, q in enumerate(build_octaplex(L).cells[3])}, 4 * L
+    return build_octaplex(L).cells[3]
 
 
 def box_qubits(L):
+    """The qubits of the box [2, 4L], kind 1, on the grid of period 4L + 4."""
     box = range(2, 4 * L + 1)
-    qubits = [c for c in product(box, repeat=4) if try_classify(c) in QUBIT_TYPES]
-    return {q: i for i, q in enumerate(qubits)}, 4 * L + 8
+    kinds = bytes(all(v in box for v in c) and try_classify(c) in QUBIT_TYPES
+                  for c in product(range(4 * L + 4), repeat=4))
+    return Cells(4 * L + 4, kinds, 1)
 
 
 @pytest.mark.parametrize("qubits, L", [
@@ -267,10 +276,10 @@ def box_qubits(L):
     (box_qubits, 2), (box_qubits, 3),
 ])
 def test_star_triangles_match_mask_reference(qubits, L):
-    qidx, period = qubits(L)
+    cells = qubits(L)
     drops = (0, 1, 2, 3)
-    found = set(star_triangles(qidx, period, drops))
-    assert found == set(star_triangles_reference(qidx, period, drops))
+    found = set(star_triangles(cells, drops))
+    assert found == set(star_triangles_reference(cells, drops))
     assert {len(s) for _, s in found} == ({3} if qubits is torus_qubits else {1, 2, 3})
 
 
@@ -287,8 +296,8 @@ def test_star_triangles_miss_a_dropped_table_entry(monkeypatch):
         gone = next(e for e in triangles if min(partners[e[1]], partners[e[2]]) > (0, 0, 0, 0))
         return partners, [e for e in triangles if e is not gone]
 
-    qidx, period = torus_qubits(2)
+    cells = torus_qubits(2)
     monkeypatch.setattr(codes, "_triangle_table", short)
-    found = set(star_triangles(qidx, period, (1, 2, 3)))
-    expected = set(star_triangles_reference(qidx, period, (1, 2, 3)))
+    found = set(star_triangles(cells, (1, 2, 3)))
+    expected = set(star_triangles_reference(cells, (1, 2, 3)))
     assert found < expected

@@ -38,10 +38,12 @@ BYTE_CONTRACT = {
     "octaplex-bounded_L2_hz3.alist": "ab5cde13b97e7023fc21ed6339b3f5d82aa38f128262a079f5da97c1b895f4bf",
 }
 # sha256 of the slow pins: the canonical L=3 outputs of both octaplex
-# families and the L=4 octaplex report.
+# families and the L=4 and L=5 octaplex reports (L=5, about 3 s, is the
+# first odd size above 4 at which the flat cell keys wrap).
 BYTE_CONTRACT_SLOW = {
     "report-L3": "6822a7e4f08500d7e22ad358fcd2f0b497111f56adc5d00c8d28e48f2b68e043",
     "report-L4": "bd0988dec37000f9c5a50be6af6eb2c6b9baef599746726e9a3662c241c78af7",
+    "report-L5": "eeb0d43c09a565ab202e3c662217937abc891246c0cae74ca1214474d3573d98",
     "report-bounded-L3": "f341f191e1355962ed823aa22eba4203f43b66b33b172766ffcb31138d587fbe",
     "octaplex_L3_hx0.alist": "797f59dbda726fb6a43a66be6c16145821b3ac4092674d2d8486e5d043977012",
     "octaplex_L3_hx1.alist": "f046668960e98638adffcccd81552e211bcff70602291a1a9f56847da70078e5",
@@ -66,6 +68,7 @@ REPORT_ARGV = {
     "report-L3": ["report", "--family", "octaplex", "--L", "3"],
     "report-bounded-L3": ["report", "--family", "octaplex-bounded", "--L", "3"],
     "report-L4": ["report", "--family", "octaplex", "--L", "4"],
+    "report-L5": ["report", "--family", "octaplex", "--L", "5"],
 }
 # CLI argv that writes every pinned export file of one prefix, with --out DIR.
 EXPORT_ARGV = {

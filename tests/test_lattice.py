@@ -2,6 +2,7 @@ import copy
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -114,20 +115,68 @@ def test_incident_cells_counts(cx2):
         incident_cells(cx2, 0, 0, 5)
 
 
+def cells_by_dim(period):
+    """Every point of the torus classified, per dimension, in lex order."""
+    by_dim = [[] for _ in range(5)]
+    for c in product(range(period), repeat=4):
+        if (t := try_classify(c)) is not None:
+            by_dim[DIM_OF[t]].append(c)
+    return by_dim
+
+
 @pytest.mark.parametrize("L", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_cell_table_matches_boundary_coords(L):
     # the residue-class table against the per-cell classification and
     # boundary rules it is read from
     cx = build_octaplex(L)
-    by_dim = [[] for _ in range(5)]
-    for c in product(range(cx.period), repeat=4):
-        if (t := try_classify(c)) is not None:
-            by_dim[DIM_OF[t]].append(c)
-    assert cx.cells == by_dim
+    assert [list(cells) for cells in cx.cells] == cells_by_dim(cx.period)
     for d in range(1, 5):
-        idx = cx.index[d - 1]
+        idx = cx.cells[d - 1].index
         for c, bs in zip(cx.cells[d], cx.boundary[d].supports(), strict=True):
-            assert list(bs) == sorted(idx[b] for b in boundary_coords(c, cx.period)), c
+            assert list(bs) == sorted(idx(b) for b in boundary_coords(c, cx.period)), c
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_one_numbering_per_dimension(L):
+    # each dimension's view lists the lex-sorted classified points, each
+    # looks up to its own position, and a point of another dimension or
+    # off the torus is rejected
+    cx = build_octaplex(L)
+    reference, period = cells_by_dim(cx.period), cx.period
+    for d, cells in enumerate(cx.cells):
+        assert len(cells) == len(reference[d])
+        assert list(cells) == reference[d]
+        assert [cells[i] for i in range(len(cells))] == reference[d]
+        assert [cells.index(c) for c in cells] == list(range(len(cells)))
+        for other in range(5):
+            if other != d:
+                for c in reference[other][::97]:
+                    with pytest.raises(ValueError):
+                        cells.index(c)
+        c = reference[d][0]
+        for off in ((c[0] + period, *c[1:]), (*c[:3], c[3] - period), (*c[:3], c[3] + 4 * period)):
+            assert try_classify(off) is try_classify(c)
+            with pytest.raises(ValueError):
+                cells.index(off)
+        with pytest.raises(ValueError):
+            cells.index((0, 0, 0, period))
+        with pytest.raises(ValueError):
+            cells.index(c[:3])
+
+
+def test_complex_retains_under_two_megabytes():
+    # the numbering is one key table and one key array per dimension; the
+    # coordinate lists and index dicts it replaced held 6.2 MB at L=4
+    build_octaplex(4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = build_octaplex(4)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cx.cells[3]) == 24 * 4**4
+    assert retained < 2_000_000, retained
 
 
 def test_cell_table_entry_reaches_the_complex(monkeypatch):
@@ -138,9 +187,9 @@ def test_cell_table_entry_reaches_the_complex(monkeypatch):
     monkeypatch.setattr(lattice, "_cell_classes", lambda: table)
     cx = build_octaplex(2)
     c = (1, 1, 1, 1)
-    bs = cx.boundary[3].support(cx.index[3][c])
+    bs = cx.boundary[3].support(cx.cells[3].index(c))
     assert len(bs) == 7
-    assert set(bs) < {cx.index[2][b] for b in boundary_coords(c, cx.period)}
+    assert set(bs) < {cx.cells[2].index(b) for b in boundary_coords(c, cx.period)}
 
 
 def test_boundary_squared_is_zero(cx2):
@@ -164,7 +213,7 @@ def nearest_reference(cx, rows=128):
     anchored = {CellType.C3I: f2i, CellType.C3II: ~f2i,
                 CellType.C3III: np.ones_like(f2i)}
     for d in (1, 3, 4):
-        lower = np.array(cx.cells[d - 1], dtype=np.int32).reshape(-1, 4)
+        lower = np.array(list(cx.cells[d - 1]), dtype=np.int32).reshape(-1, 4)
         groups = {}
         for i, c in enumerate(cx.cells[d]):
             groups.setdefault(classify(c) if d == 3 else None, []).append(i)
@@ -219,49 +268,6 @@ def test_nearest_cross_check_rejects_a_swapped_boundary(cx2, d, kind):
     bad = _swap_one(cx2, d, kind)
     assert not cross_check_nearest(bad)
     assert not nearest_reference(bad)
-
-
-def test_nearest_cross_check_fails_on_an_empty_ball(cx2):
-    # one edge whose only candidate vertex lies at squared distance 30: the
-    # all-pairs definition accepts it, the windowed check may not
-    cx = copy.deepcopy(cx2)
-    cx.cells[0], cx.cells[1] = [(4, 4, 4, 4)], [(0, 2, 1, 3)]
-    cx.boundary[1] = BinMatrix.from_supports(1, [[0]])
-    assert toroidal_dist2((0, 2, 1, 3), (4, 4, 4, 4), cx.period) == 30
-    assert nearest_reference(cx)
-    assert not cross_check_nearest(cx)
-
-
-def test_nearest_cross_check_rejects_a_wrong_type_vertex(cx2):
-    # a triangle listed among the vertices, indexed, at squared distance 1
-    # from an edge: the definition makes it that edge's only nearest vertex
-    cx = copy.deepcopy(cx2)
-    assert classify((1, 2, 1, 1)) is CellType.F2II
-    assert toroidal_dist2((0, 2, 1, 1), (1, 2, 1, 1), cx.period) == 1
-    cx.index[0][(1, 2, 1, 1)] = len(cx.cells[0])
-    cx.cells[0].append((1, 2, 1, 1))
-    assert not nearest_reference(cx)
-    assert not cross_check_nearest(cx)
-
-
-def test_nearest_cross_check_rejects_a_dropped_vertex(cx2):
-    # the last vertex leaves the cells, the index and its edges' boundaries:
-    # each such edge's one listed vertex left is its nearest, so the all-pairs
-    # definition accepts, but a nearest offset now holds no cell
-    cx = copy.deepcopy(cx2)
-    gone = len(cx.cells[0]) - 1
-    del cx.index[0][cx.cells[0].pop()]
-    cx.boundary[1] = BinMatrix.from_supports(gone, (
-        [j for j in b if j != gone] for b in cx.boundary[1].supports()))
-    assert nearest_reference(cx)
-    assert not cross_check_nearest(cx)
-
-
-def test_nearest_cross_check_rejects_a_vertex_left_in_the_index(cx2):
-    cx = copy.deepcopy(cx2)
-    cx.cells[0].pop()
-    assert not nearest_reference(cx)
-    assert not cross_check_nearest(cx)
 
 
 def test_nearest_table_is_built_on_first_use():
@@ -334,14 +340,14 @@ def test_boundary_composition_rejects_a_wrong_shape(cx2, d, change):
 
 
 def test_fourcell_boundary_distance(cx2):
-    i = cx2.index[4][(0, 0, 0, 0)]
+    i = cx2.cells[4].index((0, 0, 0, 0))
     for j in cx2.boundary[4].support(i):
         assert toroidal_dist2((0, 0, 0, 0), cx2.cells[3][j], cx2.period) == 4
 
 
 def test_fourcell_boundary_composition(cx2):
     # 8 octahedra at +-2 along one axis, 16 at (+-1,+-1,+-1,+-1)
-    i = cx2.index[4][(0, 0, 0, 0)]
+    i = cx2.cells[4].index((0, 0, 0, 0))
     types = [classify(cx2.cells[3][j]) for j in cx2.boundary[4].support(i)]
     assert sum(1 for t in types if t is CellType.C3II) == 8
     assert sum(1 for t in types if t is CellType.C3III) == 16
@@ -452,7 +458,7 @@ STAR_CENTER_TYPES = (CellType.H4I, CellType.H4II, CellType.V0,
 @pytest.mark.parametrize("L", [2, 3])
 def test_star24_matches_definition(L):
     cx = build_octaplex(L)
-    centers = cx.cells[4] + cx.cells[0] + cx.cells[3]
+    centers = [*cx.cells[4], *cx.cells[0], *cx.cells[3]]
     assert len(centers) == (2 + 6 + 24) * L**4
     for c in centers:
         assert star24(c, cx.period) == star24_by_definition(c, cx.period)

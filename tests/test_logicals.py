@@ -93,7 +93,7 @@ def test_class_constant_under_stabilizer_shift(family2, basis2):
     # multiply the string by the weight-4 product of two triangles sharing
     # their quarter cells; the class must not move
     qidx = family2.qubit_index()
-    shift = [qidx[c] for c in [(0, 0, 0, 2), (1, 1, 1, 3), (1, 1, 1, 7), (2, 2, 2, 0)]]
+    shift = [qidx(c) for c in [(0, 0, 0, 2), (1, 1, 1, 3), (1, 1, 1, 7), (2, 2, 2, 0)]]
     blk = family2.blocks[0]
     assert blk.hz.in_row_space(mask_from_support(shift))
     moved = sorted(set(basis2.z_ops[0].support(3)) ^ set(shift))
