@@ -261,12 +261,12 @@ def torus_qubits(L):
     return build_octaplex(L).cells[3]
 
 
-def box_qubits(L):
-    """The qubits of the box [2, 4L], kind 1, on the grid of period 4L + 4."""
+def box_qubits(L, pad=4):
+    """The qubits of the box [2, 4L], kind 1, on the grid of period 4L + pad."""
     box = range(2, 4 * L + 1)
     kinds = bytes(all(v in box for v in c) and try_classify(c) in QUBIT_TYPES
-                  for c in product(range(4 * L + 4), repeat=4))
-    return Cells(4 * L + 4, kinds, 1)
+                  for c in product(range(4 * L + pad), repeat=4))
+    return Cells(4 * L + pad, kinds, 1)
 
 
 @pytest.mark.parametrize("qubits, L", [
@@ -281,6 +281,12 @@ def test_star_triangles_match_mask_reference(qubits, L):
     found = set(star_triangles(cells, drops))
     assert found == set(star_triangles_reference(cells, drops))
     assert {len(s) for _, s in found} == ({3} if qubits is torus_qubits else {1, 2, 3})
+    if qubits is box_qubits:
+        # the bounded builder's grid, 4L + 2, where a point within 3 of the
+        # box but off it wraps to 0, 1 or 4L + 1, numbers the same qubits
+        tight = box_qubits(L, pad=2)
+        assert list(tight) == list(cells)
+        assert set(star_triangles(tight, drops)) == found
 
 
 def test_star_triangles_miss_a_dropped_table_entry(monkeypatch):
