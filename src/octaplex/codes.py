@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress, product, repeat
 from operator import add, itemgetter, not_, xor
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .binalg import BinMatrix
 from .lattice import (
@@ -45,9 +45,6 @@ from .lattice import (
     try_classify,
     vertex_color,
 )
-
-# Block order is fixed: 0 = 4-cells, then the vertex colors.
-BLOCK_COLORS = (None, Color.RED, Color.GREEN, Color.BLUE)
 
 # Direction partner induced by the block-equivalence translations: block c's
 # structure along axis d mirrors block 0's along SIGMA[c][d]. SIGMA[0] is the
@@ -102,11 +99,6 @@ class CodeFamily:
     def n(self) -> int:
         return len(self.qubit_labels)
 
-    def qubit_index(self) -> Callable[[Coord], int]:
-        """Qubit label -> index, through the labels' own numbering: a
-        ``Cells`` view for the octaplex families, a ``range`` for the warm-ups."""
-        return self.qubit_labels.index
-
 
 # ---------------------------------------------------------------------------
 # periodic octaplex family
@@ -125,17 +117,11 @@ def build_codeblock0(cx: CellComplex) -> Codeblock:
     return Codeblock(0, len(cx.cells[3]), cx.boundary[4], cx.boundary[3].transpose())
 
 
-_BLOCK_BY_RESIDUES = {  # residues mod 4 of a cell carrying X checks -> block
-    r: 0 if t in FOURCELL_TYPES else BLOCK_COLORS.index(vertex_color(r))
+_BLOCK_BY_RESIDUES = {  # residues mod 4 of a cell carrying X checks -> block: 0 or a color
+    r: 0 if t in FOURCELL_TYPES else vertex_color(r)
     for r in product(range(4), repeat=4)
     if (t := try_classify(r)) in FOURCELL_TYPES + (CellType.V0,)
 }
-
-
-def _block_of(c: Coord) -> int | None:
-    """The block whose X checks sit on cell c: 0 for a 4-cell, else the
-    index of a vertex's color; None for any other cell."""
-    return _BLOCK_BY_RESIDUES.get((c[0] & 3, c[1] & 3, c[2] & 3, c[3] & 3))
 
 
 def _mask_order(support: tuple[int, ...]) -> tuple[int, ...]:
@@ -155,7 +141,8 @@ def _triangle_table(residues: Coord, drops: tuple[int, ...]) -> tuple[tuple[Coor
     only from centers ±2 apart on it, of one block, so a triangle lies within
     ±3 of the qubit and its offsets do not alias on any period ≥ 8.
     """
-    groups = [[o for o in _STAR_OFFSETS if _block_of(tuple(map(add, residues, o))) == b]
+    groups = [[o for o in _STAR_OFFSETS
+               if _BLOCK_BY_RESIDUES.get(tuple(v & 3 for v in map(add, residues, o))) == b]
               for b in range(4)]
     star = {o: {tuple(map(add, o, s)) for s in _STAR_OFFSETS} for g in groups for o in g}
     triangles = sorted({(drop, tuple(sorted(star[x] & star[y] & star[z])))
@@ -199,21 +186,20 @@ def _colored_codeblock(
 ) -> Codeblock:
     n = len(cx.cells[3])
     stars = (_star(v, cx.cells[3]) for v, c in zip(cx.cells[0], cx.colors) if c == color)
-    return Codeblock(BLOCK_COLORS.index(color), n, BinMatrix.from_supports(n, stars),
+    return Codeblock(color, n, BinMatrix.from_supports(n, stars),
                      BinMatrix.from_supports(n, hz_rows))
 
 
 def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
     """One colored block on its own; ``build_family`` shares the Z pass."""
-    hz_rows = colored_z_supports(cx)[BLOCK_COLORS.index(color) - 1]
-    return _colored_codeblock(cx, color, hz_rows)
+    return _colored_codeblock(cx, color, colored_z_supports(cx)[color - 1])
 
 
 def build_family(cx: CellComplex) -> CodeFamily:
     """Block 0 and the three colored blocks, whose Z sides come from one
     star-triangle pass."""
     blocks = [build_codeblock0(cx)]
-    for color, hz_rows in zip(BLOCK_COLORS[1:], colored_z_supports(cx)):
+    for color, hz_rows in zip(Color, colored_z_supports(cx)):
         blocks.append(_colored_codeblock(cx, color, hz_rows))
     return CodeFamily("octaplex", cx.L, blocks, cx.cells[3], complex=cx)
 

@@ -22,7 +22,10 @@ odd components):
 
 A point v has the flat key ((v0·P + v1)·P + v2)·P + v3, P = 4L, and one
 table maps each key to the cell's index within its dimension (``Cells``).
-The 3-cells (octahedra) carry the physical qubits. Boundary maps follow the
+The 3-cells (octahedra) carry the physical qubits. A vertex's ``Color`` is
+the block whose X checks sit on it (1 red, 2 green, 3 blue; block 0's sit on
+the 4-cells), read off the positions of its two half-integer components;
+``CellComplex.colors`` holds one byte per vertex. Boundary maps follow the
 explicit offset rules below and are kept as CSR matrices, the periodic check
 matrices themselves; `cross_check_nearest` re-derives them from the
 nearest-in-2-norm definition as an independent oracle, reading each cell c
@@ -33,8 +36,8 @@ at c+δ for the offsets of least |δ|² ≤ 4 that its residue class allows.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from enum import Enum, IntEnum
 from functools import cache
 from itertools import compress, product
 from operator import add, itemgetter
@@ -77,10 +80,10 @@ QUBIT_TYPES = (CellType.C3I, CellType.C3II, CellType.C3III)
 FOURCELL_TYPES = (CellType.H4I, CellType.H4II)
 
 
-class Color(Enum):
-    RED = "red"
-    GREEN = "green"
-    BLUE = "blue"
+class Color(IntEnum):  # valued as the block whose X checks sit on the vertex
+    RED = 1
+    GREEN = 2
+    BLUE = 3
 
 
 # Positions of the two half-integer components of a vertex decide its color.
@@ -254,7 +257,7 @@ class CellComplex:
     period: int
     cells: list[Cells]
     boundary: list[BinMatrix]
-    colors: list[Color] = field(default_factory=list)
+    colors: bytearray  # each vertex's Color, one byte per vertex
 
 
 @cache
@@ -295,7 +298,7 @@ def build_octaplex(L: int) -> CellComplex:
             [pos[w3[a + p] + w2[b + q] + w1[c + s] + w[e + t]] for p, q, s, t in table[r][1]]
             for (a, b, c, e), r in zip(cells[d], classes))))
 
-    colors = [vertex_color(v) for v in cells[0]]
+    colors = bytearray(map(vertex_color, cells[0]))
     return CellComplex(L, period, cells, boundary, colors)
 
 

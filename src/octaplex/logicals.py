@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from .binalg import BinMatrix, mask_from_support
 from .codes import CodeFamily, x_hyperplane, z_string
 from .lattice import AXES, Coord, line, sheet, sublattice
-from .metachecks import MetacheckLadder
 
 DIRS = (0, 1, 2, 3)  # axis indices x, y, z, w
 
@@ -70,7 +69,7 @@ class LogicalBasis:
 def _ops(family: CodeFamily) -> Callable[[Iterable[Iterable[Coord]]], BinMatrix]:
     """The map from lists of cells to a matrix with one row per list, over
     the family's qubits."""
-    qidx = family.qubit_index()
+    qidx = family.qubit_labels.index
     return lambda cell_lists: BinMatrix.from_supports(
         family.n, (map(qidx, cells) for cells in cell_lists))
 
@@ -220,19 +219,16 @@ class DistanceCertificate:
     dz: int
     dx_lower: int
     dx_upper: int
-    disjoint_z_reps: int               # per direction, all verified equivalent
+    disjoint_z_reps_per_direction: int  # all verified equivalent
     disjoint_z_breakdown: dict
-    disjoint_x_reps: int               # per direction, certifies dz >= L
-    dx_stated_formula: int             # 8 L^3
+    disjoint_x_reps_per_direction: int  # certifies dz >= L
+    dx_stated_formula_8L3: int
     dx_formula_discrepancy: bool
     exhaustive_dz: int | None = None
     exhaustive_candidates: int | None = None
 
     def as_dict(self) -> dict:
-        names = {"disjoint_z_reps": "disjoint_z_reps_per_direction",
-                 "disjoint_x_reps": "disjoint_x_reps_per_direction",
-                 "dx_stated_formula": "dx_stated_formula_8L3"}
-        return {names.get(k, k): v for k, v in self.__dict__.items() if k != "L"}
+        return {k: v for k, v in self.__dict__.items() if k != "L"}
 
 
 def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]:
@@ -242,7 +238,7 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]
     integer sublattice), through the integer sheet, and through the quarter
     sheet. Counts are L^3, L^3 and (2L)^3.
     """
-    qidx = family.qubit_index()
+    qidx = family.qubit_labels.index
     on = partial(sublattice, range(4 * family.L))
     out: dict[str, list[list[int]]] = {}
     for name, free, axis in (
@@ -256,7 +252,7 @@ def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]
 
 def disjoint_x_hyperplanes(family: CodeFamily, d: int) -> list[list[int]]:
     """The L disjoint translates, by 4 along d, of the direction-d hyperplane on block 0."""
-    qidx, values = family.qubit_index(), range(4 * family.L)
+    qidx, values = family.qubit_labels.index, range(4 * family.L)
     return [list(map(qidx, x_hyperplane(
         0, d, values, tuple((p + 4 * shift) % len(values) for p in TORUS_SHEETS))))
         for shift in range(family.L)]
@@ -306,13 +302,11 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     return 2, candidates
 
 
-def certify_distances(
-    family: CodeFamily, basis: LogicalBasis, ladder: MetacheckLadder
-) -> DistanceCertificate:
+def certify_distances(family: CodeFamily, basis: LogicalBasis, k: int) -> DistanceCertificate:
     """Two-sided distance certificates of block 0; at L=2 the exhaustive
     search confirms d_Z as well.
 
-    Once block 0's ledger k (``ladder.k``) equals ``basis.k`` and its
+    Once block 0's k, certified by the metacheck ledger, equals ``basis.k`` and its
     logicals commute with the opposing checks and pair as the identity, a Z
     operator with an empty syndrome is equivalent to Z_d iff it pairs with
     the X logicals as e_d (dually for X): the k pairings vanish on the
@@ -322,8 +316,8 @@ def certify_distances(
     if family.kind != "octaplex":
         raise ValueError("distance certificates target the periodic family")
     L, blk0 = family.L, family.blocks[0]
-    if ladder.k != basis.k:
-        raise AssertionError(f"ledger k={ladder.k} differs from the basis's k={basis.k}")
+    if k != basis.k:
+        raise AssertionError(f"ledger k={k} differs from the basis's k={basis.k}")
     for w in verify_logical_basis(replace(family, blocks=[blk0]), basis)[1]:
         raise AssertionError(f"block 0 logicals fail: {w.as_dict()}")
 
@@ -334,7 +328,7 @@ def certify_distances(
                                     basis.x_ops[0], blk0.hx)
         # L disjoint hyperplane translates certify dz >= L per direction.
         _verify_disjoint_equivalent(disjoint_x_hyperplanes(family, d), d, basis.z_ops[0], blk0.hz)
-        breakdowns.append({k: len(v) for k, v in fams.items()})
+        breakdowns.append({name: len(reps) for name, reps in fams.items()})
     if any(b != breakdowns[0] for b in breakdowns):
         raise AssertionError("direction asymmetry in representative counts")
 
@@ -351,10 +345,10 @@ def certify_distances(
         dz=dz,
         dx_lower=dx,
         dx_upper=xw,
-        disjoint_z_reps=dx,
+        disjoint_z_reps_per_direction=dx,
         disjoint_z_breakdown=breakdowns[0],
-        disjoint_x_reps=L,
-        dx_stated_formula=8 * L**3,
+        disjoint_x_reps_per_direction=L,
+        dx_stated_formula_8L3=8 * L**3,
         dx_formula_discrepancy=(xw != 8 * L**3),
     )
     if L == 2:

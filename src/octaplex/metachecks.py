@@ -5,10 +5,14 @@ Levels, bottom to top:
     qubits (3-cells)  <-  Z checks (2-cells)  <-  edge metachecks (1-cells)
                                               <-  vertex metachecks (0-cells)
 
-plus the global combinations: six face planes (one per axis pair), four edge
-hyperplanes (one per axis), the all-vertices combination, and the
-all-X-stabilizers combination, each an index list of the rows it sums, read
-through ``BinMatrix.xor_rows``. Chain conditions m1*hz = 0 and m0*m1 = 0
+Block 0 and the ladder are one chain complex, so the ladder is built from
+the ``CellComplex`` alone: hx = ∂4, hz = ∂3ᵀ, m1 = ∂2ᵀ and m0 = ∂1ᵀ, the
+same objects block 0 holds. Above them sit the global combinations: six
+face planes (one per axis pair), four edge hyperplanes (one per axis), the
+all-vertices combination, and the all-X-stabilizers combination, each an
+index list of the rows it sums, read through ``BinMatrix.xor_rows``. A plane
+or hyperplane is looked up cell by cell from its coordinates; the other two
+are ranges. Chain conditions m1*hz = 0 and m0*m1 = 0
 hold exactly, and the rank bookkeeping
 
     rank(m0) = 6L^4-1,  rank(m1) = 42L^4-3,
@@ -36,12 +40,11 @@ A pair that does not close is ranked by elimination and named in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import chain, combinations, permutations, product
 
 from .binalg import BinMatrix
-from .codes import Codeblock
-from .lattice import AXES, CellComplex
+from .lattice import AXES, CellComplex, sheet, sublattice
 
 
 @dataclass
@@ -60,8 +63,8 @@ class MetacheckLadder:
     m0: BinMatrix                        # 0-cells x 1-cells, cx.boundary[1] transposed
     globals2: dict[tuple[str, str], list[int]]   # face planes (hz rows), per axis pair
     globals1: dict[str, list[int]]               # edge hyperplanes (m1 rows), per axis
-    global0: list[int]                           # all vertices (m0 rows)
-    globalX: list[int]                           # all X stabilizer rows
+    global0: range                               # all vertices (m0 rows)
+    globalX: range                               # all X stabilizer rows
 
     @cached_property
     def ledger(self) -> Ledger:
@@ -101,21 +104,31 @@ class MetacheckLadder:
 
 
 def _face_plane(cx: CellComplex, ax1: int, ax2: int) -> list[int]:
-    """Faces with both transverse coordinates at value 1 and the (ax1, ax2)
-    coordinates on the integer/quarter sublattices in either order."""
-    o1, o2 = (i for i in range(4) if i not in (ax1, ax2))
-    return [i for i, f in enumerate(cx.cells[2]) if f[o1] == f[o2] == 1
-            and (f[ax1] % 4 == 0 and f[ax2] % 2 or f[ax1] % 2 and f[ax2] % 4 == 0)]
+    """The faces at value 1 on the other two axes whose (ax1, ax2)
+    coordinates lie on the integer and quarter sublattices, in either order."""
+    on = partial(sublattice, range(cx.period))
+    pairs = chain(product(on(0), on(1, 3)), product(on(1, 3), on(0)))
+    return sorted(cx.cells[2].index([u if i == ax1 else v if i == ax2 else 1 for i in range(4)])
+                  for u, v in pairs)
 
 
-def build_ladder(cx: CellComplex, block0: Codeblock) -> MetacheckLadder:
+def _edge_hyperplane(cx: CellComplex, a: int) -> list[int]:
+    """The edges on the sheet at value 1 on axis a: one of the other three
+    coordinates lies on each of the integer, half and quarter sublattices."""
+    on = partial(sublattice, range(cx.period))
+    sheets = (sheet(a, 1, free) for free in permutations((on(0), on(2), on(1, 3))))
+    return sorted(map(cx.cells[1].index, chain.from_iterable(sheets)))
+
+
+def build_ladder(cx: CellComplex) -> MetacheckLadder:
+    """Block 0's ladder from the complex alone: hz = ∂3ᵀ and hx = ∂4 are the
+    objects block 0 holds. Each global is read off its cells' coordinates."""
+    hz, hx = cx.boundary[3].transpose(), cx.boundary[4]
     globals2 = {(AXES[i], AXES[j]): _face_plane(cx, i, j) for i, j in combinations(range(4), 2)}
-    globals1 = {AXES[a]: [i for i, e in enumerate(cx.cells[1]) if e[a] == 1] for a in range(4)}
-    global0 = list(range(len(cx.cells[0])))
-    globalX = list(range(block0.hx.shape[0]))
+    globals1 = {AXES[a]: _edge_hyperplane(cx, a) for a in range(4)}
     return MetacheckLadder(
-        cx, block0.hz, block0.hx, cx.boundary[2].transpose(), cx.boundary[1].transpose(),
-        globals2, globals1, global0, globalX,
+        cx, hz, hx, cx.boundary[2].transpose(), cx.boundary[1].transpose(),
+        globals2, globals1, range(len(cx.cells[0])), range(hx.shape[0]),
     )
 
 

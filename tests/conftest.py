@@ -51,7 +51,7 @@ def basis2(family2):
 
 @pytest.fixture(scope="session")
 def ladder2(family2):
-    return build_ladder(family2.complex, family2.blocks[0])
+    return build_ladder(family2.complex)
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +61,7 @@ def family3():
 
 @pytest.fixture(scope="session")
 def ladder3(family3):
-    return build_ladder(family3.complex, family3.blocks[0])
+    return build_ladder(family3.complex)
 
 
 @pytest.fixture(scope="session")

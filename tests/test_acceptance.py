@@ -167,19 +167,19 @@ def test_criterion3_coupling_is_exactly_four_quartets(periodic2):
 def test_criterion4_distances(periodic2):
     family, basis = periodic2
     t0 = time.monotonic()
-    cert = certify_distances(family, basis, build_ladder(family.complex, family.blocks[0]))
+    cert = certify_distances(family, basis, build_ladder(family.complex).k)
     elapsed = time.monotonic() - t0
     ok = (
         cert.dz == 2
         and cert.exhaustive_dz == 2
-        and cert.disjoint_z_reps >= 64
+        and cert.disjoint_z_reps_per_direction >= 64
         and cert.dx_lower >= 64
         and elapsed < 60.0
     )
     _line(4, "distances", ok, elapsed)
     assert cert.dz == 2
     assert cert.exhaustive_dz == 2
-    assert cert.disjoint_z_reps >= 64      # 8 L^3 disjoint strings exist
+    assert cert.disjoint_z_reps_per_direction >= 64      # 8 L^3 disjoint strings exist
     assert cert.dx_lower >= 64             # the stated lower bound holds
     assert cert.dx_lower == cert.dx_upper  # certificate is tight
     assert elapsed < 60.0
@@ -198,17 +198,17 @@ def test_criterion4_dx_is_64(periodic2):
     """
     family, basis = periodic2
     L = family.L
-    cert = certify_distances(family, basis, build_ladder(family.complex, family.blocks[0]))
+    cert = certify_distances(family, basis, build_ladder(family.complex).k)
     ok = cert.dx_lower == cert.dx_upper == 10 * L**3 and cert.dx_formula_discrepancy
     _line(4, "dx-64-refuted", ok)
     assert cert.dx_lower == cert.dx_upper == 10 * L**3 == 80
-    assert cert.dx_stated_formula == 8 * L**3 == 64
+    assert cert.dx_stated_formula_8L3 == 8 * L**3 == 64
     assert cert.dx_formula_discrepancy
     assert cert.disjoint_z_breakdown == {
         "half_sheet": L**3, "integer_sheet": L**3, "quarter_sheet": 8 * L**3
     }
 
-    index = family.qubit_index()
+    index = family.qubit_labels.index
     hz = family.blocks[0].hz
     for d in range(4):
         x = basis.x_ops[0].support(d)
@@ -232,7 +232,7 @@ def test_criterion4_dx_is_64(periodic2):
 
 def test_criterion5_metacheck_ledger(periodic2):
     family, _ = periodic2
-    ladder = build_ladder(family.complex, family.blocks[0])
+    ladder = build_ladder(family.complex)
     counting = verify_counting(ladder, 2)
     glob = verify_global_constraints(ladder)
     ok = (

@@ -7,9 +7,8 @@ import pytest
 import octaplex.codes as codes
 from octaplex.binalg import BinMatrix, mask_from_support, support_from_mask
 from octaplex.codes import (
-    BLOCK_COLORS,
+    _BLOCK_BY_RESIDUES,
     Codeblock,
-    _block_of,
     build_codeblock0,
     build_colored_codeblock,
     shifted_qubit_permutation,
@@ -116,16 +115,22 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch, corrupt
         assert ranked_ids & own == (own if b == 2 else set()), b
 
 
+def block_of(c):
+    """The block whose X checks sit on cell c, by its residue class; None
+    for a cell that carries none."""
+    return _BLOCK_BY_RESIDUES.get(tuple(v & 3 for v in c))
+
+
 def test_block_table_matches_classification():
     # the torus and the bounded box, whose stars reach past 4L, at L=2
     def block(c):
         t = try_classify(c)
         if t in FOURCELL_TYPES:
             return 0
-        return BLOCK_COLORS.index(vertex_color(c)) if t is CellType.V0 else None
+        return vertex_color(c) if t is CellType.V0 else None
 
     for c in product(range(4 * 2 + 10), repeat=4):
-        assert _block_of(c) == block(c), c
+        assert block_of(c) == block(c), c
 
 
 def test_k_is_four_at_l3(family3):
@@ -194,8 +199,9 @@ def test_qubit_index_built_once(family2, bounded2):
     # both octaplex families look qubits up in their one cell numbering
     assert family2.qubit_labels is family2.complex.cells[3]
     for family in (family2, bounded2):
-        index, labels = family.qubit_index(), family.qubit_labels
-        assert index == labels.index
+        labels = family.qubit_labels
+        assert isinstance(labels, Cells)
+        index = labels.index
         assert [index(q) for q in labels] == list(range(family.n))
         assert [labels[i] for i in range(family.n)] == list(labels)
 
@@ -203,7 +209,7 @@ def test_qubit_index_built_once(family2, bounded2):
 def test_explicit_triangle_is_z_row(family2):
     # the triple intersection of the three colored vertices around
     # (1/2,1/2,1/2,w) is the weight-3 check on {(2,2,2,4w),(1,1,1,4w+-1)}
-    qidx = family2.qubit_index()
+    qidx = family2.qubit_labels.index
     period = family2.complex.period
     for w4 in (0, 4):
         sup = sorted(
@@ -247,7 +253,7 @@ def star_triangles_reference(qubits, drops):
     for q, i in qidx.items():
         low, groups = 1 << i, [[], [], [], []]
         for c in star24(q, period):
-            block = _block_of(c)
+            block = block_of(c)
             if block is not None:
                 groups[block].append(star(c))
         for drop in drops:

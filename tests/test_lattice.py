@@ -71,9 +71,9 @@ def test_classify_examples():
 
 
 def test_vertex_colors():
-    assert vertex_color((0, 0, 2, 2)) is Color.RED
-    assert vertex_color((0, 2, 0, 2)) is Color.GREEN
-    assert vertex_color((0, 2, 2, 0)) is Color.BLUE
+    assert vertex_color((0, 0, 2, 2)) == Color.RED == 1
+    assert vertex_color((0, 2, 0, 2)) == Color.GREEN == 2
+    assert vertex_color((0, 2, 2, 0)) == Color.BLUE == 3
     with pytest.raises(NotACellError):
         vertex_color((1, 1, 1, 1))
 
@@ -380,12 +380,12 @@ def test_edge_adjacency_iff_distance_eight(cx2):
 
 def test_no_same_color_edge(cx2):
     for a, b in cx2.boundary[1].supports():
-        assert cx2.colors[a] is not cx2.colors[b]
+        assert cx2.colors[a] != cx2.colors[b]
 
 
 def test_color_balance(cx2):
     for c in Color:
-        assert sum(1 for col in cx2.colors if col is c) == 2 * cx2.L**4
+        assert sum(1 for col in cx2.colors if col == c) == 2 * cx2.L**4
 
 
 def test_each_face_has_three_colors(cx2):
@@ -415,9 +415,9 @@ def test_role_exchange_translation(cx2):
         return tuple((v + s) % period for v, s in zip(c, t))
 
     fours = set(cx2.cells[4])
-    reds = {v for v, c in zip(cx2.cells[0], cx2.colors) if c is Color.RED}
-    greens = {v for v, c in zip(cx2.cells[0], cx2.colors) if c is Color.GREEN}
-    blues = {v for v, c in zip(cx2.cells[0], cx2.colors) if c is Color.BLUE}
+    reds = {v for v, c in zip(cx2.cells[0], cx2.colors) if c == Color.RED}
+    greens = {v for v, c in zip(cx2.cells[0], cx2.colors) if c == Color.GREEN}
+    blues = {v for v, c in zip(cx2.cells[0], cx2.colors) if c == Color.BLUE}
     assert {shift(v) for v in reds} == fours
     assert {shift(v) for v in fours} == reds
     assert {shift(v) for v in greens} == blues
@@ -429,7 +429,7 @@ def test_role_exchange_translation(cx2):
     for i in (0, 11, 31):
         c = cx2.cells[4][i]
         shifted_boundary = {shift(cx2.cells[3][j]) for j in cx2.boundary[4].support(i)}
-        assert vertex_color(shift(c)) is Color.RED
+        assert vertex_color(shift(c)) == Color.RED
         assert shifted_boundary == set(star24(shift(c), cx2.period))
 
 

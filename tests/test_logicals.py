@@ -92,7 +92,7 @@ def test_logical_class_of_basis(family2, basis2):
 def test_class_constant_under_stabilizer_shift(family2, basis2):
     # multiply the string by the weight-4 product of two triangles sharing
     # their quarter cells; the class must not move
-    qidx = family2.qubit_index()
+    qidx = family2.qubit_labels.index
     shift = [qidx(c) for c in [(0, 0, 0, 2), (1, 1, 1, 3), (1, 1, 1, 7), (2, 2, 2, 0)]]
     blk = family2.blocks[0]
     assert blk.hz.in_row_space(mask_from_support(shift))
@@ -128,16 +128,16 @@ def test_disjoint_strings_counts(family2):
 
 
 def test_certificate(family2, basis2, ladder2):
-    cert = certify_distances(family2, basis2, ladder2)
+    cert = certify_distances(family2, basis2, ladder2.k)
     assert cert.dz == 2
     assert cert.exhaustive_dz == 2
     assert cert.dx_lower == cert.dx_upper == 80
-    assert cert.disjoint_z_reps == 80
+    assert cert.disjoint_z_reps_per_direction == 80
     assert cert.disjoint_z_breakdown == {
         "half_sheet": 8, "integer_sheet": 8, "quarter_sheet": 64,
     }
-    assert cert.disjoint_x_reps == 2
-    assert cert.dx_stated_formula == 64
+    assert cert.disjoint_x_reps_per_direction == 2
+    assert cert.dx_stated_formula_8L3 == 64
     assert cert.dx_formula_discrepancy
 
 
@@ -147,7 +147,7 @@ def test_certificate_rejects_heavier_z_logical(family2, basis2, ladder2):
     row = family2.blocks[0].hz.support(0)
     heavier = replace(basis2, z_ops=[toggled(basis2.z_ops[0], 1, row), *basis2.z_ops[1:]])
     with pytest.raises(AssertionError, match="Z logical 1 weight"):
-        certify_distances(family2, heavier, ladder2)
+        certify_distances(family2, heavier, ladder2.k)
 
 
 def test_certificate_rejects_a_ledger_k_other_than_the_basis_k(family2, basis2, ladder2):
@@ -159,7 +159,7 @@ def test_certificate_rejects_a_ledger_k_other_than_the_basis_k(family2, basis2, 
     short = replace(basis2, x_ops=first3(basis2.x_ops), z_ops=first3(basis2.z_ops))
     assert short.k == 3 and ladder2.k == 4
     with pytest.raises(AssertionError, match="ledger k=4 differs from the basis's k=3"):
-        certify_distances(family2, short, ladder2)
+        certify_distances(family2, short, ladder2.k)
 
 
 def test_certificate_rejects_a_logical_x_violating_hz0_first(family2, basis2, ladder2, monkeypatch):
@@ -170,7 +170,7 @@ def test_certificate_rejects_a_logical_x_violating_hz0_first(family2, basis2, la
         monkeypatch.setattr(octaplex.logicals, name, lambda *a: tested.append(a))
     witness = {"kind": "x_vs_z_stab", "block": 0, "detail": [0, first]}
     with pytest.raises(AssertionError, match=re.escape(str(witness))):
-        certify_distances(family2, broken, ladder2)
+        certify_distances(family2, broken, ladder2.k)
     assert tested == []
 
 
@@ -185,7 +185,7 @@ def test_certificate_rejects_a_direction_1_string_among_direction_0(
 
     monkeypatch.setattr(octaplex.logicals, "disjoint_z_strings", strings)
     with pytest.raises(AssertionError, match="not stabilizer-equivalent to logical 0"):
-        certify_distances(family2, basis2, ladder2)
+        certify_distances(family2, basis2, ladder2.k)
 
 
 @pytest.mark.parametrize("L", [2, 3])
@@ -226,7 +226,7 @@ def test_exhaustive_search_directly(family2):
 
 def test_l3_certificate_without_search(family3, ladder3):
     basis3 = build_logicals(family3)
-    cert = certify_distances(family3, basis3, ladder3)
+    cert = certify_distances(family3, basis3, ladder3.k)
     assert cert.dz == 3
     assert cert.dx_lower == cert.dx_upper == 10 * 27
     assert cert.exhaustive_dz is None

@@ -1,11 +1,14 @@
 import hashlib
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+import octaplex.codes as codes
 import octaplex.report as report
 from octaplex.binalg import BinMatrix, mask_from_support
 from octaplex.codes import build_periodic_family
+from octaplex.lattice import AXES, build_octaplex
 from octaplex.metachecks import (
     build_ladder,
     single_shot_repair_demo,
@@ -31,7 +34,7 @@ def test_block0_and_ladder_are_the_boundary_maps(cx2, family2, ladder2):
     assert ladder2.hx is block0.hx and ladder2.hz is block0.hz
     assert ladder2.m1.transpose() is cx2.boundary[2]
     assert ladder2.m0.transpose() is cx2.boundary[1]
-    assert build_ladder(cx2, block0).m1 is ladder2.m1
+    assert build_ladder(cx2).m1 is ladder2.m1
 
 
 def test_m0_kernel_dimension(ladder2):
@@ -54,7 +57,7 @@ def test_counting_l2(ladder2):
 
 @pytest.mark.slow
 def test_counting_l3(family3):
-    ladder = build_ladder(family3.complex, family3.blocks[0])
+    ladder = build_ladder(family3.complex)
     rep = verify_counting(ladder, 3)
     assert rep.passed
     assert rep.ranks == {"m0": 485, "m1": 3399, "hz": 1779, "hx": 161}
@@ -78,6 +81,29 @@ def test_face_plane_sizes(ladder2):
         assert len(g) == 4 * L**2
     for g in ladder2.globals1.values():
         assert len(g) == 12 * L**3
+
+
+def face_plane_reference(cx, ax1, ax2):
+    """Every face, kept by the residue test: value 1 on the other two axes,
+    and (ax1, ax2) on the integer and quarter sublattices in either order."""
+    o1, o2 = (i for i in range(4) if i not in (ax1, ax2))
+    return [i for i, f in enumerate(cx.cells[2]) if f[o1] == f[o2] == 1
+            and (f[ax1] % 4 == 0 and f[ax2] % 2 or f[ax1] % 2 and f[ax2] % 4 == 0)]
+
+
+@pytest.mark.parametrize("L", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_globals_equal_the_predicate_scans(L):
+    # the whole-grid scans are the oracle for the coordinate lookups, in
+    # content and in order, which the peeled stacks inherit
+    cx = build_octaplex(L)
+    ladder = build_ladder(cx)
+    planes = {(AXES[i], AXES[j]): face_plane_reference(cx, i, j)
+              for i, j in combinations(range(4), 2)}
+    hyperplanes = {AXES[a]: [i for i, e in enumerate(cx.cells[1]) if e[a] == 1] for a in range(4)}
+    assert list(ladder.globals2.items()) == list(planes.items())
+    assert list(ladder.globals1.items()) == list(hyperplanes.items())
+    assert list(ladder.global0) == list(range(len(cx.cells[0])))
+    assert list(ladder.globalX) == list(range(len(cx.cells[4])))
 
 
 def test_rank_with_planes_reaches_dependency_dimension(ladder2):
@@ -154,13 +180,13 @@ def test_certified_ranks_equal_elimination_l2(ladder2):
 
 
 def test_certified_ranks_equal_elimination_l3(family3):
-    assert_ledger_matches_elimination(build_ladder(family3.complex, family3.blocks[0]), 3)
+    assert_ledger_matches_elimination(build_ladder(family3.complex), 3)
 
 
 @pytest.mark.slow
 def test_certified_ranks_equal_elimination_l4():
     family = build_periodic_family(4)
-    assert_ledger_matches_elimination(build_ladder(family.complex, family.blocks[0]), 4)
+    assert_ledger_matches_elimination(build_ladder(family.complex), 4)
 
 
 def test_dropped_edge_hyperplane_falls_back_to_elimination(ladder2):
@@ -289,3 +315,25 @@ def test_periodic_report_eliminates_no_ledger_matrix(monkeypatch):
     assert shapes == []
     digest = hashlib.sha256(report_json(result).encode()).hexdigest()
     assert digest == BYTE_CONTRACT_SLOW["report-L3"]
+
+
+@pytest.mark.parametrize("sections, digest", [
+    ({"metachecks"}, "fb14b836c5c9aac19d6f82d1e3855ab9f43e37184e56bd11265cca5942717667"),
+    ({"lattice", "metachecks"}, "5b935cd941ae6c42afaab15ed8ea2cb95f6ef930370cbbfb70f59e21ce60dfef"),
+    ({"codes"}, None),  # control: the codes section does build the family
+], ids=["metachecks", "lattice-metachecks", "codes"])
+def test_ladder_sections_build_no_code_family(monkeypatch, sections, digest):
+    # the ladder is the complex's: a run of lattice and metachecks alone
+    # builds no block, and its bytes are those of a run that built them all
+    calls = []
+    build = codes.build_family
+    spy = lambda cx: calls.append(cx) or build(cx)  # noqa: E731
+    monkeypatch.setattr(codes, "build_family", spy)
+    monkeypatch.setattr(report, "build_family", spy)
+    result = run_report("octaplex", 2, sections=sections)
+    assert result.ok
+    if digest is None:
+        assert len(calls) == 1 and "codes_build" in result.timings
+        return
+    assert calls == [] and "codes_build" not in result.timings
+    assert hashlib.sha256(report_json(result).encode()).hexdigest() == digest
