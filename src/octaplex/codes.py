@@ -37,7 +37,6 @@ from .lattice import (
     Color,
     Coord,
     FOURCELL_TYPES,
-    build_octaplex,
     kind_mask,
     line,
     sheet,
@@ -202,10 +201,6 @@ def build_family(cx: CellComplex) -> CodeFamily:
     for color, hz_rows in zip(Color, colored_z_supports(cx)):
         blocks.append(_colored_codeblock(cx, color, hz_rows))
     return CodeFamily("octaplex", cx.L, blocks, cx.cells[3], complex=cx)
-
-
-def build_periodic_family(L: int) -> CodeFamily:
-    return build_family(build_octaplex(L))
 
 
 def shifted_qubit_permutation(cx: CellComplex, block: int) -> list[int]:

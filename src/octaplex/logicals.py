@@ -83,8 +83,6 @@ TORUS_SHEETS = (0, 2, 1)
 
 
 def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
-    if family.kind != "octaplex":
-        raise ValueError("periodic octaplex family required")
     values, ops = range(4 * family.L), _ops(family)
     x_ops = [ops(x_hyperplane(b, d, values, TORUS_SHEETS) for d in DIRS) for b in range(4)]
     z_ops = [ops(z_string(b, d, values, base=0) for d in DIRS) for b in range(4)]
@@ -92,8 +90,6 @@ def build_octaplex_logicals(family: CodeFamily) -> LogicalBasis:
 
 
 def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
-    if family.kind != "octaplex-bounded":
-        raise ValueError("bounded family required")
     x_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_x"]]) for blk in family.blocks]
     z_ops = [BinMatrix.from_supports(family.n, [blk.meta["logical_z"]]) for blk in family.blocks]
     labels = [family.blocks[b].meta["rough_axis"] for b in range(4)]
@@ -105,8 +101,6 @@ def build_bounded_logicals(family: CodeFamily) -> LogicalBasis:
 
 
 def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
-    if family.kind != "2d":
-        raise ValueError("2d family required")
     L, n = family.L, family.n
     s = n // 2  # edge (a, (i, j)) is qubit a·L² + i·L + j
     loops = BinMatrix.from_supports(n, [range(0, s, L), range(s, s + L)])  # cycles along i, j
@@ -118,8 +112,6 @@ def build_2d_logicals(family: CodeFamily) -> LogicalBasis:
 
 
 def build_3d_logicals(family: CodeFamily) -> LogicalBasis:
-    if family.kind != "3d":
-        raise ValueError("3d family required")
     L, n = family.L, family.n
 
     def edges(axes: Sequence[int], running: set[int]) -> list[int]:

@@ -9,7 +9,8 @@ cannot be missed, with the measured and stated values side by side.
 
 Every family runs through one driver, ``run_report``, over that family's
 table in ``SECTIONS``: a section function returns ``(passed, data,
-discrepancies)``.
+discrepancies)``. ``requested_sections`` checks a run's inputs; ``export``
+reads its matrices off a run through ``EXPORTS``.
 
 The canonical JSON rendering contains no timings; wall-clock per build phase
 and per section is kept in the text summary so that report bytes are
@@ -151,13 +152,20 @@ class _Run:
         return ladder
 
 
-def requested_sections(family: str, sections: set[str] | None, fault: Fault | None) -> set[str]:
-    """The sections a run of ``family`` executes, all of them for None.
+def requested_sections(family: str, L: int, sections: set[str] | None,
+                       fault: Fault | None) -> set[str]:
+    """The sections a run of ``family`` at size L executes, all of them for None.
 
-    A ``ValueError`` unless they are a nonempty subset of the family's and,
-    given a fault, the family is ``octaplex`` and the section that catches
-    the fault is among them: a fault no section reads would pass silently.
+    A ``ValueError``, before anything is built, unless L ≥ 2 (and even for
+    ``3d``, whose cubes are 2-colored), the sections are a nonempty subset of
+    the family's and, given a fault, the family is ``octaplex`` and the
+    section that catches the fault is among them: a fault no section reads
+    would pass silently.
     """
+    if L < 2:
+        raise ValueError("L must be >= 2")
+    if family == "3d" and L % 2:
+        raise ValueError("the 3d family needs even L (cube 2-coloring)")
     table = SECTIONS[family]
     wanted = set(table) if sections is None else set(sections)
     if not wanted:
@@ -183,10 +191,10 @@ def run_report(
 ) -> RunResult:
     """Run the requested sections of ``SECTIONS[family]`` (all for None).
 
-    The sections and the fault must pass ``requested_sections``; otherwise
-    ``ValueError``. ``threads`` is accepted and has no effect.
+    L, the sections and the fault must pass ``requested_sections``;
+    otherwise ``ValueError``. ``threads`` is accepted and has no effect.
     """
-    wanted = requested_sections(family, sections, fault)
+    wanted = requested_sections(family, L, sections, fault)
     table = SECTIONS[family]
     report: dict = {
         "tool_version": __version__,
@@ -475,6 +483,24 @@ SECTIONS = {
     "octaplex-bounded": {"codes": _bounded_codes, "transversal": _bounded_transversal},
     "2d": {"codes": _2d_codes, "transversal": _2d_transversal},
     "3d": {"codes": _3d_codes, "transversal": _3d_transversal},
+}
+
+
+def _block_matrix(side: str, block: int, run: _Run) -> BinMatrix:
+    return getattr(run.family.blocks[block], side)
+
+
+_BLOCK_EXPORTS = {f"{side}{b}": partial(_block_matrix, side, b)
+                  for side in ("hx", "hz") for b in range(4)}
+
+# Per exportable family, its matrices in `export --which all` order. m0 = ∂1ᵀ
+# and m1 = ∂2ᵀ are the complex's, so a run that reads only them builds no
+# code family.
+EXPORTS = {
+    "octaplex": {**_BLOCK_EXPORTS,
+                 "m0": lambda run: run.cx.boundary[1].transpose(),
+                 "m1": lambda run: run.cx.boundary[2].transpose()},
+    "octaplex-bounded": _BLOCK_EXPORTS,
 }
 
 RUNNERS = {family: partial(run_report, family) for family in SECTIONS}

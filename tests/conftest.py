@@ -4,7 +4,7 @@ from octaplex.codes import (
     build_2d_pair,
     build_3d_triple,
     build_bounded_family,
-    build_periodic_family,
+    build_family,
 )
 from octaplex.lattice import build_octaplex
 from octaplex.logicals import build_logicals
@@ -56,7 +56,7 @@ def ladder2(family2):
 
 @pytest.fixture(scope="session")
 def family3():
-    return build_periodic_family(3)
+    return build_family(build_octaplex(3))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from octaplex.codes import (
     SIGMA,
     bounded_boundary_coordinate_count,
     build_bounded_family,
-    build_periodic_family,
+    build_family,
     build_2d_pair,
     build_3d_triple,
 )
@@ -61,7 +61,7 @@ def _split_support(family, support) -> tuple[list[tuple], list[tuple]]:
 
 @pytest.fixture(scope="module")
 def periodic2():
-    family = build_periodic_family(2)
+    family = build_family(build_octaplex(2))
     basis = build_logicals(family)
     return family, basis
 
@@ -86,7 +86,7 @@ def test_criterion1_lattice_counts():
 def test_criterion2_code_parameters():
     t0 = time.monotonic()
     for L in (2, 3):
-        family = build_periodic_family(L)
+        family = build_family(build_octaplex(L))
         for blk in family.blocks:
             assert blk.n == 24 * L**4
             assert blk.k == 4

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from octaplex import report
+from octaplex import codes, report
 from octaplex.cli import main
 from octaplex.report import run_report
 from conftest import alist_to_supports
@@ -82,15 +83,34 @@ def test_usage_errors():
     assert main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", ","]) == 2
     assert main(["export", "--L", "2", "--which", ",", "--out", "unused"]) == 2
+    # export takes report's L rule, and a selector its family does not define
+    for family in ("octaplex", "octaplex-bounded"):
+        assert main(["export", "--family", family, "--L", "1", "--which", "all",
+                     "--out", "unused"]) == 2
+    assert main(["export", "--family", "octaplex-bounded", "--L", "2",
+                 "--which", "m0", "--out", "unused"]) == 2
 
 
-@pytest.mark.parametrize("sections", [set(), {"lattice"}, {"nonsense"}],
-                         ids=["empty", "not-in-family", "unknown"])
-def test_run_report_rejects_bad_sections(sections):
-    # the library call as well: nothing is not everything, and a section the
-    # family does not define is an error, not a skip
+@pytest.mark.parametrize("family, L, sections", [
+    ("octaplex-bounded", 2, set()),
+    ("octaplex-bounded", 2, {"lattice"}),
+    ("octaplex-bounded", 2, {"nonsense"}),
+    ("3d", 3, None),
+    ("octaplex", 1, None),
+    ("octaplex-bounded", 1, None),
+], ids=["empty", "not-in-family", "unknown", "3d-odd-L", "octaplex-L1", "bounded-L1"])
+def test_run_report_rejects_bad_sections(monkeypatch, family, L, sections):
+    # the library call as well: nothing is not everything, a section the
+    # family does not define is an error, not a skip, and an L outside the
+    # family's rule fails before anything is built
+    built = []
+    spy = lambda *a: built.append(a)  # noqa: E731
+    monkeypatch.setattr(report, "build_octaplex", spy)
+    for name in report.BUILDERS:
+        monkeypatch.setitem(report.BUILDERS, name, spy)
     with pytest.raises(ValueError):
-        run_report("octaplex-bounded", 2, sections=sections)
+        run_report(family, L, sections=sections)
+    assert built == []
 
 
 # A fault on a family without faults, or whose catching section is not run,
@@ -187,21 +207,40 @@ def test_export_duplicate_selectors_written_once(tmp_path, capsys):
         "octaplex_L2_hx0.alist", "octaplex_L2_hz1.alist"]
 
 
-@pytest.mark.parametrize("which", ["hx0,hz3", "hx0,m0", "all"])
-def test_export_builds_no_ladder_for_any_selector(tmp_path, monkeypatch, which):
-    # m0 and m1 are the complex's transposed boundary maps; no metacheck
-    # ladder is constructed, and the CLI binds nothing from metachecks
+# sha256 of the L=2 m0 and m1 alist files as written when every export built
+# the whole code family first
+M_ALIST_L2 = {
+    "octaplex_L2_m0.alist": "eb414e2f046949f1a916cee7cf1086916cf814ef67bfbbcbcf7d88dbed0acdca",
+    "octaplex_L2_m1.alist": "e304a87c89cee3317b4a3cdef3bcc09b7077f3a5e421a0e09e547418cb93fcc0",
+}
+
+
+@pytest.mark.parametrize("which, families", [
+    ("hx0,hz3", 1), ("hx0,m0", 1), ("all", 1), ("m0,m1", 0),
+], ids=["hx0,hz3", "hx0,m0", "all", "m0,m1"])
+def test_export_builds_no_ladder_for_any_selector(tmp_path, monkeypatch, which, families):
+    # m0 and m1 are the complex's transposed boundary maps, read off the run
+    # as a metachecks-only report reads its ladder: no metacheck ladder is
+    # constructed, the code family only for an hx or hz selector and then
+    # once, and the CLI binds nothing from metachecks
     import octaplex.cli
     from octaplex.metachecks import MetacheckLadder
 
-    built = []
+    built, calls = [], []
     real = MetacheckLadder.__init__
     monkeypatch.setattr(MetacheckLadder, "__init__",
                         lambda self, *a, **k: built.append(a) or real(self, *a, **k))
+    build = codes.build_family
+    spy = lambda cx: calls.append(cx) or build(cx)  # noqa: E731
+    monkeypatch.setattr(codes, "build_family", spy)
+    monkeypatch.setattr(report, "build_family", spy)
     assert main(["export", "--family", "octaplex", "--L", "2",
                  "--which", which, "--out", str(tmp_path)]) == 0
     assert built == []
+    assert len(calls) == families
     assert len(list(tmp_path.iterdir())) == (10 if which == "all" else 2)
+    for path in tmp_path.glob("octaplex_L2_m?.alist"):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == M_ALIST_L2[path.name]
     assert not [name for name, v in vars(octaplex.cli).items()
                 if getattr(v, "__module__", None) == "octaplex.metachecks"]
 

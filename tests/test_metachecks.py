@@ -7,7 +7,7 @@ import pytest
 import octaplex.codes as codes
 import octaplex.report as report
 from octaplex.binalg import BinMatrix, mask_from_support
-from octaplex.codes import build_periodic_family
+from octaplex.codes import build_family
 from octaplex.lattice import AXES, build_octaplex
 from octaplex.metachecks import (
     build_ladder,
@@ -185,7 +185,7 @@ def test_certified_ranks_equal_elimination_l3(family3):
 
 @pytest.mark.slow
 def test_certified_ranks_equal_elimination_l4():
-    family = build_periodic_family(4)
+    family = build_family(build_octaplex(4))
     assert_ledger_matches_elimination(build_ladder(family.complex), 4)
 
 
