@@ -381,19 +381,17 @@ def build_2d_pair(L: int) -> CodeFamily:
     return CodeFamily("2d", L, [Codeblock(0, n, plaq, star), Codeblock(1, n, star, plaq)], range(n))
 
 
-def build_3d_triple(L: int, cube_color=None) -> CodeFamily:
+def build_3d_triple(L: int) -> CodeFamily:
     """Vertex-star block plus two cube-color blocks on the {4,3,4} torus.
 
-    L must be even so that the cube 2-coloring closes up around the torus.
-    ``cube_color`` may override the coloring (used by fault-injection tests).
+    L must be even so that the cube 2-coloring, the parity of i + j + k,
+    closes up around the torus.
     """
     if L < 2 or L % 2:
         raise ValueError("L must be even and >= 2 (cube 2-coloring)")
-    if cube_color is None:
-        cube_color = lambda i, j, k: (i + j + k) % 2  # noqa: E731
     torus = _CubicTorus(L, 3)
     size, verts = torus.size, range(torus.size)
-    n, colors = 3 * size, [cube_color(*c) for c in product(range(L), repeat=3)]
+    n, colors = 3 * size, [sum(c) % 2 for c in product(range(L), repeat=3)]
 
     def cube_block(label: int, color: int) -> Codeblock:
         """X checks on the cubes of one color; a Z check on the three edges

@@ -145,21 +145,10 @@ def build_logicals(family: CodeFamily) -> LogicalBasis:
 # validity and classification
 
 
-@dataclass
-class LemmaWitness:
-    kind: str
-    block: int
-    detail: tuple
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "block": self.block, "detail": list(self.detail)}
-
-
-def verify_logical_basis(
-    family: CodeFamily, basis: LogicalBasis
-) -> tuple[bool, list[LemmaWitness]]:
-    """Representatives commute with opposing stabilizers and pair as identity."""
-    witnesses: list[LemmaWitness] = []
+def verify_logical_basis(family: CodeFamily, basis: LogicalBasis) -> tuple[bool, list[dict]]:
+    """Representatives commute with opposing stabilizers and pair as identity;
+    each failure is a witness ``{kind, block, detail}``."""
+    witnesses: list[dict] = []
     for b, blk in enumerate(family.blocks):
         for kind, ops, checks in (
             ("x_vs_z_stab", basis.x_ops[b], blk.hz),
@@ -167,12 +156,12 @@ def verify_logical_basis(
         ):
             for d, odd in enumerate(checks.syndromes(list(ops.supports()))):
                 for i in sorted(odd):
-                    witnesses.append(LemmaWitness(kind, b, (d, i)))
+                    witnesses.append({"kind": kind, "block": b, "detail": [d, i]})
         pair = basis.pairing(b)
         for i, row in enumerate(pair):
             for j, v in enumerate(row):
                 if v != (1 if i == j else 0):
-                    witnesses.append(LemmaWitness("pairing", b, (i, j, v)))
+                    witnesses.append({"kind": "pairing", "block": b, "detail": [i, j, v]})
     return (not witnesses), witnesses
 
 
@@ -203,24 +192,6 @@ def logical_class(
 
 # ---------------------------------------------------------------------------
 # distance certification
-
-
-@dataclass
-class DistanceCertificate:
-    L: int
-    dz: int
-    dx_lower: int
-    dx_upper: int
-    disjoint_z_reps_per_direction: int  # all verified equivalent
-    disjoint_z_breakdown: dict
-    disjoint_x_reps_per_direction: int  # certifies dz >= L
-    dx_stated_formula_8L3: int
-    dx_formula_discrepancy: bool
-    exhaustive_dz: int | None = None
-    exhaustive_candidates: int | None = None
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "L"}
 
 
 def disjoint_z_strings(family: CodeFamily, d: int) -> dict[str, list[list[int]]]:
@@ -267,8 +238,8 @@ def _verify_disjoint_equivalent(
             raise AssertionError(f"representative is not stabilizer-equivalent to logical {d}")
 
 
-def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]:
-    """Smallest weight of a Z-type logical on one block, by direct search.
+def exhaustive_z_distance(family: CodeFamily) -> tuple[int, int]:
+    """Smallest weight of a Z-type logical on block 0, by direct search.
 
     Exhausts weights 1 and 2; weight-2 candidates are grouped by their hx
     column (the qubit's X syndrome) so only syndrome-free pairs reach the
@@ -277,7 +248,7 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     """
     if family.L > 2:
         raise ValueError("exhaustive search is only supported at L=2")
-    blk = family.blocks[block]
+    blk = family.blocks[0]
     n, columns = blk.n, blk.hx.transpose()
     candidates = n
     for q in range(n):
@@ -294,9 +265,9 @@ def exhaustive_z_distance(family: CodeFamily, block: int = 0) -> tuple[int, int]
     return 2, candidates
 
 
-def certify_distances(family: CodeFamily, basis: LogicalBasis, k: int) -> DistanceCertificate:
+def certify_distances(family: CodeFamily, basis: LogicalBasis, k: int) -> dict:
     """Two-sided distance certificates of block 0; at L=2 the exhaustive
-    search confirms d_Z as well.
+    search confirms d_Z as well (its two keys are None at other L).
 
     Once block 0's k, certified by the metacheck ledger, equals ``basis.k`` and its
     logicals commute with the opposing checks and pair as the identity, a Z
@@ -311,7 +282,7 @@ def certify_distances(family: CodeFamily, basis: LogicalBasis, k: int) -> Distan
     if k != basis.k:
         raise AssertionError(f"ledger k={k} differs from the basis's k={basis.k}")
     for w in verify_logical_basis(replace(family, blocks=[blk0]), basis)[1]:
-        raise AssertionError(f"block 0 logicals fail: {w.as_dict()}")
+        raise AssertionError(f"block 0 logicals fail: {w}")
 
     breakdowns = []
     for d in DIRS:
@@ -332,20 +303,20 @@ def certify_distances(family: CodeFamily, basis: LogicalBasis, k: int) -> Distan
     xw = basis.x_ops[0].weights()[0]
     if xw != dx:
         raise AssertionError(f"hyperplane weight {xw} does not meet the disjoint bound {dx}")
-    cert = DistanceCertificate(
-        L=L,
-        dz=dz,
-        dx_lower=dx,
-        dx_upper=xw,
-        disjoint_z_reps_per_direction=dx,
-        disjoint_z_breakdown=breakdowns[0],
-        disjoint_x_reps_per_direction=L,
-        dx_stated_formula_8L3=8 * L**3,
-        dx_formula_discrepancy=(xw != 8 * L**3),
-    )
+    found = candidates = None
     if L == 2:
-        dz_found, candidates = exhaustive_z_distance(family)
-        if dz_found != dz:
-            raise AssertionError(f"exhaustive search found dz={dz_found}, certificates say {dz}")
-        cert.exhaustive_dz, cert.exhaustive_candidates = dz_found, candidates
-    return cert
+        found, candidates = exhaustive_z_distance(family)
+        if found != dz:
+            raise AssertionError(f"exhaustive search found dz={found}, certificates say {dz}")
+    return {
+        "dz": dz,
+        "dx_lower": dx,
+        "dx_upper": xw,
+        "disjoint_z_reps_per_direction": dx,  # all verified equivalent
+        "disjoint_z_breakdown": breakdowns[0],
+        "disjoint_x_reps_per_direction": L,  # certifies dz >= L
+        "dx_stated_formula_8L3": 8 * L**3,
+        "dx_formula_discrepancy": xw != 8 * L**3,
+        "exhaustive_dz": found,
+        "exhaustive_candidates": candidates,
+    }

@@ -132,110 +132,49 @@ def build_ladder(cx: CellComplex) -> MetacheckLadder:
     )
 
 
-@dataclass
-class CountingReport:
-    L: int
-    ranks: dict[str, int]
-    expected: dict[str, int]
-    chain_m1_hz_zero: bool
-    chain_m0_m1_zero: bool
-    k: int
-    sum_hx_rows_zero: bool
-    total_independent: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.ranks == self.expected
-            and self.chain_m1_hz_zero
-            and self.chain_m0_m1_zero
-            and self.k == 4
-            and self.sum_hx_rows_zero
-        )
-
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k not in ("L", "total_independent")}
-        return {**d, "total_independent_generators": self.total_independent,
-                "passed": self.passed}
-
-
-def verify_counting(ladder: MetacheckLadder, L: int) -> CountingReport:
-    ledger = ladder.ledger
+def verify_counting(ladder: MetacheckLadder) -> dict:
+    """The ledger's ranks against the stated counts at the ladder's L."""
+    ledger, L = ladder.ledger, ladder.cx.L
     ranks = {name: ledger.ranks[name] for name in ("m0", "m1", "hz", "hx")}
     expected = {"m0": 6 * L**4 - 1, "m1": 42 * L**4 - 3, "hz": 22 * L**4 - 3, "hx": 2 * L**4 - 1}
-    return CountingReport(
-        L=L,
-        ranks=ranks,
-        expected=expected,
-        chain_m1_hz_zero=ledger.zero["m1_hz"],
-        chain_m0_m1_zero=ledger.zero["m0_m1"],
-        k=ladder.k,
-        sum_hx_rows_zero=ledger.zero["hx"],
-        total_independent=ranks["hx"] + ranks["hz"],
-    )
+    rec = {
+        "ranks": ranks,
+        "expected": expected,
+        "chain_m1_hz_zero": ledger.zero["m1_hz"],
+        "chain_m0_m1_zero": ledger.zero["m0_m1"],
+        "k": ladder.k,
+        "sum_hx_rows_zero": ledger.zero["hx"],
+        "total_independent_generators": ranks["hx"] + ranks["hz"],
+    }
+    rec["passed"] = (ranks == expected and rec["chain_m1_hz_zero"] and rec["chain_m0_m1_zero"]
+                     and rec["k"] == 4 and rec["sum_hx_rows_zero"])
+    return rec
 
 
-@dataclass
-class GlobalConstraintReport:
-    face_planes_zero_on_qubits: bool
-    face_planes_rank_gain: int
-    edge_hyperplanes_zero_on_faces: bool
-    edge_hyperplanes_rank_gain: int
-    vertex_sum_zero_on_edges: bool
-    m0_rank_deficit: int
-    hx_sum_zero: bool
-    hx_rank_deficit: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.face_planes_zero_on_qubits
-            and self.face_planes_rank_gain == 6
-            and self.edge_hyperplanes_zero_on_faces
-            and self.edge_hyperplanes_rank_gain == 4
-            and self.vertex_sum_zero_on_edges
-            and self.m0_rank_deficit == 1
-            and self.hx_sum_zero
-            and self.hx_rank_deficit == 1
-        )
-
-    def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["passed"] = self.passed
-        return d
-
-
-def verify_global_constraints(ladder: MetacheckLadder) -> GlobalConstraintReport:
+def verify_global_constraints(ladder: MetacheckLadder) -> dict:
     # A global is a dependency of hz (face planes) or of m1 (edge hyperplanes)
     # that the local ones, m1 and m0, do not span: the gain is a rank difference.
     zero, ranks = ladder.ledger.zero, ladder.ledger.ranks
-    return GlobalConstraintReport(
-        face_planes_zero_on_qubits=zero["faces"],
-        face_planes_rank_gain=ranks["m1+faces"] - ranks["m1"],
-        edge_hyperplanes_zero_on_faces=zero["edges"],
-        edge_hyperplanes_rank_gain=ranks["m0+edges"] - ranks["m0"],
-        vertex_sum_zero_on_edges=zero["vertices"],
-        m0_rank_deficit=ladder.m0.shape[0] - ranks["m0"],
-        hx_sum_zero=zero["hx"],
-        hx_rank_deficit=ladder.hx.shape[0] - ranks["hx"],
+    rec = {
+        "face_planes_zero_on_qubits": zero["faces"],
+        "face_planes_rank_gain": ranks["m1+faces"] - ranks["m1"],
+        "edge_hyperplanes_zero_on_faces": zero["edges"],
+        "edge_hyperplanes_rank_gain": ranks["m0+edges"] - ranks["m0"],
+        "vertex_sum_zero_on_edges": zero["vertices"],
+        "m0_rank_deficit": ladder.m0.shape[0] - ranks["m0"],
+        "hx_sum_zero": zero["hx"],
+        "hx_rank_deficit": ladder.hx.shape[0] - ranks["hx"],
+    }
+    rec["passed"] = (
+        zero["faces"] and rec["face_planes_rank_gain"] == 6
+        and zero["edges"] and rec["edge_hyperplanes_rank_gain"] == 4
+        and zero["vertices"] and rec["m0_rank_deficit"] == 1
+        and zero["hx"] and rec["hx_rank_deficit"] == 1
     )
+    return rec
 
 
-@dataclass
-class RepairDemo:
-    violated_edges: list[int]
-    violated_per_flip: int | None
-    identified_face: int | None
-    edge_metacheck_row_weight: int
-    face_boundary_edge_count: int
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def single_shot_repair_demo(
-    ladder: MetacheckLadder, flipped_checks: set[int]
-) -> RepairDemo:
+def single_shot_repair_demo(ladder: MetacheckLadder, flipped_checks: set[int]) -> dict:
     """Metacheck syndrome of a set of flipped Z-check outcomes.
 
     A single flipped triangular check violates the metachecks of its three
@@ -247,15 +186,15 @@ def single_shot_repair_demo(
     violated = sorted(ladder.m1.syndrome(sorted(flipped_checks)))
     identified = None
     per_flip = None
+    d2 = ladder.cx.boundary[2]
     if len(flipped_checks) == 1:
         per_flip = len(violated)
-        d2 = ladder.cx.boundary[2]
         faces = d2.transpose().support(violated[0]) if violated else ()
         identified = next((f for f in faces if d2.support(f).tolist() == violated), None)
-    return RepairDemo(
-        violated_edges=violated,
-        violated_per_flip=per_flip,
-        identified_face=identified,
-        edge_metacheck_row_weight=ladder.m1.weights()[0],
-        face_boundary_edge_count=len(ladder.cx.boundary[2].support(0)),
-    )
+    return {
+        "violated_edges": violated,
+        "violated_per_flip": per_flip,
+        "identified_face": identified,
+        "edge_metacheck_row_weight": ladder.m1.weights()[0],
+        "face_boundary_edge_count": len(d2.support(0)),
+    }

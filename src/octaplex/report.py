@@ -9,8 +9,9 @@ cannot be missed, with the measured and stated values side by side.
 
 Every family runs through one driver, ``run_report``, over that family's
 table in ``SECTIONS``: a section function returns ``(passed, data,
-discrepancies)``. ``requested_sections`` checks a run's inputs; ``export``
-reads its matrices off a run through ``EXPORTS``.
+discrepancies)``, ``data`` being the record as the report carries it.
+``requested_sections`` checks a run's inputs; ``export`` reads its matrices
+off a run through ``EXPORTS``.
 
 The canonical JSON rendering contains no timings; wall-clock per build phase
 and per section is kept in the text summary so that report bytes are
@@ -279,7 +280,7 @@ def _octaplex_logicals(run: _Run):
     valid, witnesses = verify_logical_basis(run.family, basis)
     return valid, dict(
         k=basis.k,
-        witnesses=[w.as_dict() for w in witnesses[:8]],
+        witnesses=witnesses[:8],
         x_weight=basis.x_ops[0].weights()[0],
         z_weight=basis.z_ops[0].weights()[0],
     ), []
@@ -319,39 +320,35 @@ def _octaplex_distance(run: _Run):
         cert = certify_distances(family, basis, run.ladder.k)
     except AssertionError as exc:
         return False, dict(error=str(exc)), []
-    passed = cert.dz == L and cert.dx_lower == cert.dx_upper
+    passed = cert["dz"] == L and cert["dx_lower"] == cert["dx_upper"]
     discrepancies = []
-    if cert.dx_formula_discrepancy:
+    if cert["dx_formula_discrepancy"]:
         discrepancies.append(
             {
                 "section": "distance",
                 "claim": "dx equals 8*L^3 with a hyperplane of that weight",
                 "summary": (
-                    f"stated {cert.dx_stated_formula_8L3}, certified "
-                    f"{cert.dx_upper}"
+                    f"stated {cert['dx_stated_formula_8L3']}, certified "
+                    f"{cert['dx_upper']}"
                 ),
-                "stated": cert.dx_stated_formula_8L3,
-                "measured": cert.dx_upper,
+                "stated": cert["dx_stated_formula_8L3"],
+                "measured": cert["dx_upper"],
                 "note": (
                     "the three-sheet hyperplane has weight 10*L^3 and "
                     "the disjoint-string certificate matches it exactly"
                 ),
             }
         )
-    return passed, cert.as_dict(), discrepancies
+    return passed, cert, discrepancies
 
 
 def _octaplex_metachecks(run: _Run):
     ladder = run.ladder
     glob = verify_global_constraints(ladder)
-    counting = verify_counting(ladder, run.L)
+    counting = verify_counting(ladder)
     demo = single_shot_repair_demo(ladder, {0})
-    passed = counting.passed and glob.passed and demo.violated_per_flip == 3
-    return passed, dict(
-        counting=counting.as_dict(),
-        global_constraints=glob.as_dict(),
-        single_flip_demo=demo.as_dict(),
-    ), []
+    passed = counting["passed"] and glob["passed"] and demo["violated_per_flip"] == 3
+    return passed, dict(counting=counting, global_constraints=glob, single_flip_demo=demo), []
 
 
 def _row_set(m: BinMatrix, perm: Sequence[int] | None = None) -> set[tuple[int, ...]]:
@@ -404,7 +401,7 @@ def _bounded_codes(run: _Run):
         blocks=blocks,
         x_weight_formula_holds=formula_ok,
         logicals_valid=valid,
-        witnesses=[w.as_dict() for w in witnesses[:8]],
+        witnesses=witnesses[:8],
     ), []
 
 

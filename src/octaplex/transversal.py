@@ -61,25 +61,9 @@ ALL_DISTINCT_TRIPLES = tuple(
 
 
 @dataclass
-class ConditionResult:
-    name: str
-    passed: bool
-    scanned: int
-    witness: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "quadruples_scanned": self.scanned,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
-
-@dataclass
 class TransversalReport:
     arity: int
-    conditions: list[ConditionResult]
+    conditions: list[dict]  # {name, passed, quadruples_scanned, witness}
     tensor: dict[tuple, int]
     tensor_labels: list[str]
     pairing_is_identity: bool | None = None
@@ -87,11 +71,11 @@ class TransversalReport:
 
     @property
     def all_even_pass(self) -> bool:
-        return all(c.passed for c in self.conditions)
+        return all(c["passed"] for c in self.conditions)
 
     @property
     def scanned(self) -> int:
-        return sum(c.scanned for c in self.conditions)
+        return sum(c["quadruples_scanned"] for c in self.conditions)
 
     def tensor_support(self) -> list[tuple]:
         return sorted(k for k, v in self.tensor.items() if v)
@@ -99,7 +83,7 @@ class TransversalReport:
     def as_dict(self) -> dict:
         return {
             "arity": self.arity,
-            "conditions": [c.as_dict() for c in self.conditions],
+            "conditions": self.conditions,
             "coupling_tensor_nonzero": [list(k) for k in self.tensor_support()],
             "tensor_labels": self.tensor_labels,
             "pairing_is_identity": self.pairing_is_identity,
@@ -166,13 +150,13 @@ def _first_odd(slots: Sequence[_RowIndex], hist: Counter | None = None) -> tuple
 
 
 def _mixed_conditions(stab: list[_RowIndex], logical: list[_RowIndex], n_logical_slots: int,
-                      name: str, hist: Counter | None = None) -> ConditionResult:
+                      name: str, hist: Counter | None = None) -> dict:
     """One condition level: a fixed number of logical slots over all block
     placements, stabilizers filling the rest.
 
-    ``scanned`` is the full product size of every placement; the witness is
-    the first placement's lexicographically first odd tuple. ``hist``, if
-    given, counts every placement's tuples by weight (see `_first_odd`).
+    ``quadruples_scanned`` is the full product size of every placement, the
+    witness the first placement's lexicographically first odd tuple. ``hist``,
+    if given, counts every placement's tuples by weight (see `_first_odd`).
     """
     blocks = range(len(stab))
     scanned = 0
@@ -183,7 +167,8 @@ def _mixed_conditions(stab: list[_RowIndex], logical: list[_RowIndex], n_logical
         odd = _first_odd(slots, hist) if witness is None or hist is not None else None
         if odd is not None and witness is None:
             witness = (logical_blocks, odd)
-    return ConditionResult(name, witness is None, scanned, witness)
+    return {"name": name, "passed": witness is None, "quadruples_scanned": scanned,
+            "witness": witness}
 
 
 def _coupling_tensor(logical: list[_RowIndex]) -> dict[tuple, int]:
@@ -195,7 +180,7 @@ def _coupling_tensor(logical: list[_RowIndex]) -> dict[tuple, int]:
 
 
 def _scan(family: CodeFamily, basis: LogicalBasis, names: Sequence[str],
-          hist: Counter | None = None) -> tuple[list[ConditionResult], dict[tuple, int], int]:
+          hist: Counter | None = None) -> tuple[list[dict], dict[tuple, int], int]:
     """One condition per block, named by ``names`` (level i has i logical
     slots), the coupling tensor and k. Each block's X stabilizers and X
     logicals are indexed once; ``hist``, if given, counts level 0's tuples."""

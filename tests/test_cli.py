@@ -327,7 +327,7 @@ def test_injected_m1_entry_drop_fails(tmp_path, monkeypatch, seed):
     ladders = []
     counting = report.verify_counting
     monkeypatch.setattr(report, "verify_counting",
-                        lambda ladder, L: ladders.append(ladder) or counting(ladder, L))
+                        lambda ladder: ladders.append(ladder) or counting(ladder))
     out = tmp_path / "bad3.json"
     code = main(["report", "--family", "octaplex", "--L", "2",
                  "--sections", "metachecks", "--inject-fault", "drop-m1-entry",

@@ -12,8 +12,10 @@ from octaplex.exports import (
 from octaplex.cli import main
 from conftest import alist_to_supports
 
-# sha256 of the canonical L=2 outputs, and of the warm-up reports at an L
-# where +1 and -1 differ mod L; a refactor must keep these bytes.
+# sha256 of the canonical L=2 outputs, of the warm-up reports at an L where
+# +1 and -1 differ mod L, and of the selftest under each fault at
+# OCTAPLEX_SEED=0 (failing records and their witnesses); a refactor must keep
+# these bytes.
 BYTE_CONTRACT = {
     "report": "8053eed83410562034af8c73a9fc8da4759034d978cb4698ca034aebe0aca5a5",
     "report-bounded": "24e28f88cd5ee6c364a81eff3d293407e59b69aa88274567d28095b76e3206b2",
@@ -22,6 +24,9 @@ BYTE_CONTRACT = {
     "report-2d-L5": "487a97a2f59fa72efd29611aca09089001e5f6287f28d9ed179b91666ac66c87",
     "report-3d-L4": "8d976484c38222c345e71aaced3415cf20e93740da15187aa6860b753390818e",
     "selftest": "6bb40ce57267e9f260ac2d6796703f560a13709058eb06c37e37fef267e77886",
+    "selftest-perturb-logical": "239f3323e79464ef692fb4089f91ff2ac7787875c34aae04773647aa065d4802",
+    "selftest-recolor-vertex": "54eced433fc2c19eb36cc0658a7c2273bdc840349868404b0acc0995f09139ef",
+    "selftest-drop-m1-entry": "758f5bf2ddb0ff07b35697b19b37f7f7d013d397bab0b2cd2e34a34afa688180",
     "hx1.alist": "9e5874d3e213441955c67afc08c55eb39138218d4b0b6299f7722e172ec2250d",
     "hx1.mtx": "05a11aa4b9d0ffe5e5964c69554c13445bddc455302a1fff055526e81f27d61b",
     "hz1.alist": "a009018fe78d840fb9edbf9c08e7354e74372d9996d85f0d7cbd313909947b92",
@@ -56,7 +61,8 @@ BYTE_CONTRACT_SLOW = {
     "octaplex_L3_m0.alist": "1e74265daa5ff609c61477385a643339d13d418b25b5f276249da94601522a63",
     "octaplex_L3_m1.alist": "01d76f852fcab681920bb99a7b1e7f3d192b8470371c65488117d8643971b173",
 }
-# CLI argv of each pinned report, run with --threads 1 --out.
+# CLI argv of each pinned report, run with --threads 1 --out; a faulted run
+# exits 1.
 REPORT_ARGV = {
     "report": ["report", "--family", "octaplex", "--L", "2"],
     "report-bounded": ["report", "--family", "octaplex-bounded", "--L", "2"],
@@ -65,6 +71,8 @@ REPORT_ARGV = {
     "report-2d-L5": ["report", "--family", "2d", "--L", "5"],
     "report-3d-L4": ["report", "--family", "3d", "--L", "4"],
     "selftest": ["selftest"],
+    **{f"selftest-{kind}": ["selftest", "--inject-fault", kind]
+       for kind in ("perturb-logical", "recolor-vertex", "drop-m1-entry")},
     "report-L3": ["report", "--family", "octaplex", "--L", "3"],
     "report-bounded-L3": ["report", "--family", "octaplex-bounded", "--L", "3"],
     "report-L4": ["report", "--family", "octaplex", "--L", "4"],
@@ -153,11 +161,14 @@ def test_logicals_json(family2, basis2):
     sorted(BYTE_CONTRACT)
     + [pytest.param(name, marks=pytest.mark.slow) for name in sorted(BYTE_CONTRACT_SLOW)],
 )
-def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs):
+def test_byte_contract(name, family2, ladder2, tmp_path, export_dirs, monkeypatch):
     prefix = next((p for p in EXPORT_ARGV if name.startswith(p)), None)
     if name in REPORT_ARGV:
         out = tmp_path / "report.json"
-        assert main([*REPORT_ARGV[name], "--threads", "1", "--out", str(out)]) == 0
+        argv = REPORT_ARGV[name]
+        monkeypatch.setenv("OCTAPLEX_SEED", "0")
+        code = main([*argv, "--threads", "1", "--out", str(out)])
+        assert code == (1 if "--inject-fault" in argv else 0)
         data = out.read_bytes()
     elif prefix is not None:
         data = (export_dirs(prefix) / name).read_bytes()

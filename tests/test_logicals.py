@@ -129,16 +129,16 @@ def test_disjoint_strings_counts(family2):
 
 def test_certificate(family2, basis2, ladder2):
     cert = certify_distances(family2, basis2, ladder2.k)
-    assert cert.dz == 2
-    assert cert.exhaustive_dz == 2
-    assert cert.dx_lower == cert.dx_upper == 80
-    assert cert.disjoint_z_reps_per_direction == 80
-    assert cert.disjoint_z_breakdown == {
+    assert cert["dz"] == 2
+    assert cert["exhaustive_dz"] == 2
+    assert cert["dx_lower"] == cert["dx_upper"] == 80
+    assert cert["disjoint_z_reps_per_direction"] == 80
+    assert cert["disjoint_z_breakdown"] == {
         "half_sheet": 8, "integer_sheet": 8, "quarter_sheet": 64,
     }
-    assert cert.disjoint_x_reps_per_direction == 2
-    assert cert.dx_stated_formula_8L3 == 64
-    assert cert.dx_formula_discrepancy
+    assert cert["disjoint_x_reps_per_direction"] == 2
+    assert cert["dx_stated_formula_8L3"] == 64
+    assert cert["dx_formula_discrepancy"]
 
 
 def test_certificate_rejects_heavier_z_logical(family2, basis2, ladder2):
@@ -227,9 +227,9 @@ def test_exhaustive_search_directly(family2):
 def test_l3_certificate_without_search(family3, ladder3):
     basis3 = build_logicals(family3)
     cert = certify_distances(family3, basis3, ladder3.k)
-    assert cert.dz == 3
-    assert cert.dx_lower == cert.dx_upper == 10 * 27
-    assert cert.exhaustive_dz is None
+    assert cert["dz"] == 3
+    assert cert["dx_lower"] == cert["dx_upper"] == 10 * 27
+    assert cert["exhaustive_dz"] is None
 
 
 def test_block1_representatives_translate_to_block0(family2, basis2):

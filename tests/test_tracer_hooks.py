@@ -1,11 +1,17 @@
 """The per-layer trace in perfbench/tracer.py rebinds package functions by
-name; every name it wraps must exist, or ``perfbench/run.py --trace 1``
-fails."""
+name; every name it wraps must exist, and every result it counts must have
+the attributes it reads, or ``perfbench/run.py --trace 1`` fails."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -74,3 +80,29 @@ def test_static_resolution_rejects_a_renamed_name():
     names = _top_level_names(ast.parse("def f(): pass\nclass C:\n    def m(self): pass\n"))
     assert {"f", "C", "C.m"} <= names
     assert "g" not in names and "C.n" not in names
+
+
+# Each traced command, and whether it runs a transversal check.
+TRACED = {
+    "report-2d": (["report", "--family", "2d", "--L", "2"], True),
+    "report-octaplex": (["report", "--family", "octaplex", "--L", "2"], True),
+    "report-bounded": (["report", "--family", "octaplex-bounded", "--L", "2"], True),
+    "export-octaplex": (["export", "--family", "octaplex", "--L", "2", "--which", "all"], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED))
+def test_tracer_runs_the_cli(name, tmp_path):
+    # in a subprocess: install() rebinds the package's globals for good
+    argv, scans = TRACED[name]
+    if argv[0] == "export":
+        argv = [*argv, "--out", str(tmp_path / "exports")]
+    trace_path = tmp_path / "trace.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, str(TRACER), str(trace_path), *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(trace_path.read_text(encoding="utf-8"))
+    assert trace["exit_code"] == 0 and trace["spans"]
+    assert trace["counters"]["codes.hx_rows"] > 0
+    assert (trace["counters"].get("transversal.tuples_scanned", 0) > 0) == scans

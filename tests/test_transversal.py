@@ -163,7 +163,7 @@ def test_enumeration_matches_brute_force(blocks, plant):
         logical_ix = [_RowIndex(BinMatrix(rows, 12)) for rows in logical]
         for n_logical in range(blocks):
             c = _mixed_conditions(stab_ix, logical_ix, n_logical, "c")
-            assert (c.passed, c.scanned, c.witness) == _oracle_condition(
+            assert (c["passed"], c["quadruples_scanned"], c["witness"]) == _oracle_condition(
                 stab, logical, n_logical
             )
         assert _coupling_tensor(logical_ix) == {
@@ -213,7 +213,7 @@ def test_block_edges_match_brute_force(blocks):
         stab_ix, logical_ix = _indexed(stab, 12), _indexed(logical, 12)
         for n_logical in range(blocks):
             c = _mixed_conditions(stab_ix, logical_ix, n_logical, "c")
-            assert (c.passed, c.scanned, c.witness) == _oracle_condition(
+            assert (c["passed"], c["quadruples_scanned"], c["witness"]) == _oracle_condition(
                 stab, logical, n_logical
             )
         assert _coupling_tensor(logical_ix) == {
@@ -235,7 +235,7 @@ def test_odd_tuple_only_in_last_partial_block(blocks):
     c = _mixed_conditions(_indexed(stab, 12), _indexed(logical, 12), 0, "c")
     expected = _oracle_condition(stab, logical, 0)
     assert not expected[0] and expected[2][1][0] == rows0 - 1
-    assert (c.passed, c.scanned, c.witness) == expected
+    assert (c["passed"], c["quadruples_scanned"], c["witness"]) == expected
     odd, hist = _histogram(stab, 12)
     assert odd == expected[2][1]
     assert sum(hist.values()) == math.prod(map(len, stab))
@@ -297,10 +297,12 @@ def test_failing_condition_reads_no_block_after_its_witness(monkeypatch):
     read = _spy_blocks(monkeypatch)
     # placements (0,), (1,), (2,): the first holds the witness
     c = _mixed_conditions(stab_ix, logical_ix, 1, "c")
-    assert (c.passed, c.scanned, c.witness) == _oracle_condition(stab, logical, 1)
-    assert c.witness[0] == (0,) and c.witness[1][0] == plant_row
+    assert (c["passed"], c["quadruples_scanned"], c["witness"]) == _oracle_condition(
+        stab, logical, 1
+    )
+    assert c["witness"][0] == (0,) and c["witness"][1][0] == plant_row
     assert [slot0 for slot0, _ in read] == [logical_ix[0]] * (plant_row // B + 1)
-    assert c.witness[1] in read[-1][1]
+    assert c["witness"][1] in read[-1][1]
     # with a histogram, every block of every placement is read
     read.clear()
     _mixed_conditions(stab_ix, logical_ix, 1, "c", Counter())
@@ -317,11 +319,11 @@ def test_flipped_stabilizer_qubit_fails_with_first_witness(family2, basis2):
     assert not rep.all_even_pass
     # conditions are ordered by their number of logical slots
     n_logical, first = next(
-        (n, c) for n, c in enumerate(rep.conditions) if not c.passed
+        (n, c) for n, c in enumerate(rep.conditions) if not c["passed"]
     )
     stab = [blk.hx.rows for blk in faulty.blocks]
     logical = [x.rows for x in basis2.x_ops]
-    assert (first.passed, first.scanned, first.witness) == _oracle_condition(
+    assert (first["passed"], first["quadruples_scanned"], first["witness"]) == _oracle_condition(
         stab, logical, n_logical
     )
 
@@ -368,8 +370,8 @@ def test_ccz_flipped_stabilizer_qubit_keeps_witness_and_histogram(monkeypatch):
     rep, hist = _ccz_with_histogram(monkeypatch, family, basis)
     sss = rep.conditions[0]
     stab = [blk.hx.rows for blk in family.blocks]
-    assert sss.name == "sss_even" and not sss.passed
-    assert (sss.passed, sss.scanned, sss.witness) == _oracle_condition(
+    assert sss["name"] == "sss_even" and not sss["passed"]
+    assert (sss["passed"], sss["quadruples_scanned"], sss["witness"]) == _oracle_condition(
         stab, [x.rows for x in basis.x_ops], 0
     )
     # the stream was read past the witness: every triple is counted

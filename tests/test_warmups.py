@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from octaplex.codes import build_2d_pair, build_3d_triple
+from octaplex.binalg import BinMatrix
+from octaplex.codes import CodeFamily, Codeblock, build_2d_pair, build_3d_triple
 from octaplex.logicals import build_logicals, verify_logical_basis
 from octaplex.transversal import (
     ALL_DISTINCT_TRIPLES,
@@ -123,9 +124,9 @@ def stripes(i, j, k):
     return i % 2
 
 
-@pytest.mark.parametrize("L, cube_color", [(2, None), (4, None), (12, None), (2, stripes)])
+@pytest.mark.parametrize("L, cube_color", [(2, None), (4, None), (12, None)])
 def test_3d_matches_label_reference(L, cube_color):
-    fam = build_3d_triple(L, cube_color=cube_color)
+    fam = build_3d_triple(L)
     assert as_reference(fam) == reference_3d(L, cube_color or checkerboard)
 
 
@@ -185,7 +186,7 @@ def test_2d_same_block_pair_fails():
     basis.z_ops[1] = basis.z_ops[0]
     rep = check_cz_conditions(same, basis)
     assert not rep.all_even_pass
-    assert any(c.witness for c in rep.conditions)
+    assert any(c["witness"] for c in rep.conditions)
 
 
 def test_2d_disjoint_padding_passes_even_fails_pairing():
@@ -276,7 +277,10 @@ def test_3d_conditions(triple3d):
 
 def test_3d_bad_coloring_fails():
     # stripes instead of a checkerboard put same-color cubes face to face
-    fam = build_3d_triple(2, cube_color=lambda i, j, k: i % 2)
+    n, rows = reference_3d(2, stripes)
+    blocks = [Codeblock(b, n, BinMatrix.from_supports(n, hx), BinMatrix.from_supports(n, hz))
+              for b, (hx, hz) in enumerate(rows)]
+    fam = CodeFamily("3d", 2, blocks, range(n))
     basis = build_logicals(fam)
     rep = check_ccz_conditions(fam, basis)
     hist = set(rep.extras["triple_intersection_weights"])
