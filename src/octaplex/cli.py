@@ -104,8 +104,7 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     result = RUNNERS[args.family](args.L, sections=sections, fault=fault)
-    text = render_text(result)
-    sys.stdout.write(text)
+    (sys.stderr if args.json else sys.stdout).write(render_text(result))
     payload = report_json(result)
     if args.json:
         sys.stdout.write(payload)

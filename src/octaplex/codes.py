@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, itemgetter, not_, xor
 from typing import Iterator, Sequence
 
@@ -335,49 +335,47 @@ def bounded_boundary_coordinate_count(center: Coord, block: int, L: int) -> int:
 # ---------------------------------------------------------------------------
 # 2D and 3D warm-ups on the cubic torus (Z/L)^dim
 #
-# Vertex v is read as a base-L number with axis 0 the top digit. Edge (a, v)
-# runs from v along axis a and is qubit a·L^dim + v. Checks are edge sets
-# read off by index arithmetic.
+# Vertex v is read as a base-L number with axis 0 the top digit. Edge (a, v) runs from v
+# along axis a and is qubit a·L^dim + v. Check rows zip edge lists read off shift tables.
 
 
-class _CubicTorus:
-    def __init__(self, L: int, dim: int):
-        self.L, self.dim, self.size = L, dim, L**dim
+def edge_shift(L: int, dim: int, a: int, s: int = 1) -> list[int]:
+    """The edge map (b, v) ↦ (b, v + s·e_a), s = ±1, as a list: a run of L·st vertices,
+    st = L^(dim-1-a), steps by s·st but for its last (s = 1) or first st, which wrap."""
+    st = L ** (dim - 1 - a)
+    hop, wrap = [s * st] * ((L - 1) * st), [-s * (L - 1) * st] * st
+    return list(map(add, range(dim * L**dim), (hop + wrap if s == 1 else wrap + hop) * dim * L**a))
 
-    def step(self, v: int, a: int, s: int = 1) -> int:
-        """Vertex v + s·e_a."""
-        st = self.L ** (self.dim - 1 - a)
-        digit = v // st % self.L
-        return v + ((digit + s) % self.L - digit) * st
 
-    def corners(self, v: int, axes: Sequence[int]) -> list[int]:
-        """Corner t of the cell spanned by ``axes`` at v: v plus e_axes[i]
-        for each bit i of t. A step along one axis adds the same amount at
-        every corner, as stepping along the others leaves its digit alone."""
-        c = [v]
-        for a in axes:
-            d = self.step(v, a) - v
-            c += [u + d for u in c]
-        return c
+def _corners(shifts: list[list[int]], axes: Sequence[int], a: int) -> list[Sequence[int]]:
+    """Per t < 2^len(axes), the edges (a, v) moved by ``shifts[axes[i]]`` for each bit i of t:
+    with the +e_b tables, the edges at corner t of the cells spanned by ``axes``."""
+    size = len(shifts[0]) // len(shifts)
+    c: list[Sequence[int]] = [range(a * size, (a + 1) * size)]
+    for b in axes:
+        c += [list(map(shifts[b].__getitem__, u)) for u in c]
+    return c
 
-    def cell(self, v: int, axes: Sequence[int]) -> list[int]:
-        """The edges of the cell spanned by ``axes`` at v: along each axis a,
-        from the corners of the cell spanned by the others."""
-        return [a * self.size + u for a in axes for u in self.corners(v, [b for b in axes if b != a])]
 
-    def star(self, v: int) -> list[int]:
-        """The edges (a, v) and (a, v - e_a)."""
-        return [a * self.size + u for a in range(self.dim) for u in (v, self.step(v, a, -1))]
+def _cells(plus: list[list[int]], axes: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The edges of the cell spanned by ``axes`` at each vertex: along each
+    axis a, from the corners of the cell spanned by the others."""
+    return zip(*(c for a in axes for c in _corners(plus, [b for b in axes if b != a], a)))
+
+
+def _stars(L: int, dim: int) -> Iterator[tuple[int, ...]]:
+    """The edges (a, v) and (a, v - e_a) at each vertex v."""
+    minus = [edge_shift(L, dim, a, -1) for a in range(dim)]
+    return zip(*(c for a in range(dim) for c in _corners(minus, [a], a)))
 
 
 def build_2d_pair(L: int) -> CodeFamily:
     """Two toric-code blocks with swapped roles: plaquettes and vertex stars."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    torus = _CubicTorus(L, 2)
-    n, verts = 2 * torus.size, range(torus.size)
-    plaq = BinMatrix.from_supports(n, (torus.cell(v, (0, 1)) for v in verts))
-    star = BinMatrix.from_supports(n, map(torus.star, verts))
+    n, plus = 2 * L * L, [edge_shift(L, 2, a) for a in range(2)]
+    plaq = BinMatrix.from_supports(n, _cells(plus, (0, 1)))
+    star = BinMatrix.from_supports(n, _stars(L, 2))
     return CodeFamily("2d", L, [Codeblock(0, n, plaq, star), Codeblock(1, n, star, plaq)], range(n))
 
 
@@ -389,22 +387,21 @@ def build_3d_triple(L: int) -> CodeFamily:
     """
     if L < 2 or L % 2:
         raise ValueError("L must be even and >= 2 (cube 2-coloring)")
-    torus = _CubicTorus(L, 3)
-    size, verts = torus.size, range(torus.size)
-    n, colors = 3 * size, [sum(c) % 2 for c in product(range(L), repeat=3)]
+    n, plus = 3 * L**3, [edge_shift(L, 3, a) for a in range(3)]
+    # Along axis a, the cube at v has the edges at its corners t with bit a clear. At corner t
+    # it meets the triple of edges at t & ~2^a, which ascend, so (z, y, x) order is mask order.
+    x, y, z = corners = [_corners(plus, range(3), a) for a in range(3)]
+    cube_edges = [c[t] for a, c in enumerate(corners) for t in range(8) if not t >> a & 1]
 
     def cube_block(label: int, color: int) -> Codeblock:
-        """X checks on the cubes of one color; a Z check on the three edges
-        at each corner of each cube of the other (the edge along a ends at
-        corner t with bit a cleared), sorted in mask order."""
-        own = (v for v in verts if colors[v] == color)
-        other = (torus.corners(v, range(3)) for v in verts if colors[v] == 1 - color)
-        triples = sorted(((c[t & 6], size + c[t & 5], 2 * size + c[t & 3])
-                          for c in other for t in range(8)), key=_mask_order)
-        return Codeblock(label, n, BinMatrix.from_supports(n, (torus.cell(v, range(3)) for v in own)),
+        """X checks on one color's cubes; Z checks on the other's corner triples."""
+        own = [sum(c) & 1 == color for c in product(range(L), repeat=3)]
+        triples = sorted(chain(*(compress(zip(x[t & 6], y[t & 5], z[t & 3]), map(not_, own))
+                                 for t in range(8))), key=itemgetter(2, 1, 0))
+        return Codeblock(label, n, BinMatrix.from_supports(n, compress(zip(*cube_edges), own)),
                          BinMatrix.from_supports(n, triples))
 
-    faces = (torus.cell(v, axes) for axes in ((1, 2), (0, 2), (0, 1)) for v in verts)  # normal x, y, z
-    block0 = Codeblock(0, n, BinMatrix.from_supports(n, map(torus.star, verts)),
+    faces = chain(*(_cells(plus, axes) for axes in ((1, 2), (0, 2), (0, 1))))  # normal x, y, z
+    block0 = Codeblock(0, n, BinMatrix.from_supports(n, _stars(L, 3)),
                        BinMatrix.from_supports(n, faces))
     return CodeFamily("3d", L, [block0, cube_block(1, 0), cube_block(2, 1)], range(n))

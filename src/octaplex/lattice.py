@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cache
 from itertools import compress, product
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .binalg import BinMatrix
@@ -312,14 +312,15 @@ _CANDIDATES = {CellType.E1: {CellType.V0}, CellType.C3I: {CellType.F2I},
 
 @cache
 def _nearest_offsets() -> dict[Coord, tuple[Coord, ...]]:
-    """Each residue class mod 4 of a 1-, 3- or 4-cell → the window offsets
-    of least |δ|² that land on a candidate type. Built on first use."""
-    table = {}
-    for r in product(range(4), repeat=4):
-        if (allowed := _CANDIDATES.get(try_classify(r))) is not None:
-            near = [o for o in _WINDOW if try_classify(tuple(map(add, r, o))) in allowed]
+    """Each residue class mod 4 of a 1-, 3- or 4-cell → the window offsets of least |δ|²
+    that land on a candidate type, read from the 256 classes' types. Built on first use."""
+    types, table = {r: try_classify(r) for r in product(range(4), repeat=4)}, {}
+    for (a, b, c, d), t in types.items():
+        if (allowed := _CANDIDATES.get(t)) is not None:
+            near = [o for o in _WINDOW if types[(a + o[0]) & 3, (b + o[1]) & 3,
+                                                (c + o[2]) & 3, (d + o[3]) & 3] in allowed]
             least = min(sum(x * x for x in o) for o in near)
-            table[r] = tuple(o for o in near if sum(x * x for x in o) == least)
+            table[a, b, c, d] = tuple(o for o in near if sum(x * x for x in o) == least)
     return table
 
 

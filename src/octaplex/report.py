@@ -21,6 +21,7 @@ reproducible.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Sequence
@@ -29,11 +30,13 @@ from . import __version__
 from .binalg import BinMatrix
 from .codes import (
     CodeFamily,
+    Codeblock,
     bounded_boundary_coordinate_count,
     build_2d_pair,
     build_3d_triple,
     build_bounded_family,
     build_family,
+    edge_shift,
     shifted_qubit_permutation,
 )
 from .exports import canonical_json
@@ -245,9 +248,9 @@ def _octaplex_codes(run: _Run):
     # Block 0's k is the metacheck ledger's and its CSS check the lattice's kept
     # ∂4·∂3 = 0; a verified translate of block 0 has both (a qubit bijection
     # keeps ranks and overlaps), and any other block is checked on its own.
-    rows0 = _row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz)
-    translates = [True] + [_blocks_equivalent(family, b, rows0) for b in (1, 2, 3)]
-    cx = family.complex
+    cx, rows0 = family.complex, (_row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz))
+    translates = [True] + [_is_translate(family.blocks[b], rows0, shifted_qubit_permutation(cx, b))
+                           for b in (1, 2, 3)]
     k0, css0 = run.ladder.k, cx.boundary[4].product_is_zero(cx.boundary[3])
     block_data = []
     passed = True
@@ -351,18 +354,16 @@ def _octaplex_metachecks(run: _Run):
     return passed, dict(counting=counting, global_constraints=glob, single_flip_demo=demo), []
 
 
-def _row_set(m: BinMatrix, perm: Sequence[int] | None = None) -> set[tuple[int, ...]]:
-    """The rows as a set of sorted supports, each qubit mapped by ``perm``."""
+def _row_set(m: BinMatrix, perm: Sequence[int] | None = None) -> set[bytes]:
+    """The rows' sorted supports as a set of bytes, each qubit mapped by ``perm``."""
     if perm is None:
-        return set(map(tuple, m.supports()))
-    return {tuple(sorted(row)) for row in m.mapped_rows(perm)}
+        return {r.tobytes() for r in m.supports()}
+    return {array("i", sorted(row)).tobytes() for row in m.mapped_rows(perm)}
 
 
-def _blocks_equivalent(family: CodeFamily, block: int, rows0: tuple[set, set]) -> bool:
-    """Row sets map onto block 0's, ``rows0`` (X, Z), under the block translation."""
-    perm = shifted_qubit_permutation(family.complex, block)
-    blk = family.blocks[block]
-    return _row_set(blk.hx, perm) == rows0[0] and _row_set(blk.hz, perm) == rows0[1]
+def _is_translate(blk: Codeblock, rows: tuple[set, set], perm: Sequence[int]) -> bool:
+    """The block's row sets, each qubit mapped by ``perm``, are ``rows`` (X, Z)."""
+    return _row_set(blk.hx, perm) == rows[0] and _row_set(blk.hz, perm) == rows[1]
 
 
 def _bounded_codes(run: _Run):
@@ -411,18 +412,18 @@ def _bounded_transversal(run: _Run):
     return tpass, rep.as_dict(), []
 
 
-def _warmup_blocks(family: CodeFamily) -> list[dict]:
+def _warmup_blocks(family: CodeFamily, ks: Sequence[int]) -> list[dict]:
     return [
-        {"label": b.label, "n": b.n, "k": b.k,
+        {"label": b.label, "n": b.n, "k": k,
          "x_weights": b.x_weights(), "z_weights": b.z_weights()}
-        for b in family.blocks
+        for b, k in zip(family.blocks, ks)
     ]
 
 
 def _2d_codes(run: _Run):
     family = run.family
     return all(b.k == 2 for b in family.blocks), dict(
-        blocks=_warmup_blocks(family),
+        blocks=_warmup_blocks(family, [b.k for b in family.blocks]),
         role_swap=(_row_set(family.blocks[0].hx) == _row_set(family.blocks[1].hz)),
     ), []
 
@@ -442,10 +443,12 @@ def _2d_transversal(run: _Run):
 
 
 def _3d_codes(run: _Run):
-    family = run.family
-    return all(b.k == 3 for b in family.blocks), dict(
-        blocks=_warmup_blocks(family),
-    ), []
+    # Block 2 is block 1 moved by e_0 (the cube colors swap); a verified translate has its k.
+    # It is checked before any rank: its row sets cannot reuse the heap elimination frees.
+    b0, b1, b2 = run.family.blocks
+    translate = _is_translate(b2, (_row_set(b1.hx), _row_set(b1.hz)), edge_shift(run.L, 3, 0))
+    ks = [b0.k, b1.k, b1.k if translate else b2.k]
+    return all(k == 3 for k in ks), dict(blocks=_warmup_blocks(run.family, ks)), []
 
 
 def _3d_transversal(run: _Run):

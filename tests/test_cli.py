@@ -288,6 +288,26 @@ def test_selftest_passes(capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--family", "2d", "--L", "3"],
+    ["report", "--family", "3d", "--L", "4", "--sections", "codes"],
+    ["selftest"],
+], ids=["report-2d", "report-3d-codes", "selftest"])
+def test_json_stdout_is_the_report_alone(tmp_path, capsys, argv):
+    # under --json the timed text summary goes to stderr, so stdout is one
+    # JSON document, byte for byte the file --out writes
+    out = tmp_path / "r.json"
+    assert main([*argv, "--threads", "1", "--json", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(out.read_text())
+    assert captured.out.encode("utf-8") == out.read_bytes()
+    assert "overall: PASS" in captured.err and "overall" not in captured.out
+    # without --json the summary stays on stdout
+    assert main([*argv, "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "overall: PASS" in captured.out and captured.err == ""
+
+
 def test_selftest_determinism_across_threads(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

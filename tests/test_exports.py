@@ -13,7 +13,8 @@ from octaplex.cli import main
 from conftest import alist_to_supports
 
 # sha256 of the canonical L=2 outputs, of the warm-up reports at an L where
-# +1 and -1 differ mod L, and of the selftest under each fault at
+# +1 and -1 differ mod L and of the 3d report at L=12 (the benchmark's
+# warm-up workload), and of the selftest under each fault at
 # OCTAPLEX_SEED=0 (failing records and their witnesses); a refactor must keep
 # these bytes.
 BYTE_CONTRACT = {
@@ -23,6 +24,7 @@ BYTE_CONTRACT = {
     "report-3d": "f4e8c205555579ec4f66218bea9090edc42207406fab6b589192ba22f32d5e02",
     "report-2d-L5": "487a97a2f59fa72efd29611aca09089001e5f6287f28d9ed179b91666ac66c87",
     "report-3d-L4": "8d976484c38222c345e71aaced3415cf20e93740da15187aa6860b753390818e",
+    "report-3d-L12": "50e6e7f6bf7a33199b58525d012a6559284673b223f3690f22bd008b61fac0e8",
     "selftest": "6bb40ce57267e9f260ac2d6796703f560a13709058eb06c37e37fef267e77886",
     "selftest-perturb-logical": "239f3323e79464ef692fb4089f91ff2ac7787875c34aae04773647aa065d4802",
     "selftest-recolor-vertex": "54eced433fc2c19eb36cc0658a7c2273bdc840349868404b0acc0995f09139ef",
@@ -70,6 +72,7 @@ REPORT_ARGV = {
     "report-3d": ["report", "--family", "3d", "--L", "2"],
     "report-2d-L5": ["report", "--family", "2d", "--L", "5"],
     "report-3d-L4": ["report", "--family", "3d", "--L", "4"],
+    "report-3d-L12": ["report", "--family", "3d", "--L", "12"],
     "selftest": ["selftest"],
     **{f"selftest-{kind}": ["selftest", "--inject-fault", kind]
        for kind in ("perturb-logical", "recolor-vertex", "drop-m1-entry")},

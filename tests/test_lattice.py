@@ -270,6 +270,27 @@ def test_nearest_cross_check_rejects_a_swapped_boundary(cx2, d, kind):
     assert not nearest_reference(bad)
 
 
+def nearest_offsets_reference():
+    """The table by the definition: every window offset of every class is
+    classified anew by ``try_classify``."""
+    table = {}
+    for r in product(range(4), repeat=4):
+        if (allowed := lattice._CANDIDATES.get(try_classify(r))) is not None:
+            near = [o for o in lattice._WINDOW
+                    if try_classify(tuple(a + b for a, b in zip(r, o))) in allowed]
+            least = min(sum(x * x for x in o) for o in near)
+            table[r] = tuple(o for o in near if sum(x * x for x in o) == least)
+    return table
+
+
+def test_nearest_offsets_match_the_per_offset_classification():
+    table = lattice._nearest_offsets()
+    assert table == nearest_offsets_reference()
+    # the E1, C3I, C3II, C3III and 4-cell classes, none empty, all offsets in the window
+    assert len(table) == 48 + 4 + 4 + 16 + 2 and all(table.values())
+    assert all(o in lattice._WINDOW for offsets in table.values() for o in offsets)
+
+
 def test_nearest_table_is_built_on_first_use():
     import octaplex
 

@@ -1,10 +1,12 @@
+import hashlib
 from itertools import product
 
 import pytest
 
+from octaplex import report
 from octaplex.binalg import BinMatrix
-from octaplex.codes import CodeFamily, Codeblock, build_2d_pair, build_3d_triple
-from octaplex.logicals import build_logicals, verify_logical_basis
+from octaplex.codes import CodeFamily, Codeblock, build_2d_pair, build_3d_triple, edge_shift
+from octaplex.logicals import LogicalBasis, build_logicals, verify_logical_basis
 from octaplex.transversal import (
     ALL_DISTINCT_TRIPLES,
     check_ccz_conditions,
@@ -124,10 +126,10 @@ def stripes(i, j, k):
     return i % 2
 
 
-@pytest.mark.parametrize("L, cube_color", [(2, None), (4, None), (12, None)])
-def test_3d_matches_label_reference(L, cube_color):
+@pytest.mark.parametrize("L", [2, 4, 12])
+def test_3d_matches_label_reference(L):
     fam = build_3d_triple(L)
-    assert as_reference(fam) == reference_3d(L, cube_color or checkerboard)
+    assert as_reference(fam) == reference_3d(L, checkerboard)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +179,6 @@ def test_2d_logicals_match_label_reference(L):
 def test_2d_same_block_pair_fails():
     # pairing a block with itself (roles not swapped) violates the even
     # overlap requirement and yields a witness
-    from octaplex.codes import CodeFamily
-
     fam = build_2d_pair(2)
     same = CodeFamily("2d", 2, [fam.blocks[0], fam.blocks[0]], fam.qubit_labels)
     basis = build_logicals(fam)
@@ -190,10 +190,6 @@ def test_2d_same_block_pair_fails():
 
 
 def test_2d_disjoint_padding_passes_even_fails_pairing():
-    from octaplex.binalg import BinMatrix
-    from octaplex.codes import CodeFamily, Codeblock
-    from octaplex.logicals import LogicalBasis
-
     fam = build_2d_pair(2)
     n = fam.n
     a = fam.blocks[0]
@@ -259,6 +255,71 @@ def test_3d_corner_triples_match_intersection(L):
         other = [c for c in cubes if sum(c) % 2 == color]
         assert [tuple(s) for s in fam.blocks[block].hz.supports()] == \
             corner_triples_by_intersection(fam, other)
+
+
+@pytest.mark.parametrize("L, dim", [(2, 2), (3, 2), (2, 3), (4, 3), (5, 3)])
+def test_edge_shift_matches_coordinates(L, dim):
+    # edge (b, v) is b·L^dim + v, v read as base-L digits with axis 0 on top
+    def index(b, coords):
+        return b * L**dim + sum(c * L ** (dim - 1 - i) for i, c in enumerate(coords))
+
+    for a, s in product(range(dim), (1, -1)):
+        moved = [index(b, [(c + s) % L if i == a else c for i, c in enumerate(coords)])
+                 for b in range(dim) for coords in product(range(L), repeat=dim)]
+        assert edge_shift(L, dim, a, s) == moved
+
+
+def spy_3d(monkeypatch, perturb=False):
+    """The 3d families a report builds and every matrix it eliminates; with
+    ``perturb``, block 2's first Z row also gets the lowest qubit outside it."""
+    families, eliminated = [], []
+
+    def build(L):
+        fam = build_3d_triple(L)
+        if perturb:
+            rows = [list(r) for r in fam.blocks[2].hz.supports()]
+            rows[0].append(min(set(range(fam.n)) - set(rows[0])))
+            fam.blocks[2].hz = BinMatrix.from_supports(fam.n, rows)
+        families.append(fam)
+        return fam
+
+    eliminate = BinMatrix._eliminate
+    monkeypatch.setattr(report, "build_3d_triple", build)
+    monkeypatch.setattr(BinMatrix, "_eliminate",
+                        lambda self: eliminated.append(self) or eliminate(self))
+    return families, eliminated
+
+
+@pytest.mark.parametrize("L, pin", [(4, "report-3d-L4"), (12, "report-3d-L12")])
+def test_3d_report_ranks_no_translate_block(monkeypatch, L, pin):
+    from test_exports import BYTE_CONTRACT
+
+    # block 2 is block 1 moved by e_0, so the codes section takes its k from
+    # block 1 and no section eliminates block 2's hx or hz
+    families, eliminated = spy_3d(monkeypatch)
+    result = report.run_report("3d", L)
+    (fam,) = families
+    b1, b2 = fam.blocks[1:]
+    assert not any(m is b2.hx or m is b2.hz for m in eliminated)
+    assert any(m is b1.hx for m in eliminated) and any(m is b1.hz for m in eliminated)
+    assert hashlib.sha256(report.report_json(result).encode()).hexdigest() == BYTE_CONTRACT[pin]
+
+
+def test_3d_perturbed_block_is_ranked_on_its_own(monkeypatch):
+    # negative control: block 2 is no translate of block 1, so it is ranked
+    # by elimination and the report carries its own k, not block 1's
+    families, eliminated = spy_3d(monkeypatch, perturb=True)
+    result = report.run_report("3d", 4, sections={"codes"})
+    (fam,) = families
+    b2 = fam.blocks[2]
+    assert not report._is_translate(b2, (report._row_set(fam.blocks[1].hx),
+                                         report._row_set(fam.blocks[1].hz)), edge_shift(4, 3, 0))
+    assert any(m is b2.hx for m in eliminated) and any(m is b2.hz for m in eliminated)
+    own = Codeblock(2, b2.n, BinMatrix.from_supports(b2.n, b2.hx.supports()),
+                    BinMatrix.from_supports(b2.n, b2.hz.supports())).k
+    assert own == 2 != fam.blocks[1].k
+    assert result.report["sections"]["codes"]["blocks"][2]["k"] == own
+    assert result.report["sections"]["codes"]["status"] == "fail" and not result.ok
 
 
 def test_3d_odd_l_rejected():
