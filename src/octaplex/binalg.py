@@ -109,10 +109,11 @@ class BinMatrix:
         # Equal neighbours in ``flat`` are a repeat unless a row starts between them.
         if not set(compress(count(1), map(eq, flat, flat[1:]))) <= set(indptr):
             raise ValueError("repeated column index in one row")
-        return cls._csr(cols, indptr, array("i", flat))
+        return cls.from_csr(cols, indptr, array("i", flat))
 
     @classmethod
-    def _csr(cls, cols: int, indptr: array, indices: array) -> "BinMatrix":
+    def from_csr(cls, cols: int, indptr: array, indices: array) -> "BinMatrix":
+        """Rows from CSR arrays, taken as they are: each row sorted, in range."""
         m = cls.__new__(cls)
         m.cols, m._indptr, m._indices = cols, indptr, indices
         m._t = m._rank = m._basis = None  # column index, rank, row-space basis
@@ -134,10 +135,14 @@ class BinMatrix:
             raise IndexError(f"row {i} outside the {self.shape[0]} rows")
         return self._indices[self._indptr[i]:self._indptr[i + 1]]
 
+    def mapped(self, table: Sequence) -> list:
+        """The flat index array, each entry j read as ``table[j]``."""
+        return list(map(table.__getitem__, self._indices))
+
     def mapped_rows(self, table: Sequence) -> list[list]:
         """Each row as ``[table[j] for j in row]``: the index array is
         mapped in one pass and sliced per row."""
-        flat = list(map(table.__getitem__, self._indices))
+        flat = self.mapped(table)
         return [flat[a:b] for a, b in pairwise(self._indptr)]
 
     def weights(self) -> list[int]:
@@ -253,15 +258,15 @@ class BinMatrix:
                 for j in s:
                     columns[j].append(i)
             indptr = array("i", [0, *accumulate(map(len, columns))])
-            self._t = BinMatrix._csr(self.shape[0], indptr, array("i", chain(*columns)))
+            self._t = BinMatrix.from_csr(self.shape[0], indptr, array("i", chain(*columns)))
             self._t._t = self
         return self._t
 
     def stacked(self, supports: Iterable[Iterable[int]]) -> "BinMatrix":
         """This matrix with the given rows appended below."""
         extra, ptr = BinMatrix.from_supports(self.cols, supports), self._indptr
-        return BinMatrix._csr(self.cols, ptr + array("i", (p + ptr[-1] for p in extra._indptr[1:])),
-                              self._indices + extra._indices)
+        indptr = ptr + array("i", (p + ptr[-1] for p in extra._indptr[1:]))
+        return BinMatrix.from_csr(self.cols, indptr, self._indices + extra._indices)
 
     def peel(self) -> int:
         """A lower bound on the rank, with no basis: while a column has one

@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import chain, compress, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from operator import add, itemgetter, not_, xor
 from typing import Iterator, Sequence
 
@@ -170,23 +170,35 @@ def star_triangles(qubits: Cells, drops: Sequence[int]) -> Iterator[tuple[int, t
                 yield drop, s[:3 - s.count(n)]
 
 
-def colored_z_supports(cx: CellComplex) -> list[list[tuple[int, ...]]]:
-    """Z check supports of the red, green and blue blocks: the nonempty
-    triple intersections of the other three blocks' X supports, each list
-    sorted for a stable row order."""
-    found: dict[int, set[tuple[int, ...]]] = {1: set(), 2: set(), 3: set()}
-    for drop, s in star_triangles(cx.cells[3], drops=tuple(found)):
-        found[drop].add(s)
-    return [sorted(supports) for supports in found.values()]
+def colored_z_supports(cx: CellComplex) -> list[BinMatrix]:
+    """hz of the red, green and blue blocks: the nonempty triple intersections
+    of the other three blocks' X supports, rows in the order of their sorted
+    supports. ``star_triangles`` yields them by lowest qubit, so each qubit's
+    group is deduplicated and sorted per block, then appended to its CSR arrays."""
+    n, low = len(cx.cells[3]), 0
+    found = [(set(), array("i"), array("i")) for _ in Color]  # supports, weights, indices
+    keep = [None, *(group.add for group, _, _ in found)]  # by dropped block
+
+    def flush() -> None:
+        for group, weights, indices in found:
+            rows = sorted(group)
+            indices.extend(chain.from_iterable(rows))
+            weights.extend(map(len, rows))
+            group.clear()
+
+    for drop, s in star_triangles(cx.cells[3], drops=(1, 2, 3)):
+        if s[0] != low:
+            flush()
+            low = s[0]
+        keep[drop](s)
+    flush()
+    return [BinMatrix.from_csr(n, array("i", accumulate(w, initial=0)), ix) for _, w, ix in found]
 
 
-def _colored_codeblock(
-    cx: CellComplex, color: Color, hz_rows: list[tuple[int, ...]]
-) -> Codeblock:
+def _colored_codeblock(cx: CellComplex, color: Color, hz: BinMatrix) -> Codeblock:
     n = len(cx.cells[3])
     stars = (_star(v, cx.cells[3]) for v, c in zip(cx.cells[0], cx.colors) if c == color)
-    return Codeblock(color, n, BinMatrix.from_supports(n, stars),
-                     BinMatrix.from_supports(n, hz_rows))
+    return Codeblock(color, n, BinMatrix.from_supports(n, stars), hz)
 
 
 def build_colored_codeblock(cx: CellComplex, color: Color) -> Codeblock:
@@ -198,8 +210,8 @@ def build_family(cx: CellComplex) -> CodeFamily:
     """Block 0 and the three colored blocks, whose Z sides come from one
     star-triangle pass."""
     blocks = [build_codeblock0(cx)]
-    for color, hz_rows in zip(Color, colored_z_supports(cx)):
-        blocks.append(_colored_codeblock(cx, color, hz_rows))
+    for color, hz in zip(Color, colored_z_supports(cx)):
+        blocks.append(_colored_codeblock(cx, color, hz))
     return CodeFamily("octaplex", cx.L, blocks, cx.cells[3], complex=cx)
 
 

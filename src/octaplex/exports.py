@@ -8,27 +8,42 @@ degree. MatrixMarket uses the coordinate integer header.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 from .binalg import BinMatrix
 
 
+_NAMES: list[str] = []  # _NAMES[j] is str(j + 1); one table for all exports, grown on demand
+
+
+def _names(size: int) -> list[str]:
+    """The shared 1-based names, covering the indices below ``size``."""
+    _NAMES.extend(map(str, range(len(_NAMES) + 1, size + 1)))
+    return _NAMES
+
+
 def matrix_to_alist(m: BinMatrix) -> str:
     rows, cols = m.shape
-    names = list(map(str, range(1, max(m.shape) + 1)))  # names[j] is str(j + 1)
-    lists = m.transpose().mapped_rows(names), m.mapped_rows(names)
-    widths = [max(map(len, t), default=0) for t in lists]
-    lines = [f"{cols} {rows}", " ".join(map(str, widths)),
-             *(" ".join(map(str, map(len, t))) for t in lists)]
-    for t, width in zip(lists, widths):
-        zeros = ["0"] * width
-        lines += [" ".join(r + zeros[len(r):]) for r in t]
-    return "\n".join(lines) + "\n"
+    names, parts = _names(max(m.shape)), []
+    for t in (m.transpose(), m):  # the columns, then the rows
+        weights = t.weights()
+        width = max(weights, default=0)
+        if sum(weights) != width * len(weights):  # each list zero-padded to the width
+            degrees = " ".join(map(str, weights))
+            lines = [" ".join(r + ["0"] * (width - len(r))) for r in t.mapped_rows(names)]
+        else:  # one width: runs of the flat mapped index list
+            degrees = " ".join([str(width)] * len(weights))
+            runs = zip(*[iter(t.mapped(names))] * width) if width else repeat((), len(weights))
+            lines = list(map(" ".join, runs))
+        parts.append((width, degrees, lines))
+    (cw, cweights, clines), (rw, rweights, rlines) = parts
+    return "\n".join([f"{cols} {rows}", f"{cw} {rw}", cweights, rweights, *clines, *rlines]) + "\n"
 
 
 def matrix_to_mtx(m: BinMatrix) -> str:
     rows, cols = m.shape
-    names = list(map(str, range(1, max(m.shape) + 1)))  # names[j] is str(j + 1)
+    names = _names(max(m.shape))
     lines = ["%%MatrixMarket matrix coordinate integer general", f"{rows} {cols} {sum(m.weights())}"]
     for i, t in enumerate(m.mapped_rows(names)):
         if t:  # the row's entries "i j 1", one per line

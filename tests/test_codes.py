@@ -1,6 +1,6 @@
 import copy
 from functools import cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from octaplex.codes import (
     Codeblock,
     build_codeblock0,
     build_colored_codeblock,
+    colored_z_supports,
     shifted_qubit_permutation,
     star_triangles,
 )
@@ -241,6 +242,47 @@ def test_colored_z_rows_are_all_triple_intersections(family2, block):
     hz = family2.blocks[block].hz.rows
     assert len(hz) == len(set(hz))
     assert set(hz) == oracle
+
+
+def colored_z_reference(cx):
+    """The set-and-sort colored build: every block's supports in one set,
+    sorted once and packed by ``from_supports``."""
+    found = {1: set(), 2: set(), 3: set()}
+    for drop, s in star_triangles(cx.cells[3], drops=tuple(found)):
+        found[drop].add(s)
+    return [BinMatrix.from_supports(len(cx.cells[3]), sorted(s)) for s in found.values()]
+
+
+def csr_arrays(m):
+    return m._indptr, m._indices
+
+
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_colored_z_supports_match_set_and_sort_reference(L):
+    # L=5 is the first odd size at which the flat cell keys wrap
+    cx = build_octaplex(L)
+    reference = colored_z_reference(cx)
+    assert [m.shape[0] for m in reference] == [64 * L**4] * 3
+    assert list(map(csr_arrays, colored_z_supports(cx))) == list(map(csr_arrays, reference))
+
+
+def test_colored_z_supports_keep_a_repeated_support_once(cx2, family2, monkeypatch):
+    # a support yielded twice within its lowest qubit's group, apart, is one row
+    enumerate_triangles = codes.star_triangles
+
+    def repeating(qubits, drops):
+        stream = enumerate_triangles(qubits, drops)
+        first = next(stream)
+        yield first
+        yield next(stream)
+        yield first
+        yield from stream
+
+    monkeypatch.setattr(codes, "star_triangles", repeating)
+    head = list(islice(repeating(cx2.cells[3], (1, 2, 3)), 3))
+    assert head[0] == head[2] and {s[0] for _, s in head} == {0}
+    hz = colored_z_supports(cx2)
+    assert list(map(csr_arrays, hz)) == [csr_arrays(b.hz) for b in family2.blocks[1:]]
 
 
 def star_triangles_reference(qubits, drops):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import octaplex.exports as exports
 from octaplex.binalg import BinMatrix, support_from_mask
 from octaplex.exports import (
     canonical_json,
@@ -259,3 +260,42 @@ def test_emitters_match_reference_on_the_l2_matrices(family2, ladder2, key):
     m = ladder2.m1 if key == "m1" else getattr(family2.blocks[1], key[:2])
     assert matrix_to_alist(m) == alist_reference(m)
     assert matrix_to_mtx(m) == mtx_reference(m)
+
+
+def uniform_matrix(rng, rows, cols, w):
+    """Random rows of weight w each over ``cols`` columns."""
+    return BinMatrix.from_supports(cols, (rng.sample(range(cols), w) for _ in range(rows)))
+
+
+@pytest.mark.parametrize("w", [0, 1, 3, 24])
+@pytest.mark.parametrize("seed", range(3))
+def test_alist_matches_reference_on_uniform_rows(w, seed):
+    # rows of one weight take the flat join; the columns mostly differ, and
+    # the transpose has uniform columns but rows of several weights
+    rng = random.Random(seed)
+    for rows, cols in ((1, 24), (rng.randrange(2, 40), rng.randrange(24, 130)), (0, 30)):
+        m = uniform_matrix(rng, rows, cols, w)
+        assert set(m.weights()) <= {w}
+        for t in (m, m.transpose()):
+            assert matrix_to_alist(t) == alist_reference(t)
+
+
+def test_alist_matches_reference_on_uniform_rows_and_uneven_columns():
+    m = BinMatrix.from_supports(5, [[0, 1], [0, 2], [0, 3], [1, 4]])
+    assert set(m.weights()) == {2} and set(m.transpose().weights()) == {1, 2, 3}
+    assert matrix_to_alist(m) == alist_reference(m)
+    assert matrix_to_alist(m.transpose()) == alist_reference(m.transpose())
+
+
+@pytest.mark.parametrize("order", ["large-first", "small-first"])
+def test_alist_shares_one_name_table(order, monkeypatch):
+    # the name table grows for the large matrix and serves the small one as
+    # it is; the small one first must not cap the large one's names
+    monkeypatch.setattr(exports, "_NAMES", [])
+    rng = random.Random(7)
+    large, small = uniform_matrix(rng, 300, 1200, 3), random_matrix(rng, 5, 9, 0.3)
+    pair = (large, small) if order == "large-first" else (small, large)
+    for m in pair:
+        assert matrix_to_alist(m) == alist_reference(m)
+        assert matrix_to_mtx(m) == mtx_reference(m)
+    assert exports._NAMES == [str(j + 1) for j in range(1200)]
