@@ -9,7 +9,9 @@ cannot be missed, with the measured and stated values side by side.
 
 Every family runs through one driver, ``run_report``, over that family's
 table in ``SECTIONS``: a section function returns ``(passed, data,
-discrepancies)``, ``data`` being the record as the report carries it.
+discrepancies)``, ``data`` being the record as the report carries it. The
+``codes`` and ``transversal`` sections are one function each for every
+family, driven by its entry in ``FAMILIES``.
 ``requested_sections`` checks a run's inputs; ``export`` reads its matrices
 off a run through ``EXPORTS``.
 
@@ -24,7 +26,7 @@ import time
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .binalg import BinMatrix
@@ -59,6 +61,7 @@ from .metachecks import (
     verify_global_constraints,
 )
 from .transversal import (
+    ALL_DISTINCT_QUADRUPLES,
     ALL_DISTINCT_TRIPLES,
     STATED_QUARTETS,
     check_ccz_conditions,
@@ -98,7 +101,7 @@ class _Run:
 
     ``cx``, ``family``, ``basis`` and ``ladder`` are built on first use,
     each once, and timed. A fault is applied right after the object it
-    corrupts.
+    corrupts. ``verified`` is computed once, in the first section that reads it.
     """
 
     name: str
@@ -142,6 +145,11 @@ class _Run:
         return basis
 
     @cached_property
+    def verified(self) -> tuple[bool, list[dict]]:
+        """``verify_logical_basis`` of the family's basis: its validity and witnesses."""
+        return verify_logical_basis(self.family, self.basis)
+
+    @cached_property
     def ladder(self):
         """Block 0's ladder, from ``cx`` alone; its rank ledger, which ``codes``,
         ``distance`` and ``metachecks`` all read, is computed in the same phase."""
@@ -160,12 +168,16 @@ def requested_sections(family: str, L: int, sections: set[str] | None,
                        fault: Fault | None) -> set[str]:
     """The sections a run of ``family`` at size L executes, all of them for None.
 
-    A ``ValueError``, before anything is built, unless L ≥ 2 (and even for
-    ``3d``, whose cubes are 2-colored), the sections are a nonempty subset of
-    the family's and, given a fault, the family is ``octaplex`` and the
-    section that catches the fault is among them: a fault no section reads
-    would pass silently.
+    A ``ValueError``, before anything is built, unless the family is one of
+    ``SECTIONS``, L is an ``int`` ≥ 2 (and even for ``3d``, whose cubes are
+    2-colored), the sections are a nonempty subset of the family's and, given
+    a fault, the family is ``octaplex`` and the section that catches the
+    fault is among them: a fault no section reads would pass silently.
     """
+    if family not in SECTIONS:
+        raise ValueError(f"unknown family {family!r}; the families are {', '.join(SECTIONS)}")
+    if type(L) is not int:
+        raise ValueError(f"L must be an int, not {type(L).__name__}")
     if L < 2:
         raise ValueError("L must be >= 2")
     if family == "3d" and L % 2:
@@ -243,78 +255,14 @@ def _octaplex_lattice(run: _Run):
     ), []
 
 
-def _octaplex_codes(run: _Run):
-    family, L = run.family, run.L
-    # Block 0's k is the metacheck ledger's and its CSS check the lattice's kept
-    # ∂4·∂3 = 0; a verified translate of block 0 has both (a qubit bijection
-    # keeps ranks and overlaps), and any other block is checked on its own.
-    cx, rows0 = family.complex, (_row_set(family.blocks[0].hx), _row_set(family.blocks[0].hz))
-    translates = [True] + [_is_translate(family.blocks[b], rows0, shifted_qubit_permutation(cx, b))
-                           for b in (1, 2, 3)]
-    k0, css0 = run.ladder.k, cx.boundary[4].product_is_zero(cx.boundary[3])
-    block_data = []
-    passed = True
-    for blk, translate in zip(family.blocks, translates):
-        entry = {
-            "label": blk.label,
-            "n": blk.n,
-            "k": k0 if translate else blk.k,
-            "x_weights": blk.x_weights(),
-            "z_weights": blk.z_weights(),
-            "x_rows": blk.hx.shape[0],
-            "z_rows": blk.hz.shape[0],
-            "css": css0 if translate else blk.css_commutes(),
-        }
-        passed &= (
-            entry["css"]
-            and entry["n"] == 24 * L**4
-            and entry["k"] == 4
-            and entry["x_weights"] == [24]
-            and entry["z_weights"] == [3]
-        )
-        block_data.append(entry)
-    equiv = all(translates)
-    passed &= equiv
-    return passed, dict(blocks=block_data, block_equivalence=equiv), []
-
-
 def _octaplex_logicals(run: _Run):
-    basis = run.basis
-    valid, witnesses = verify_logical_basis(run.family, basis)
+    basis, (valid, witnesses) = run.basis, run.verified
     return valid, dict(
         k=basis.k,
         witnesses=witnesses[:8],
         x_weight=basis.x_ops[0].weights()[0],
         z_weight=basis.z_ops[0].weights()[0],
     ), []
-
-
-def _octaplex_transversal(run: _Run):
-    rep = check_cccz_conditions(run.family, run.basis)
-    passed = (
-        rep.all_even_pass
-        and rep.extras["tensor_is_all_distinct_pattern"]
-        and rep.extras["tensor_entries_are_permutations"]
-    )
-    discrepancies = []
-    if not rep.extras["tensor_matches_stated_quartets"]:
-        discrepancies.append(
-            {
-                "section": "transversal",
-                "claim": "coupling tensor equals the four stated quartets",
-                "summary": (
-                    f"stated 4 quartets, measured "
-                    f"{len(rep.tensor_support())} coupled quadruples"
-                ),
-                "stated": [list(q) for q in sorted(STATED_QUARTETS)],
-                "measured": [list(q) for q in rep.tensor_support()],
-                "note": (
-                    "all direction-permutation quadruples couple; the four "
-                    "stated quartets are a strict subset"
-                ),
-            }
-        )
-    return passed, rep.as_dict(), discrepancies
 
 
 def _octaplex_distance(run: _Run):
@@ -366,99 +314,106 @@ def _is_translate(blk: Codeblock, rows: tuple[set, set], perm: Sequence[int]) ->
     return _row_set(blk.hx, perm) == rows[0] and _row_set(blk.hz, perm) == rows[1]
 
 
-def _bounded_codes(run: _Run):
-    family, basis, L = run.family, run.basis, run.L
-    blocks = []
-    passed = True
-    formula_ok = True
-    for b, blk in enumerate(family.blocks):
-        xw = blk.x_weights()
-        for center, weight in zip(blk.meta["x_centers"], blk.hx.weights()):
-            bcount = bounded_boundary_coordinate_count(center, b, L)
-            if weight != 8 - bcount + 16 // 2**bcount:
-                formula_ok = False
-        entry = {
-            "label": b,
-            "n": blk.n,
-            "k": blk.k,
-            "x_weights": xw,
-            "triangle_z_weights": blk.meta["triangle_weights"],
-            "triangle_generators": blk.meta["triangle_generators"],
-            "completion_generators": blk.meta["completion_generators"],
-            "rough_axis": blk.meta["rough_axis"],
-            "css": blk.css_commutes(),
-        }
-        passed &= (
-            entry["css"]
-            and entry["k"] == 1
-            and set(xw) <= {24, 15, 10, 7}
-            and set(entry["triangle_z_weights"]) <= {2, 3}
-        )
-        blocks.append(entry)
-    passed &= formula_ok
-    valid, witnesses = verify_logical_basis(family, basis)
-    passed &= valid
-    return passed, dict(
-        blocks=blocks,
-        x_weight_formula_holds=formula_ok,
-        logicals_valid=valid,
-        witnesses=witnesses[:8],
-    ), []
+def _verified_images(run: _Run) -> dict[int, bool]:
+    """Per image block of the run's family, whether it is its source moved by its qubit map.
+    Each source's row sets are built once. Run before any rank: the row sets cannot reuse
+    the heap elimination frees."""
+    blocks, images = run.family.blocks, FAMILIES[run.name].images
+    rows = {src: (_row_set(blocks[src].hx), _row_set(blocks[src].hz))
+            for src in {src for src, _ in images.values()}}
+    return {b: _is_translate(blocks[b], rows[src], perm(run, b)) for b, (src, perm) in images.items()}
 
 
-def _bounded_transversal(run: _Run):
-    rep = check_cccz_conditions(run.family, run.basis)
-    tpass = rep.all_even_pass and rep.extras.get("single_cccz", False)
-    return tpass, rep.as_dict(), []
+def _allowed(weights: list[int], allowed: set[int] | None) -> bool:
+    return allowed is None or set(weights) <= allowed
 
 
-def _warmup_blocks(family: CodeFamily, ks: Sequence[int]) -> list[dict]:
-    return [
-        {"label": b.label, "n": b.n, "k": k,
-         "x_weights": b.x_weights(), "z_weights": b.z_weights()}
-        for b, k in zip(family.blocks, ks)
-    ]
+def _codes(run: _Run):
+    """Every block's record. Its k and CSS result come from the family's anchor, else from a
+    verified image's source (a qubit bijection keeps ranks and overlaps), else from its own
+    ranks and ``css_commutes``."""
+    spec, family, L = FAMILIES[run.name], run.family, run.L
+    verified = _verified_images(run)
+    known = spec.anchor(run) if spec.anchor else {}
+    records, passed = [], True
+    for b, (blk, (xs, zs)) in enumerate(zip(family.blocks, spec.weights)):
+        if b not in known:
+            known[b] = known[spec.images[b][0]] if verified.get(b) else (blk.k, blk.css_commutes())
+        k, css = known[b]
+        rec = {"label": blk.label, "n": blk.n, "k": k, "css": css,
+               "x_weights": blk.x_weights(), "z_weights": blk.z_weights(),
+               "x_rows": blk.hx.shape[0], "z_rows": blk.hz.shape[0]}
+        passed &= (css and rec["n"] == spec.n(L) and k == spec.k
+                   and _allowed(rec["x_weights"], xs) and _allowed(rec["z_weights"], zs))
+        records.append(rec)
+    data: dict = {"blocks": records}
+    if verified:
+        data["block_equivalence"] = all(verified.values())
+        passed &= data["block_equivalence"]
+    if spec.codes:
+        ok, fields = spec.codes(run, records)
+        passed &= ok
+        data.update(fields)
+    return passed, data, []
 
 
-def _2d_codes(run: _Run):
-    family = run.family
-    return all(b.k == 2 for b in family.blocks), dict(
-        blocks=_warmup_blocks(family, [b.k for b in family.blocks]),
-        role_swap=(_row_set(family.blocks[0].hx) == _row_set(family.blocks[1].hz)),
-    ), []
+def _transversal(run: _Run):
+    """The family's CZ, CCZ or CCCZ conditions hold, its basis is valid and its coupling
+    support is the expected one."""
+    spec, family = FAMILIES[run.name], run.family
+    rep = CHECKS[len(family.blocks)](family, run.basis)
+    passed = rep.all_even_pass and run.verified[0] and tuple(rep.tensor_support()) == spec.support
+    discrepancies: list = []
+    if spec.transversal:
+        ok, discrepancies = spec.transversal(rep)
+        passed &= ok
+    return passed, rep.as_dict(), discrepancies
 
 
-def _2d_transversal(run: _Run):
-    family, basis = run.family, run.basis
-    rep = check_cz_conditions(family, basis)
-    valid, _ = verify_logical_basis(family, basis)
-    passed = rep.all_even_pass and valid
-    return passed, dict(
-        pairing_matrix=[
-            [rep.tensor[(i, j)] for j in range(basis.k)]
-            for i in range(basis.k)
-        ],
-        **rep.as_dict(),
-    ), []
+def _octaplex_anchor(run: _Run) -> dict[int, tuple[int, bool]]:
+    # Block 0's k is the metacheck ledger's and its CSS check the lattice's kept ∂4·∂3 = 0.
+    cx = run.family.complex
+    return {0: (run.ladder.k, cx.boundary[4].product_is_zero(cx.boundary[3]))}
 
 
-def _3d_codes(run: _Run):
-    # Block 2 is block 1 moved by e_0 (the cube colors swap); a verified translate has its k.
-    # It is checked before any rank: its row sets cannot reuse the heap elimination frees.
-    b0, b1, b2 = run.family.blocks
-    translate = _is_translate(b2, (_row_set(b1.hx), _row_set(b1.hz)), edge_shift(run.L, 3, 0))
-    ks = [b0.k, b1.k, b1.k if translate else b2.k]
-    return all(k == 3 for k in ks), dict(blocks=_warmup_blocks(run.family, ks)), []
+def _stated_quartets(rep) -> tuple[bool, list[dict]]:
+    if rep.extras["tensor_matches_stated_quartets"]:
+        return True, []
+    return True, [{
+        "section": "transversal",
+        "claim": "coupling tensor equals the four stated quartets",
+        "summary": f"stated 4 quartets, measured {len(rep.tensor_support())} coupled quadruples",
+        "stated": [list(q) for q in sorted(STATED_QUARTETS)],
+        "measured": [list(q) for q in rep.tensor_support()],
+        "note": "all direction-permutation quadruples couple; the four stated quartets are a "
+                "strict subset",
+    }]
 
 
-def _3d_transversal(run: _Run):
-    family, basis = run.family, run.basis
-    rep = check_ccz_conditions(family, basis)
-    valid, _ = verify_logical_basis(family, basis)
-    weights_ok = set(rep.extras["triple_intersection_weights"]) <= {0, 2}
-    tensor_ok = rep.tensor_support() == sorted(ALL_DISTINCT_TRIPLES)
-    passed = rep.all_even_pass and valid and weights_ok and tensor_ok
-    return passed, rep.as_dict(), []
+def _bounded_fields(run: _Run, records: list[dict]) -> tuple[bool, dict]:
+    """Each X check's weight is 8 - c + 16 / 2^c, c its count of smooth-axis coordinates at
+    the box ends; the kept triangles weigh 2 or 3; the basis is valid."""
+    family, L = run.family, run.L
+    formula_ok = all(
+        weight == 8 - c + 16 // 2**c
+        for b, blk in enumerate(family.blocks)
+        for center, weight in zip(blk.meta["x_centers"], blk.hx.weights())
+        for c in [bounded_boundary_coordinate_count(center, b, L)])
+    for rec, blk in zip(records, family.blocks):
+        rec.update(triangle_z_weights=blk.meta["triangle_weights"],
+                   triangle_generators=blk.meta["triangle_generators"],
+                   completion_generators=blk.meta["completion_generators"],
+                   rough_axis=blk.meta["rough_axis"])
+    triangles_ok = all(set(rec["triangle_z_weights"]) <= {2, 3} for rec in records)
+    valid, witnesses = run.verified
+    return formula_ok and triangles_ok and valid, dict(
+        x_weight_formula_holds=formula_ok, logicals_valid=valid, witnesses=witnesses[:8])
+
+
+def _role_swap(run: _Run, records: list[dict]) -> tuple[bool, dict]:
+    b0, b1 = run.family.blocks
+    swap = _row_set(b0.hx) == _row_set(b1.hz)
+    return swap, dict(role_swap=swap)
 
 
 # Each family's code family, built from the run's inputs and shared objects.
@@ -470,19 +425,63 @@ BUILDERS = {
     "3d": lambda run: build_3d_triple(run.L),
 }
 
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """What the shared ``codes`` and ``transversal`` sections certify of one family.
+
+    Every block has ``n(L)`` qubits and ``k`` logical qubits, and its X and Z
+    check weights lie in its entry of ``weights`` (None allows any). ``support``
+    is the coupling support expected at k. ``images`` maps a block to (source
+    block, the run and the block → qubit map): the block is certified as its
+    source moved by the map. Hooks hold what data cannot: ``anchor`` gives
+    blocks' (k, css) from elsewhere, ``codes`` adds fields to the records and
+    the section, and ``transversal`` reads the check's report; the bool each
+    hook returns joins the section status.
+    """
+
+    n: Callable[[int], int]
+    k: int
+    weights: tuple
+    support: tuple
+    images: dict = field(default_factory=dict)
+    anchor: Callable | None = None
+    codes: Callable | None = None
+    transversal: Callable | None = None
+
+
+FAMILIES = {
+    "octaplex": FamilySpec(
+        lambda L: 24 * L**4, 4, (({24}, {3}),) * 4, ALL_DISTINCT_QUADRUPLES,
+        images={b: (0, lambda run, b: shifted_qubit_permutation(run.family.complex, b))
+                for b in (1, 2, 3)},
+        anchor=_octaplex_anchor, transversal=_stated_quartets),
+    # The box's 3-cells: per residue class, L values on each axis but L - 1 on one ≡ 1 (mod 4).
+    "octaplex-bounded": FamilySpec(
+        lambda L: 8 * L**4 + (2 * L - 1) ** 4, 1, (({24, 15, 10, 7}, None),) * 4, ((0, 0, 0, 0),),
+        codes=_bounded_fields),
+    "2d": FamilySpec(lambda L: 2 * L**2, 2, (({4}, {4}),) * 2, ((0, 0), (1, 1)), codes=_role_swap),
+    # Block 2 is block 1 moved by e_0, which swaps the cube colors.
+    "3d": FamilySpec(
+        lambda L: 3 * L**3, 3, (({6}, {4}), ({12}, {3}), ({12}, {3})), ALL_DISTINCT_TRIPLES,
+        images={2: (1, lambda run, b: edge_shift(run.L, 3, 0))},
+        transversal=lambda rep: (set(rep.extras["triple_intersection_weights"]) <= {0, 2}, [])),
+}
+
+# The transversal check of a family of 2, 3 or 4 blocks, looked up at call time.
+CHECKS = {2: check_cz_conditions, 3: check_ccz_conditions, 4: check_cccz_conditions}
+
 # Per family, its sections in SECTION_NAMES order.
 SECTIONS = {
     "octaplex": {
         "lattice": _octaplex_lattice,
-        "codes": _octaplex_codes,
+        "codes": _codes,
         "logicals": _octaplex_logicals,
-        "transversal": _octaplex_transversal,
+        "transversal": _transversal,
         "distance": _octaplex_distance,
         "metachecks": _octaplex_metachecks,
     },
-    "octaplex-bounded": {"codes": _bounded_codes, "transversal": _bounded_transversal},
-    "2d": {"codes": _2d_codes, "transversal": _2d_transversal},
-    "3d": {"codes": _3d_codes, "transversal": _3d_transversal},
+    **{name: {"codes": _codes, "transversal": _transversal} for name in ("octaplex-bounded", "2d", "3d")},
 }
 
 

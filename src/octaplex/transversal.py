@@ -196,16 +196,13 @@ def _scan(family: CodeFamily, basis: LogicalBasis, names: Sequence[str],
 def check_cz_conditions(
     family: CodeFamily, basis: LogicalBasis, threads: int = 1
 ) -> TransversalReport:
-    """Two-block conditions: stabilizer overlaps even, logical pairing measured."""
+    """Two-block conditions: stabilizer overlaps even, logical pairing measured
+    (``pairing_matrix`` in the extras)."""
     conditions, tensor, k = _scan(family, basis, ("stab_stab_even", "stab_logical_even"))
-    identity = all(
-        tensor[(i, j)] == (1 if i == j else 0)
-        for i in range(k)
-        for j in range(k)
-    )
-    return TransversalReport(
-        2, conditions, tensor, list(basis.labels), pairing_is_identity=identity
-    )
+    pairing = [[tensor[(i, j)] for j in range(k)] for i in range(k)]
+    identity = pairing == [[int(i == j) for j in range(k)] for i in range(k)]
+    return TransversalReport(2, conditions, tensor, list(basis.labels), pairing_is_identity=identity,
+                             extras={"pairing_matrix": pairing})
 
 
 def check_ccz_conditions(

@@ -98,19 +98,41 @@ def test_usage_errors():
     ("3d", 3, None),
     ("octaplex", 1, None),
     ("octaplex-bounded", 1, None),
-], ids=["empty", "not-in-family", "unknown", "3d-odd-L", "octaplex-L1", "bounded-L1"])
+    ("4d", 2, None),
+    ("octaplex", 2.5, None),
+], ids=["empty", "not-in-family", "unknown", "3d-odd-L", "octaplex-L1", "bounded-L1",
+        "unknown-family", "non-int-L"])
 def test_run_report_rejects_bad_sections(monkeypatch, family, L, sections):
     # the library call as well: nothing is not everything, a section the
-    # family does not define is an error, not a skip, and an L outside the
-    # family's rule fails before anything is built
+    # family does not define is an error, not a skip, and an unknown family
+    # or an L outside the family's rule fails before anything is built
     built = []
     spy = lambda *a: built.append(a)  # noqa: E731
     monkeypatch.setattr(report, "build_octaplex", spy)
     for name in report.BUILDERS:
         monkeypatch.setitem(report.BUILDERS, name, spy)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         run_report(family, L, sections=sections)
     assert built == []
+    if family not in report.SECTIONS:
+        assert all(name in str(exc.value) for name in report.SECTIONS)
+
+
+# The fields every block record of every family's codes section carries.
+CORE_BLOCK_KEYS = {"label", "n", "k", "css", "x_weights", "z_weights", "x_rows", "z_rows"}
+
+
+def test_codes_records_share_the_core_keys():
+    # one family table: the same families in SECTIONS, BUILDERS and FAMILIES,
+    # and one codes and one transversal section for all of them
+    assert list(report.SECTIONS) == list(report.BUILDERS) == list(report.FAMILIES)
+    assert {t["codes"] for t in report.SECTIONS.values()} == {report._codes}
+    assert {t["transversal"] for t in report.SECTIONS.values()} == {report._transversal}
+    for family in report.SECTIONS:
+        codes_section = run_report(family, 2, sections={"codes"}).report["sections"]["codes"]
+        assert codes_section["status"] == "pass", family
+        for block in codes_section["blocks"]:
+            assert CORE_BLOCK_KEYS <= set(block), family
 
 
 # A fault on a family without faults, or whose catching section is not run,

@@ -20,12 +20,12 @@ from conftest import alist_to_supports
 # these bytes.
 BYTE_CONTRACT = {
     "report": "8053eed83410562034af8c73a9fc8da4759034d978cb4698ca034aebe0aca5a5",
-    "report-bounded": "24e28f88cd5ee6c364a81eff3d293407e59b69aa88274567d28095b76e3206b2",
-    "report-2d": "5d44d0f241a8431a7d0809ea13a113cd7b217e104bc86f5901ff67ebc4642fed",
-    "report-3d": "f4e8c205555579ec4f66218bea9090edc42207406fab6b589192ba22f32d5e02",
-    "report-2d-L5": "487a97a2f59fa72efd29611aca09089001e5f6287f28d9ed179b91666ac66c87",
-    "report-3d-L4": "8d976484c38222c345e71aaced3415cf20e93740da15187aa6860b753390818e",
-    "report-3d-L12": "50e6e7f6bf7a33199b58525d012a6559284673b223f3690f22bd008b61fac0e8",
+    "report-bounded": "a163f94e279db18ce6f669d28ba19a4ab9e1156ef95022f8e431a156b016e50b",
+    "report-2d": "dc22166d5531fcebc99bb157aa4f726604967bcd5f876fe7504e87891dbeeb27",
+    "report-3d": "44f4957246f09fe014b9d65d3b24efa0aba029db89ff427e9161b0e275e8a444",
+    "report-2d-L5": "589c1b4142af048d23e91d0be7b4292025f5ca5f982c3e3e7573c3b89789ed1f",
+    "report-3d-L4": "a19190953f27e6f16bb4769a4dd71a0842eef2520c0af826f3679f32d88dbf95",
+    "report-3d-L12": "56bf8c4daf4967872133a2dd0392ecee9ce6b71dd1c39ff7d67a13f012571eab",
     "selftest": "6bb40ce57267e9f260ac2d6796703f560a13709058eb06c37e37fef267e77886",
     "selftest-perturb-logical": "239f3323e79464ef692fb4089f91ff2ac7787875c34aae04773647aa065d4802",
     "selftest-recolor-vertex": "54eced433fc2c19eb36cc0658a7c2273bdc840349868404b0acc0995f09139ef",
@@ -52,7 +52,7 @@ BYTE_CONTRACT_SLOW = {
     "report-L3": "6822a7e4f08500d7e22ad358fcd2f0b497111f56adc5d00c8d28e48f2b68e043",
     "report-L4": "bd0988dec37000f9c5a50be6af6eb2c6b9baef599746726e9a3662c241c78af7",
     "report-L5": "eeb0d43c09a565ab202e3c662217937abc891246c0cae74ca1214474d3573d98",
-    "report-bounded-L3": "f341f191e1355962ed823aa22eba4203f43b66b33b172766ffcb31138d587fbe",
+    "report-bounded-L3": "bdeb5c442591ecec2d3bcdd95cb6ebe613b34216a06653795b0b50b455e9892b",
     "octaplex_L3_hx0.alist": "797f59dbda726fb6a43a66be6c16145821b3ac4092674d2d8486e5d043977012",
     "octaplex_L3_hx1.alist": "f046668960e98638adffcccd81552e211bcff70602291a1a9f56847da70078e5",
     "octaplex_L3_hx2.alist": "d7c1b5542383906ccea35ab96207ccc98c5533524e9442502e8b1e351463f63a",

@@ -322,6 +322,82 @@ def test_3d_perturbed_block_is_ranked_on_its_own(monkeypatch):
     assert result.report["sections"]["codes"]["status"] == "fail" and not result.ok
 
 
+def moved_hz_entry(builder, block):
+    """A builder whose family has ``block``'s first Z check with its first
+    qubit moved to the lowest qubit outside it, and the families it built."""
+    built = []
+
+    def build(run):
+        fam = builder(run.L)
+        blk = fam.blocks[block]
+        rows = [list(r) for r in blk.hz.supports()]
+        rows[0][0] = min(set(range(blk.n)) - set(rows[0]))
+        blk.hz = BinMatrix.from_supports(blk.n, rows)
+        built.append(fam)
+        return fam
+
+    return build, built
+
+
+@pytest.mark.parametrize("family, builder, L, block", [
+    ("2d", build_2d_pair, 3, 0),
+    ("2d", build_2d_pair, 3, 1),
+    ("3d", build_3d_triple, 4, 0),
+    ("3d", build_3d_triple, 4, 1),
+    ("3d", build_3d_triple, 4, 2),
+])
+def test_warmup_non_css_block_fails_codes(monkeypatch, family, builder, L, block):
+    # negative control for the warm-ups' CSS check: the moved entry breaks
+    # commutation of that block alone, and the codes section says so; a 3d
+    # block 2 that no longer matches block 1 (either of them moved) is ranked
+    # and checked on its own, and block equivalence fails
+    build, built = moved_hz_entry(builder, block)
+    monkeypatch.setitem(report.BUILDERS, family, build)
+    eliminate, eliminated = BinMatrix._eliminate, []
+    monkeypatch.setattr(BinMatrix, "_eliminate",
+                        lambda self: eliminated.append(self) or eliminate(self))
+    result = report.run_report(family, L, sections={"codes"})
+    (fam,) = built
+    moved = fam.blocks[block]
+    assert any(moved.hz.matmul(moved.hx.transpose()).weights())
+    codes = result.report["sections"]["codes"]
+    assert codes["status"] == "fail" and not result.ok
+    assert [b["css"] for b in codes["blocks"]] == [b != block for b in range(len(fam.blocks))]
+    if family == "3d":
+        assert codes["block_equivalence"] is (block == 0)
+        b2 = fam.blocks[2]
+        assert any(m is b2.hz for m in eliminated) is (block != 0)
+        if block != 0:
+            own = Codeblock(2, b2.n, BinMatrix.from_supports(b2.n, b2.hx.supports()),
+                            BinMatrix.from_supports(b2.n, b2.hz.supports())).k
+            assert codes["blocks"][2]["k"] == own
+    else:
+        assert "block_equivalence" not in codes
+
+
+def test_2d_reversed_logicals_fail_transversal(monkeypatch):
+    # block 1's logicals listed in reverse still form a valid basis, but the
+    # CZ then couples logical i of block 0 with logical 1 - i of block 1: the
+    # coupling support is no longer the expected identity pairing
+    bases = []
+
+    def build(family):
+        basis = build_logicals(family)
+        for ops in (basis.x_ops, basis.z_ops):
+            ops[1] = BinMatrix.from_supports(family.n, list(ops[1].supports())[::-1])
+        bases.append((family, basis))
+        return basis
+
+    monkeypatch.setattr(report, "build_logicals", build)
+    result = report.run_report("2d", 2)
+    ((fam, basis),) = bases
+    assert verify_logical_basis(fam, basis)[0]
+    transversal = result.report["sections"]["transversal"]
+    assert all(c["passed"] for c in transversal["conditions"])
+    assert transversal["coupling_tensor_nonzero"] == [[0, 1], [1, 0]]
+    assert transversal["status"] == "fail" and not result.ok
+
+
 def test_3d_odd_l_rejected():
     with pytest.raises(ValueError):
         build_3d_triple(3)
