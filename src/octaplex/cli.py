@@ -23,10 +23,9 @@ from pathlib import Path
 
 from .exports import matrix_to_alist, matrix_to_mtx, write_text
 from .report import (
-    EXPORTS,
+    FAMILIES,
     FAULT_KINDS,
     RUNNERS,
-    SECTIONS,
     Fault,
     _Run,
     render_text,
@@ -61,14 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--family", choices=tuple(RUNNERS), default="octaplex")
     rep.add_argument("--sections", type=str, default=None,
                      help="comma-separated subset of the family's sections: "
-                          + "; ".join(f"{f}: {','.join(t)}" for f, t in SECTIONS.items()))
+                          + "; ".join(f"{f}: {','.join(spec.section_table())}"
+                                      for f, spec in FAMILIES.items()))
     _add_run_options(rep)
 
     exp = sub.add_parser("export", help="write check matrices to files")
     exp.add_argument("--L", type=int, required=True, help="lattice linear size")
     exp.add_argument("--threads", type=int, default=0,
                      help="accepted for compatibility; has no effect")
-    exp.add_argument("--family", choices=tuple(EXPORTS), default="octaplex")
+    exp.add_argument("--family", default="octaplex",
+                     choices=tuple(f for f, spec in FAMILIES.items() if spec.exports))
     exp.add_argument("--which", required=True,
                      help="comma-separated subset of hx0..hx3,hz0..hz3,m0,m1 "
                           "or 'all' (every selector the family defines)")
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", type=Path, required=True, help="output directory")
 
     st = sub.add_parser("selftest", help="fast invariant suite at L=2")
-    st.set_defaults(family="octaplex", L=2,
-                    sections="lattice,codes,logicals,transversal,metachecks")
+    st.set_defaults(family="octaplex", L=2, sections=",".join(
+        s for s in FAMILIES["octaplex"].section_table() if s != "distance"))
     _add_run_options(st)
     return parser
 
@@ -118,7 +119,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_export(args) -> int:
-    selectors = EXPORTS[args.family]
+    selectors = FAMILIES[args.family].exports
     keys = (
         list(selectors) if args.which == "all"
         else list(dict.fromkeys(k.strip() for k in args.which.split(",") if k.strip()))

@@ -7,13 +7,14 @@ invariants; where a measured quantity disagrees with a stated target value
 the mismatch is emitted in the top-level ``discrepancies`` block so it
 cannot be missed, with the measured and stated values side by side.
 
-Every family runs through one driver, ``run_report``, over that family's
-table in ``SECTIONS``: a section function returns ``(passed, data,
-discrepancies)``, ``data`` being the record as the report carries it. The
-``codes`` and ``transversal`` sections are one function each for every
-family, driven by its entry in ``FAMILIES``.
-``requested_sections`` checks a run's inputs; ``export`` reads its matrices
-off a run through ``EXPORTS``.
+A family is its one entry in ``FAMILIES``: its builder, its sections, what
+the shared sections certify of it and its export selectors. Every family
+runs through one driver, ``run_report``, over that entry's sections: a
+section function returns ``(passed, data, discrepancies)``, ``data`` being
+the record as the report carries it. The ``codes`` and ``transversal``
+sections are one function each for every family. ``requested_sections``
+checks a run's inputs; ``export`` reads its matrices off a run through the
+entry's selectors.
 
 The canonical JSON rendering contains no timings; wall-clock per build phase
 and per section is kept in the text summary so that report bytes are
@@ -131,7 +132,7 @@ class _Run:
 
     @cached_property
     def family(self) -> CodeFamily:
-        return self.timed("codes_build", BUILDERS[self.name], self)
+        return self.timed("codes_build", FAMILIES[self.name].build, self)
 
     @cached_property
     def basis(self):
@@ -169,32 +170,28 @@ def requested_sections(family: str, L: int, sections: set[str] | None,
     """The sections a run of ``family`` at size L executes, all of them for None.
 
     A ``ValueError``, before anything is built, unless the family is one of
-    ``SECTIONS``, L is an ``int`` ≥ 2 (and even for ``3d``, whose cubes are
+    ``FAMILIES``, L is an ``int`` ≥ 2 (and even for ``3d``, whose cubes are
     2-colored), the sections are a nonempty subset of the family's and, given
-    a fault, the family is ``octaplex`` and the section that catches the
-    fault is among them: a fault no section reads would pass silently.
+    a fault, the section that catches it is among them: a fault no section
+    reads would pass silently.
     """
-    if family not in SECTIONS:
-        raise ValueError(f"unknown family {family!r}; the families are {', '.join(SECTIONS)}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; the families are {', '.join(FAMILIES)}")
     if type(L) is not int:
         raise ValueError(f"L must be an int, not {type(L).__name__}")
     if L < 2:
         raise ValueError("L must be >= 2")
     if family == "3d" and L % 2:
         raise ValueError("the 3d family needs even L (cube 2-coloring)")
-    table = SECTIONS[family]
+    table = FAMILIES[family].section_table()
     wanted = set(table) if sections is None else set(sections)
     if not wanted:
         raise ValueError("no section is requested")
     if unknown := sorted(wanted - table.keys()):
         raise ValueError(f"sections {unknown} are not defined for the {family} family")
-    if fault is not None:
-        if family != "octaplex":
-            raise ValueError(f"faults are not supported for the {family} family")
-        catcher = FAULT_KINDS.get(fault.kind)
-        if catcher not in wanted:
-            raise ValueError(f"fault {fault.kind} is caught by the {catcher} section, "
-                             "which is not requested")
+    if fault is not None and (catcher := FAULT_KINDS.get(fault.kind)) not in wanted:
+        raise ValueError(f"fault {fault.kind} is caught by the {catcher} section, "
+                         "which this run does not execute")
     return wanted
 
 
@@ -205,13 +202,13 @@ def run_report(
     sections: set[str] | None = None,
     fault: Fault | None = None,
 ) -> RunResult:
-    """Run the requested sections of ``SECTIONS[family]`` (all for None).
+    """Run the requested sections of the family's ``FAMILIES`` entry (all for None).
 
     L, the sections and the fault must pass ``requested_sections``;
     otherwise ``ValueError``. ``threads`` is accepted and has no effect.
     """
     wanted = requested_sections(family, L, sections, fault)
-    table = SECTIONS[family]
+    table = FAMILIES[family].section_table()
     report: dict = {
         "tool_version": __version__,
         "family": family,
@@ -412,58 +409,79 @@ def _bounded_fields(run: _Run, records: list[dict]) -> tuple[bool, dict]:
 
 def _role_swap(run: _Run, records: list[dict]) -> tuple[bool, dict]:
     b0, b1 = run.family.blocks
-    swap = _row_set(b0.hx) == _row_set(b1.hz)
+    swap = _row_set(b0.hx) == _row_set(b1.hz) and _row_set(b0.hz) == _row_set(b1.hx)
     return swap, dict(role_swap=swap)
 
 
-# Each family's code family, built from the run's inputs and shared objects.
-# The layer builders are looked up by their global names at call time.
-BUILDERS = {
-    "octaplex": lambda run: build_family(run.cx),
-    "octaplex-bounded": lambda run: build_bounded_family(run.L),
-    "2d": lambda run: build_2d_pair(run.L),
-    "3d": lambda run: build_3d_triple(run.L),
-}
+def _block_matrix(side: str, block: int, run: _Run) -> BinMatrix:
+    return getattr(run.family.blocks[block], side)
+
+
+_BLOCK_SELECTORS = {f"{side}{b}": partial(_block_matrix, side, b)
+                    for side in ("hx", "hz") for b in range(4)}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """What the shared ``codes`` and ``transversal`` sections certify of one family.
+    """One family: how a run builds it, its sections, what the shared ``codes`` and
+    ``transversal`` sections certify of it and what ``export`` writes of it.
 
-    Every block has ``n(L)`` qubits and ``k`` logical qubits, and its X and Z
-    check weights lie in its entry of ``weights`` (None allows any). ``support``
-    is the coupling support expected at k. ``images`` maps a block to (source
-    block, the run and the block → qubit map): the block is certified as its
-    source moved by the map. Hooks hold what data cannot: ``anchor`` gives
-    blocks' (k, css) from elsewhere, ``codes`` adds fields to the records and
-    the section, and ``transversal`` reads the check's report; the bool each
-    hook returns joins the section status.
+    ``build`` makes the code family from the run's inputs and shared objects,
+    looking the layer builder up by its global name at call time. ``sections``
+    are the family's own sections beyond ``codes`` and ``transversal``, and
+    ``exports`` its matrices in ``export --which all`` order, each read off a
+    run (a family without them is not exportable). Every block has ``n(L)``
+    qubits and ``k`` logical qubits, and its X and Z check weights lie in its
+    entry of ``weights`` (None allows any). ``support`` is the coupling support
+    expected at k. ``images`` maps a block to (source block, the run and the
+    block → qubit map): the block is certified as its source moved by the map.
+    Hooks hold what data cannot: ``anchor`` gives blocks' (k, css) from
+    elsewhere, ``codes`` adds fields to the records and the section, and
+    ``transversal`` reads the check's report; the bool each hook returns joins
+    the section status.
     """
 
+    build: Callable
     n: Callable[[int], int]
     k: int
     weights: tuple
     support: tuple
+    sections: dict = field(default_factory=dict)
+    exports: dict = field(default_factory=dict)
     images: dict = field(default_factory=dict)
     anchor: Callable | None = None
     codes: Callable | None = None
     transversal: Callable | None = None
 
+    def section_table(self) -> dict[str, Callable]:
+        """Every section of the family, in SECTION_NAMES order."""
+        table = {"codes": _codes, "transversal": _transversal, **self.sections}
+        return {name: table[name] for name in SECTION_NAMES if name in table}
+
 
 FAMILIES = {
+    # m0 = ∂1ᵀ and m1 = ∂2ᵀ are the complex's, so an export of them alone builds no code family.
     "octaplex": FamilySpec(
-        lambda L: 24 * L**4, 4, (({24}, {3}),) * 4, ALL_DISTINCT_QUADRUPLES,
+        lambda run: build_family(run.cx), lambda L: 24 * L**4, 4, (({24}, {3}),) * 4,
+        ALL_DISTINCT_QUADRUPLES,
+        sections={"lattice": _octaplex_lattice, "logicals": _octaplex_logicals,
+                  "distance": _octaplex_distance, "metachecks": _octaplex_metachecks},
+        exports={**_BLOCK_SELECTORS, "m0": lambda run: run.cx.boundary[1].transpose(),
+                 "m1": lambda run: run.cx.boundary[2].transpose()},
         images={b: (0, lambda run, b: shifted_qubit_permutation(run.family.complex, b))
                 for b in (1, 2, 3)},
         anchor=_octaplex_anchor, transversal=_stated_quartets),
     # The box's 3-cells: per residue class, L values on each axis but L - 1 on one ≡ 1 (mod 4).
     "octaplex-bounded": FamilySpec(
-        lambda L: 8 * L**4 + (2 * L - 1) ** 4, 1, (({24, 15, 10, 7}, None),) * 4, ((0, 0, 0, 0),),
+        lambda run: build_bounded_family(run.L), lambda L: 8 * L**4 + (2 * L - 1) ** 4, 1,
+        (({24, 15, 10, 7}, None),) * 4, ((0, 0, 0, 0),), exports=_BLOCK_SELECTORS,
         codes=_bounded_fields),
-    "2d": FamilySpec(lambda L: 2 * L**2, 2, (({4}, {4}),) * 2, ((0, 0), (1, 1)), codes=_role_swap),
+    "2d": FamilySpec(lambda run: build_2d_pair(run.L), lambda L: 2 * L**2, 2, (({4}, {4}),) * 2,
+                     ((0, 0), (1, 1)), codes=_role_swap),
     # Block 2 is block 1 moved by e_0, which swaps the cube colors.
     "3d": FamilySpec(
-        lambda L: 3 * L**3, 3, (({6}, {4}), ({12}, {3}), ({12}, {3})), ALL_DISTINCT_TRIPLES,
+        lambda run: build_3d_triple(run.L), lambda L: 3 * L**3, 3,
+        (({6}, {4}), ({12}, {3}), ({12}, {3})), ALL_DISTINCT_TRIPLES,
         images={2: (1, lambda run, b: edge_shift(run.L, 3, 0))},
         transversal=lambda rep: (set(rep.extras["triple_intersection_weights"]) <= {0, 2}, [])),
 }
@@ -471,38 +489,7 @@ FAMILIES = {
 # The transversal check of a family of 2, 3 or 4 blocks, looked up at call time.
 CHECKS = {2: check_cz_conditions, 3: check_ccz_conditions, 4: check_cccz_conditions}
 
-# Per family, its sections in SECTION_NAMES order.
-SECTIONS = {
-    "octaplex": {
-        "lattice": _octaplex_lattice,
-        "codes": _codes,
-        "logicals": _octaplex_logicals,
-        "transversal": _transversal,
-        "distance": _octaplex_distance,
-        "metachecks": _octaplex_metachecks,
-    },
-    **{name: {"codes": _codes, "transversal": _transversal} for name in ("octaplex-bounded", "2d", "3d")},
-}
-
-
-def _block_matrix(side: str, block: int, run: _Run) -> BinMatrix:
-    return getattr(run.family.blocks[block], side)
-
-
-_BLOCK_EXPORTS = {f"{side}{b}": partial(_block_matrix, side, b)
-                  for side in ("hx", "hz") for b in range(4)}
-
-# Per exportable family, its matrices in `export --which all` order. m0 = ∂1ᵀ
-# and m1 = ∂2ᵀ are the complex's, so a run that reads only them builds no
-# code family.
-EXPORTS = {
-    "octaplex": {**_BLOCK_EXPORTS,
-                 "m0": lambda run: run.cx.boundary[1].transpose(),
-                 "m1": lambda run: run.cx.boundary[2].transpose()},
-    "octaplex-bounded": _BLOCK_EXPORTS,
-}
-
-RUNNERS = {family: partial(run_report, family) for family in SECTIONS}
+RUNNERS = {family: partial(run_report, family) for family in FAMILIES}
 run_octaplex_report = RUNNERS["octaplex"]
 run_bounded_report = RUNNERS["octaplex-bounded"]
 run_2d_report = RUNNERS["2d"]

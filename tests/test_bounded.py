@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 from operator import xor
 
@@ -11,7 +12,7 @@ from octaplex.codes import (
     star_triangles,
 )
 from octaplex.logicals import verify_logical_basis
-from octaplex.report import BUILDERS, run_report
+from octaplex.report import FAMILIES, run_report
 from octaplex.transversal import check_cccz_conditions
 
 
@@ -191,8 +192,9 @@ def test_bounded_report_eliminates_no_z_side(monkeypatch):
         return eliminate(m)
 
     monkeypatch.setattr(BinMatrix, "_eliminate", spy)
-    monkeypatch.setitem(BUILDERS, "octaplex-bounded",
-                        lambda run: built.append(build_bounded_family(run.L)) or built[0])
+    monkeypatch.setitem(FAMILIES, "octaplex-bounded", replace(
+        FAMILIES["octaplex-bounded"],
+        build=lambda run: built.append(build_bounded_family(run.L)) or built[0]))
     assert run_report("octaplex-bounded", 3).ok
     assert len(eliminated) == 12
     ids = {id(m) for m in eliminated}
@@ -205,8 +207,9 @@ def test_bounded_report_builds_no_hz_column_index(monkeypatch):
     # the CSS check reads hx's column index instead of building hz's, about
     # four times larger (212 against about 880 entries per block at L=2)
     built = []
-    monkeypatch.setitem(BUILDERS, "octaplex-bounded",
-                        lambda run: built.append(build_bounded_family(run.L)) or built[0])
+    monkeypatch.setitem(FAMILIES, "octaplex-bounded", replace(
+        FAMILIES["octaplex-bounded"],
+        build=lambda run: built.append(build_bounded_family(run.L)) or built[0]))
     result = run_report("octaplex-bounded", 2)
     assert result.ok
     assert [b["css"] for b in result.report["sections"]["codes"]["blocks"]] == [True] * 4

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -68,8 +69,8 @@ def test_usage_errors():
     # a section the family does not define
     assert main(["report", "--family", "2d", "--L", "2",
                  "--sections", "lattice"]) == 2
-    # only the octaplex family takes a fault; elsewhere a negative control
-    # would silently pass
+    # only the octaplex family defines a section that catches a fault;
+    # elsewhere a negative control would silently pass
     assert main(["report", "--family", "octaplex-bounded", "--L", "2",
                  "--inject-fault", "perturb-logical"]) == 2
     # a fault whose catching section is not requested could not fail
@@ -109,13 +110,13 @@ def test_run_report_rejects_bad_sections(monkeypatch, family, L, sections):
     built = []
     spy = lambda *a: built.append(a)  # noqa: E731
     monkeypatch.setattr(report, "build_octaplex", spy)
-    for name in report.BUILDERS:
-        monkeypatch.setitem(report.BUILDERS, name, spy)
+    for name, spec in report.FAMILIES.items():
+        monkeypatch.setitem(report.FAMILIES, name, replace(spec, build=spy))
     with pytest.raises(ValueError) as exc:
         run_report(family, L, sections=sections)
     assert built == []
-    if family not in report.SECTIONS:
-        assert all(name in str(exc.value) for name in report.SECTIONS)
+    if family not in report.FAMILIES:
+        assert all(name in str(exc.value) for name in report.FAMILIES)
 
 
 # The fields every block record of every family's codes section carries.
@@ -123,26 +124,36 @@ CORE_BLOCK_KEYS = {"label", "n", "k", "css", "x_weights", "z_weights", "x_rows",
 
 
 def test_codes_records_share_the_core_keys():
-    # one family table: the same families in SECTIONS, BUILDERS and FAMILIES,
-    # and one codes and one transversal section for all of them
-    assert list(report.SECTIONS) == list(report.BUILDERS) == list(report.FAMILIES)
-    assert {t["codes"] for t in report.SECTIONS.values()} == {report._codes}
-    assert {t["transversal"] for t in report.SECTIONS.values()} == {report._transversal}
-    for family in report.SECTIONS:
+    # one codes and one transversal section for every family
+    tables = [spec.section_table() for spec in report.FAMILIES.values()]
+    assert {t["codes"] for t in tables} == {report._codes}
+    assert {t["transversal"] for t in tables} == {report._transversal}
+    for family in report.FAMILIES:
         codes_section = run_report(family, 2, sections={"codes"}).report["sections"]["codes"]
         assert codes_section["status"] == "pass", family
         for block in codes_section["blocks"]:
             assert CORE_BLOCK_KEYS <= set(block), family
 
 
-# A fault on a family without faults, or whose catching section is not run,
-# could never fail the run: each is a usage error, not a silent pass.
+def test_one_family_entry_runs_end_to_end(monkeypatch):
+    # a family is its FAMILIES entry alone: no other table names it
+    monkeypatch.setitem(report.FAMILIES, "2d-twin", report.FAMILIES["2d"])
+    twin = run_report("2d-twin", 3)
+    assert twin.ok
+    assert twin.report == {**run_report("2d", 3).report, "family": "2d-twin"}
+
+
+# A fault whose catching section the run does not execute, because the family
+# does not define it or it is not requested, could never fail the run: each is
+# a usage error, not a silent pass.
 UNCAUGHT_FAULTS = [
     ("octaplex-bounded", None, "recolor-vertex"),
     ("octaplex-bounded", None, "drop-m1-entry"),
     ("2d", None, "recolor-vertex"),
     ("octaplex", {"lattice"}, "drop-m1-entry"),
     ("octaplex", {"lattice"}, "perturb-logical"),
+    ("octaplex-bounded", None, "perturb-logical"),
+    ("3d", None, "drop-m1-entry"),
 ]
 
 
@@ -161,6 +172,7 @@ def test_cli_rejects_an_uncaught_fault(capsys, family, sections, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert f"the {report.FAULT_KINDS[kind]} section" in captured.err
 
 
 def test_argparse_rejects_unknown_family():

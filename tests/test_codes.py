@@ -26,7 +26,7 @@ from octaplex.lattice import (
     try_classify,
     vertex_color,
 )
-from octaplex.report import SECTIONS, _Run
+from octaplex.report import _Run, _codes
 
 
 def test_block0_shape(cx2, family2):
@@ -101,7 +101,7 @@ def test_codes_section_ranks_a_non_translate_block(family2, monkeypatch, corrupt
                         lambda blk: checked.append(blk.label) or css_commutes(blk))
     run = _Run("octaplex", family.L, None, {})
     run.family = family
-    passed, data, _ = SECTIONS["octaplex"]["codes"](run)
+    passed, data, _ = _codes(run)
     assert not passed
     assert data["block_equivalence"] is False
     assert data["blocks"][2]["k"] == blk2.n - rank(blk2.hx) - rank(blk2.hz)

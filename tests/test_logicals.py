@@ -23,7 +23,7 @@ from octaplex.logicals import (
     logical_class,
     verify_logical_basis,
 )
-from octaplex.report import BUILDERS, Fault, report_json, run_report
+from octaplex.report import FAMILIES, Fault, report_json, run_report
 
 
 def toggled(m, i, qubits):
@@ -36,8 +36,8 @@ def toggled(m, i, qubits):
 def test_full_report_builds_no_colored_column_index(monkeypatch):
     # A colored block's logical syndromes come from one pass over its rows.
     built = []
-    monkeypatch.setitem(BUILDERS, "octaplex",
-                        lambda run: built.append(build_family(run.cx)) or built[0])
+    monkeypatch.setitem(FAMILIES, "octaplex", replace(
+        FAMILIES["octaplex"], build=lambda run: built.append(build_family(run.cx)) or built[0]))
     assert run_report("octaplex", 3).ok
     for blk in built[0].blocks[1:]:
         assert blk.hz._t is None and blk.hx._t is None, blk.label

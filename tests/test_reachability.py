@@ -5,7 +5,7 @@ The check reads the syntax trees of ``src/octaplex/*.py`` and imports
 nothing. Its roots are ``cli.main`` and every module's top-level statements
 other than defs and assignments to names (the ``if __name__`` guard, say);
 an import statement reaches nothing. A module-level assignment such as the
-``SECTIONS``, ``BUILDERS`` and ``FAULT_KINDS`` tables counts as a def of the
+``FAMILIES``, ``CHECKS`` and ``FAULT_KINDS`` tables counts as a def of the
 names it binds. A reached body reaches every name it reads, as a variable or
 as an attribute, and a reached name reaches every def with that name, in any
 module or class. A reached class reaches its body and its dunder methods.
@@ -150,7 +150,7 @@ def test_an_unread_module_level_alias_fails():
 
 def test_a_reached_pending_name_fails():
     trees = parse_sources()
-    trees["report"].body += ast.parse("SECTIONS['probe'] = multilinearity_holds\n").body
+    trees["report"].body += ast.parse("FAMILIES['probe'] = multilinearity_holds\n").body
     assert problems(trees, PENDING, wrapped_table()) == [
         "reached but pending: multilinearity_holds"]
 

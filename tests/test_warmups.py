@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -352,7 +353,7 @@ def test_warmup_non_css_block_fails_codes(monkeypatch, family, builder, L, block
     # block 2 that no longer matches block 1 (either of them moved) is ranked
     # and checked on its own, and block equivalence fails
     build, built = moved_hz_entry(builder, block)
-    monkeypatch.setitem(report.BUILDERS, family, build)
+    monkeypatch.setitem(report.FAMILIES, family, replace(report.FAMILIES[family], build=build))
     eliminate, eliminated = BinMatrix._eliminate, []
     monkeypatch.setattr(BinMatrix, "_eliminate",
                         lambda self: eliminated.append(self) or eliminate(self))
@@ -373,6 +374,8 @@ def test_warmup_non_css_block_fails_codes(monkeypatch, family, builder, L, block
             assert codes["blocks"][2]["k"] == own
     else:
         assert "block_equivalence" not in codes
+        # the moved entry breaks the swap of block 0's and block 1's roles either way
+        assert codes["role_swap"] is False
 
 
 def test_2d_reversed_logicals_fail_transversal(monkeypatch):
